@@ -36,7 +36,7 @@ __all__ = [
     "min_blocklength",
 ]
 
-_LOG2_E = math.log2(math.e)
+_LOG2_E_SQ = math.log2(math.e) ** 2
 
 # blocklength ceiling for the bracketing search in min_blocklength; the
 # error probability is strictly decreasing in n, so this is unreachable
@@ -100,20 +100,34 @@ class RateResult:
     correction: float
 
 
+def _cv_complex(snr: float) -> tuple[float, float]:
+    """Capacity and dispersion per complex channel use at linear SNR snr.
+
+    V = snr(2 + snr)/(1 + snr)^2 * log2(e)^2, evaluated as a product of two
+    ratios so it stays finite for any finite snr.
+    """
+    r = 1.0 + snr
+    return math.log2(r), snr / r * ((2.0 + snr) / r) * _LOG2_E_SQ
+
+
+def _cv(ch: Channel) -> tuple[float, float]:
+    # both halved exactly under REAL_CU, so the two conventions stay consistent
+    c, v = _cv_complex(ch.snr)
+    return (0.5 * c, 0.5 * v) if ch.convention is Convention.REAL_CU else (c, v)
+
+
 def capacity(ch: Channel) -> float:
     """Capacity in bits per channel use: log2(1 + snr), halved under REAL_CU."""
-    c = math.log2(1.0 + ch.snr)
-    return 0.5 * c if ch.convention is Convention.REAL_CU else c
+    return _cv(ch)[0]
 
 
 def dispersion(ch: Channel) -> float:
     """Channel dispersion in bits^2 per channel use.
 
     snr(2 + snr)/(1 + snr)^2 * log2(e)^2 for complex channel uses, halved
-    under REAL_CU (exactly, so the two conventions stay consistent).
+    under REAL_CU.
     """
-    v = ch.snr * (2.0 + ch.snr) / (1.0 + ch.snr) ** 2 * _LOG2_E**2
-    return 0.5 * v if ch.convention is Convention.REAL_CU else v
+    return _cv(ch)[1]
 
 
 def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
@@ -130,8 +144,7 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
         raise ValueError(f"blocklength must be positive and finite, got {n!r}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
-    cap = capacity(ch)
-    disp = dispersion(ch)
+    cap, disp = _cv(ch)
     penalty = math.sqrt(disp / n) * q_inv(eps)
     correction = math.log2(n) / (2.0 * n)
     return RateResult(
@@ -145,8 +158,7 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
 
 def _tail_args(ch: Channel, k, n) -> np.ndarray:
     # (nC - k + log2(n)/2) / sqrt(nV); array-safe in k and n
-    c = capacity(ch)
-    v = dispersion(ch)
+    c, v = _cv(ch)
     k = np.asarray(k, dtype=float)
     n = np.asarray(n, dtype=float)
     return (n * c - k + 0.5 * np.log2(n)) / np.sqrt(n * v)

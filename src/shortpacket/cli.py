@@ -49,9 +49,9 @@ from .protocols import (
     aloha_success,
     downlink_compare,
     twoway_optimize,
-    twoway_reliability,
     twoway_tdd_eval,
 )
+from .repro import ROWS
 
 __all__ = ["run", "main"]
 
@@ -74,8 +74,7 @@ def _snr(args: argparse.Namespace) -> float:
 
 
 def _channel(args: argparse.Namespace) -> Channel:
-    conv = Convention.REAL_CU if args.convention == "real" else Convention.COMPLEX_CU
-    return Channel(snr=_snr(args), convention=conv)
+    return Channel(snr=_snr(args), convention=Convention(args.convention))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def _build_sim_aloha(args: argparse.Namespace) -> _Output:
             "per_slot_std_error": reps.per_slot_throughput.std_error,
             "per_device_success": reps.per_device_success.estimate,
             "per_device_std_error": reps.per_device_success.std_error,
-            "slot_length": int(cfg.n // cfg.K),
+            "slot_length": reps.per_slot_throughput.config["slot_length"],
             "trials": reps.per_slot_throughput.trials,
             "seed": reps.per_slot_throughput.seed,
         }
@@ -352,182 +351,21 @@ def _build_sim_twoway(args: argparse.Namespace) -> _Output:
 # ---------------------------------------------------------------------------
 # reproduction suite
 
-_SNR10 = 10.0  # 10 dB as a linear ratio
-
-
-def _row_tdd_operating_point(conv: Convention) -> tuple[bool, str]:
-    r = twoway_tdd_eval(194.0, 96.0, 125.0, Channel(_SNR10, conv))
-    ok = abs(r.eps - 0.0118) <= 3e-4 and abs(r.throughput - 0.759) <= 1e-3
-    return ok, f"eps={r.eps:.6g} (want 0.0118±0.0003) throughput={r.throughput:.6g} (want 0.759±0.001)"
-
-
-def _row_two_way_min_n(conv: Convention) -> tuple[bool, str]:
-    ch = Channel(_SNR10, conv)
-    res = twoway_optimize(TwoWayConfig(193.0, 97.0, ch, target_reliability=0.999), 96.0)
-    below = twoway_optimize(TwoWayConfig(193.0, 97.0, ch, n_total=202), 96.0)
-    ok = (
-        res.feasible
-        and (res.n, res.n1, res.n2) == (203, 132, 71)
-        and below.reliability < 0.999
-    )
-    return ok, (
-        f"n={res.n} split=({res.n1},{res.n2}) (want 203=(132,71)); "
-        f"best reliability at n=202 is {below.reliability:.6f} (must be <0.999)"
-    )
-
-
-def _row_two_way_fixed_n(conv: Convention) -> tuple[bool, str]:
-    res = twoway_optimize(TwoWayConfig(193.0, 97.0, Channel(_SNR10, conv), n_total=250), 96.0)
-    ok = (res.n1, res.n2) == (158, 92) and abs(res.throughput - 0.384) <= 1e-3
-    return ok, (
-        f"split=({res.n1},{res.n2}) (want (158,92)) "
-        f"throughput={res.throughput:.6g} (want 0.384±0.001)"
-    )
-
-
-def _row_downlink_strategies(conv: Convention) -> tuple[bool, str]:
-    res = downlink_compare(DownlinkConfig(10, 192.0, 125.0, Channel(_SNR10, conv)))
-    ok = abs(res.eps_tdma - 0.007) <= 5e-4 and 1e-12 <= res.eps_concat <= 1e-11
-    return ok, (
-        f"eps_tdma={res.eps_tdma:.6g} (want 0.007±0.0005) "
-        f"eps_concat={res.eps_concat:.3g} (want within [1e-12, 1e-11])"
-    )
-
-
-def _row_aloha_slot_count(conv: Convention) -> tuple[bool, str]:
-    cfg = AlohaConfig(10, 192.0, 800.0, Channel(_SNR10, conv))
-    k = aloha_optimize(cfg).k_opt
-    k_perfect = aloha_optimize(cfg, assume_perfect_decoding=True).k_opt
-    ok = k == 6 and k_perfect == 10
-    return ok, f"k_opt={k} (want 6); with perfect decoding k_opt={k_perfect} (want 10)"
-
-
-def _row_awgn_rate_point(conv: Convention) -> tuple[bool, str]:
-    r = rate_na(Channel(1.0, Convention.COMPLEX_CU), 138.0, 1e-3)
-    ok = abs(r.rate - 0.697) <= 3e-3
-    return ok, f"rate={r.rate:.6g} at n=138, eps=1e-3, snr=0dB complex (want 0.697±0.003)"
-
-
-def _row_convention_sensitivity(conv: Convention) -> tuple[bool, str]:
-    ch = Channel(_SNR10, Convention.COMPLEX_CU)
-    e_tdd = eps_star(ch, CodeSpec(194.0, 125.0))
-    e_dl = eps_star(ch, CodeSpec(192.0, 125.0))
-    n = twoway_optimize(TwoWayConfig(193.0, 97.0, ch, target_reliability=0.999), 96.0).n
-    k = aloha_optimize(AlohaConfig(10, 192.0, 800.0, ch)).k_opt
-    ok = e_tdd < 1e-9 and e_dl < 1e-9 and n < 203 and k == 10
-    return ok, (
-        f"complex convention: eps(194,125)={e_tdd:.3g} eps(192,125)={e_dl:.3g} (both <1e-9) "
-        f"min_n={n} (<203) k_opt={k} (want 10)"
-    )
-
-
-def _row_outage_round_trip(conv: Convention) -> tuple[bool, str]:
-    snr = _SNR10
-    grid = [1e-9, 1e-6, 1e-4] + [i / 1000.0 for i in range(1, 1000, 7)]
-    worst = max(
-        abs(outage_prob_siso(snr, outage_capacity_siso(snr, e)) - e) for e in grid
-    )
-    anchor = abs(outage_prob_siso(snr, math.log2(1.0 + snr)) - (1.0 - math.exp(-1.0)))
-    ok = worst <= 1e-10 and anchor <= 1e-12
-    return ok, f"round-trip max error {worst:.2e} (<=1e-10); capacity-rate outage error {anchor:.2e} (<=1e-12)"
-
-
-def _row_quasi_static_limit(conv: Convention) -> tuple[bool, str]:
-    c01 = outage_capacity_siso(_SNR10, 0.1)
-    gap_large = abs(eps_quasistatic(_SNR10, c01, 1e4) - 0.1)
-    gap_small = abs(eps_quasistatic(_SNR10, c01, 1e2) - 0.1)
-    ok = gap_large <= 0.02 and gap_large < gap_small
-    return ok, f"|eps-0.1| at n=1e4: {gap_large:.2e} (<=0.02), at n=1e2: {gap_small:.2e} (must be larger)"
-
-
-def _row_sim_analytic_agreement(conv: Convention) -> tuple[bool, str]:
-    ch = Channel(_SNR10, conv)
-    k_slots = 6
-    n_slot = int(800 // k_slots)
-    analytic_aloha = aloha_success(
-        AlohaConfig(10, 192.0, float(k_slots * n_slot), ch, K=k_slots)
-    )
-    cfg = AlohaConfig(10, 192.0, 800.0, ch, K=k_slots)
-    worst = 0.0
-    ok = True
-    for seed in (0, 1):
-        rep = sim_aloha(cfg, 1_000_000, seed).per_slot_throughput
-        dev = abs(rep.estimate - analytic_aloha) / rep.std_error
-        worst = max(worst, dev)
-        ok = ok and dev <= 3.0
-    two = TwoWayConfig(193.0, 97.0, ch)
-    rel = twoway_reliability(two, 132, 71)
-    for seed in (0, 1):
-        rep = sim_twoway(two, 132, 71, 10_000_000, seed)
-        if rep.std_error == 0.0:
-            agree = rep.estimate == rel
-        else:
-            dev = abs(rep.estimate - rel) / rep.std_error
-            worst = max(worst, dev)
-            agree = dev <= 3.0
-        ok = ok and agree
-    return ok, f"worst deviation {worst:.2f} sigma across both simulators, two seeds each (<=3)"
-
-
-def _row_mimo_outage_calibration(conv: Convention) -> tuple[bool, str]:
-    cfg = QuasiStaticConfig(_SNR10, 1, 1)
-    worst = 0.0
-    ok = True
-    for e in (0.02, 0.05, 0.1, 0.2, 0.4):
-        rate = outage_capacity_siso(_SNR10, e)
-        rep = outage_prob_mimo_mc(cfg, 1, rate, 1_000_000, seed=0)
-        dev = abs(rep.estimate - e) / rep.std_error
-        worst = max(worst, dev)
-        ok = ok and dev <= 3.0
-    return ok, f"worst deviation {worst:.2f} sigma over the 5-point rate grid (<=3)"
-
-
-def _row_dmt_exactness(conv: Convention) -> tuple[bool, str]:
-    coh = dmt_curve(2, 2, DmtMode.COHERENT)
-    non = dmt_curve(2, 2, DmtMode.NONCOHERENT, n_c=10)
-    ok = coh.breakpoints == ((4.0, 0.0), (1.0, 1.0), (0.0, 2.0))
-    ok = ok and non.scaling == 0.8
-    ok = ok and non.breakpoints == ((4.0, 0.0), (1.0, 0.8), (0.0, 1.6))
-    ok = ok and all(dmt_eval(coh, d) == r for d, r in coh.breakpoints)
-    ok = ok and all(dmt_eval(non, d) == r for d, r in non.breakpoints)
-    mid = dmt_eval(coh, 2.5)
-    ok = ok and abs(mid - 0.5) <= 1e-12
-    return ok, f"coherent/noncoherent breakpoints exact; r(d=2.5)={mid:.12g} (want 0.5)"
-
-
-_REPRO_ROWS: list[tuple[str, Callable[[Convention], tuple[bool, str]]]] = [
-    ("tdd-operating-point", _row_tdd_operating_point),
-    ("two-way-min-n", _row_two_way_min_n),
-    ("two-way-fixed-n", _row_two_way_fixed_n),
-    ("downlink-strategies", _row_downlink_strategies),
-    ("aloha-slot-count", _row_aloha_slot_count),
-    ("awgn-rate-point", _row_awgn_rate_point),
-    ("convention-sensitivity", _row_convention_sensitivity),
-    ("outage-round-trip", _row_outage_round_trip),
-    ("quasi-static-limit", _row_quasi_static_limit),
-    ("sim-analytic-agreement", _row_sim_analytic_agreement),
-    ("mimo-outage-calibration", _row_mimo_outage_calibration),
-    ("dmt-exactness", _row_dmt_exactness),
-]
-
 
 def _run_reproduce(args: argparse.Namespace) -> int:
-    rows = _REPRO_ROWS
+    rows = ROWS
     if args.rows:
+        names = [name for name, _ in ROWS]
         wanted = [w.strip() for w in args.rows.split(",") if w.strip()]
-        known = {name for name, _ in _REPRO_ROWS}
-        unknown = [w for w in wanted if w not in known]
+        unknown = [w for w in wanted if w not in names]
         if unknown:
-            raise _ArgError(
-                f"unknown row(s) {', '.join(unknown)}; known rows: "
-                + ", ".join(name for name, _ in _REPRO_ROWS)
-            )
-        rows = [(name, fn) for name, fn in _REPRO_ROWS if name in wanted]
+            raise _ArgError(f"unknown row(s) {', '.join(unknown)}; known rows: {', '.join(names)}")
+        rows = [row for row in ROWS if row[0] in wanted]
     if args.list:
         for name, _ in rows:
             print(name)
         return 0
-    conv = Convention.REAL_CU if args.convention == "real" else Convention.COMPLEX_CU
+    conv = Convention(args.convention)
     all_ok = True
     for name, fn in rows:
         ok, detail = fn(conv)
@@ -540,18 +378,18 @@ def _run_reproduce(args: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _add_channel_args(p: argparse.ArgumentParser) -> None:
+def _add_snr_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr-db", type=float, required=True, help="SNR in dB")
+
+
+def _add_channel_args(p: argparse.ArgumentParser) -> None:
+    _add_snr_arg(p)
     p.add_argument(
         "--convention",
         choices=("complex", "real"),
         default="complex",
         help="channel-use accounting (default complex; real halves C and V)",
     )
-
-
-def _add_snr_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snr-db", type=float, required=True, help="SNR in dB")
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -564,13 +402,21 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="PATH", default=None, help="write to a file instead of stdout")
 
 
-def _add_sweep_arg(p: argparse.ArgumentParser) -> None:
+def _scalar_command(
+    p: argparse.ArgumentParser,
+    compute: Callable[[argparse.Namespace], dict[str, Any]],
+    **sweep_params: Callable[[float], Any],
+) -> None:
+    """Finish a scalar-output subcommand: output options, --sweep over the
+    named parameters (each with its value type), and the handler."""
+    _add_output_args(p)
     p.add_argument(
         "--sweep",
         metavar="PARAM:START:STOP:STEP",
         default=None,
         help="re-run over an inclusive arithmetic progression of one parameter",
     )
+    p.set_defaults(handler=_run_scalar, compute=compute, sweep_params=sweep_params)
 
 
 def _add_mc_args(p: argparse.ArgumentParser, default_trials: int) -> None:
@@ -589,59 +435,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, required=True, help="blocklength in channel uses")
     p.add_argument("--eps", type=float, required=True, help="packet error probability")
     _add_channel_args(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_rate,
-        sweep_params={"snr_db": float, "n": float, "eps": float},
-    )
+    _scalar_command(p, _compute_rate, snr_db=float, n=float, eps=float)
 
     p = sub.add_parser("eps", help="error probability of the best (k, n) code")
     p.add_argument("--k", type=float, required=True, help="information bits per packet")
     p.add_argument("--n", type=float, required=True, help="blocklength in channel uses")
     _add_channel_args(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_eps,
-        sweep_params={"snr_db": float, "k": float, "n": float},
-    )
+    _scalar_command(p, _compute_eps, snr_db=float, k=float, n=float)
 
     p = sub.add_parser("min-n", help="smallest blocklength meeting a target error probability")
     p.add_argument("--k", type=float, required=True, help="information bits per packet")
     p.add_argument("--eps", type=float, required=True, help="target error probability")
     _add_channel_args(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_min_n,
-        sweep_params={"snr_db": float, "k": float, "eps": float},
-    )
+    _scalar_command(p, _compute_min_n, snr_db=float, k=float, eps=float)
 
     p = sub.add_parser("outage", help="Rayleigh outage probability at a rate")
     p.add_argument("--rate", type=float, required=True, help="rate in bits per channel use")
     _add_snr_arg(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_outage,
-        sweep_params={"snr_db": float, "rate": float},
-    )
+    _scalar_command(p, _compute_outage, snr_db=float, rate=float)
 
     p = sub.add_parser("outage-cap", help="Rayleigh outage capacity at a target outage")
     p.add_argument("--eps", type=float, required=True, help="outage probability target")
     _add_snr_arg(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_outage_cap,
-        sweep_params={"snr_db": float, "eps": float},
-    )
+    _scalar_command(p, _compute_outage_cap, snr_db=float, eps=float)
 
     p = sub.add_parser(
         "qs-eps", help="finite-blocklength error probability on the quasi-static Rayleigh channel"
@@ -649,13 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True, help="rate in bits per channel use")
     p.add_argument("--n", type=float, required=True, help="blocklength in channel uses")
     _add_snr_arg(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_qs_eps,
-        sweep_params={"snr_db": float, "rate": float, "n": float},
-    )
+    _scalar_command(p, _compute_qs_eps, snr_db=float, rate=float, n=float)
 
     p = sub.add_parser("mimo-outage", help="MIMO outage probability by Monte-Carlo")
     p.add_argument("--mt", type=int, required=True, help="transmit antennas")
@@ -680,13 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mt", type=int, required=True, help="transmit antennas")
     p.add_argument("--mr", type=int, required=True, help="receive antennas")
     p.add_argument("--nc", type=int, required=True, help="coherence interval in channel uses")
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_prelog,
-        sweep_params={"mt": _int_value, "mr": _int_value, "nc": _int_value},
-    )
+    _scalar_command(p, _compute_prelog, mt=_int_value, mr=_int_value, nc=_int_value)
 
     p = sub.add_parser("twoway-opt", help="optimize the blocklength split of a two-way exchange")
     p.add_argument("--k1", type=float, required=True, help="bits in the forward packet")
@@ -696,19 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, default=None, help="fixed total blocklength (maximize reliability)")
     group.add_argument("--target", type=float, default=None, help="target reliability (minimize total blocklength)")
     _add_channel_args(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_twoway_opt,
-        sweep_params={
-            "snr_db": float,
-            "k1": float,
-            "k2": float,
-            "ki1": float,
-            "n": _int_value,
-            "target": float,
-        },
+    _scalar_command(
+        p, _compute_twoway_opt, snr_db=float, k1=float, k2=float, ki1=float, n=_int_value, target=float
     )
 
     p = sub.add_parser("twoway-tdd", help="TDD round error probability and throughput")
@@ -716,26 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ki", type=float, required=True, help="information bits credited per slot")
     p.add_argument("--n-slot", type=float, required=True, help="slot length in channel uses")
     _add_channel_args(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_twoway_tdd,
-        sweep_params={"snr_db": float, "k": float, "ki": float, "n_slot": float},
-    )
+    _scalar_command(p, _compute_twoway_tdd, snr_db=float, k=float, ki=float, n_slot=float)
 
     p = sub.add_parser("downlink", help="downlink broadcast: per-device packets vs one concatenated packet")
     p.add_argument("--devices", type=int, required=True, help="number of devices M")
     p.add_argument("--bits", type=float, required=True, help="bits per device D")
     p.add_argument("--slot", type=float, required=True, help="per-device slot length n")
     _add_channel_args(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_downlink,
-        sweep_params={"snr_db": float, "devices": _int_value, "bits": float, "slot": float},
-    )
+    _scalar_command(p, _compute_downlink, snr_db=float, devices=_int_value, bits=float, slot=float)
 
     p = sub.add_parser("aloha", help="framed slotted ALOHA per-slot success probability")
     p.add_argument("--devices", type=int, required=True, help="number of devices M")
@@ -744,18 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, required=True, help="slot count K")
     p.add_argument("--perfect-decoding", action="store_true", help="drop the finite-blocklength decoding factor")
     _add_channel_args(p)
-    _add_output_args(p)
-    _add_sweep_arg(p)
-    p.set_defaults(
-        handler=_run_scalar,
-        compute=_compute_aloha,
-        sweep_params={
-            "snr_db": float,
-            "devices": _int_value,
-            "bits": float,
-            "frame": float,
-            "slots": _int_value,
-        },
+    _scalar_command(
+        p, _compute_aloha, snr_db=float, devices=_int_value, bits=float, frame=float, slots=_int_value
     )
 
     p = sub.add_parser("aloha-opt", help="slot count maximizing ALOHA per-slot success")

@@ -13,14 +13,15 @@ and the finite-blocklength penalty is only a modest correction on top.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
 
-from ._rand import check_seed, trial_blocks
-from .mcsim import SimReport, _check_trials
+from ._rand import SimReport, _binomial_report, _check_trials, check_seed, trial_blocks
+from .awgn import _cv_complex
 from .specfun import q_func
 
 __all__ = [
@@ -37,11 +38,23 @@ __all__ = [
     "noncoherent_prelog",
 ]
 
-_LOG2_E = math.log2(math.e)
 _LN2 = math.log(2.0)
+# the largest t with exp(t) finite, and the smallest e with 2**e not finite
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_EXP2_OVERFLOW = sys.float_info.max_exp
 _SQRT2 = math.sqrt(2.0)
 
 _MIMO_BLOCK = 1 << 13
+
+
+def _check_snr(snr: float) -> None:
+    if not (math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"snr must be a positive finite linear ratio, got {snr!r}")
+
+
+def _check_count(name: str, value: int) -> None:
+    if not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +66,9 @@ class QuasiStaticConfig:
     m_r: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.snr) and self.snr > 0.0):
-            raise ValueError(f"snr must be a positive finite linear ratio, got {self.snr!r}")
-        if not (isinstance(self.m_t, int) and self.m_t >= 1):
-            raise ValueError(f"m_t must be an integer >= 1, got {self.m_t!r}")
-        if not (isinstance(self.m_r, int) and self.m_r >= 1):
-            raise ValueError(f"m_r must be an integer >= 1, got {self.m_r!r}")
+        _check_snr(self.snr)
+        _check_count("m_t", self.m_t)
+        _check_count("m_r", self.m_r)
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,8 @@ class BlockFadingConfig:
     l: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_c, int) and self.n_c >= 1):
-            raise ValueError(f"n_c must be an integer >= 1, got {self.n_c!r}")
-        if not (isinstance(self.l, int) and self.l >= 1):
-            raise ValueError(f"l must be an integer >= 1, got {self.l!r}")
+        _check_count("n_c", self.n_c)
+        _check_count("l", self.l)
 
     @property
     def blocklength(self) -> int:
@@ -114,19 +122,22 @@ def outage_prob_siso(snr: float, R: float) -> float:
 
     R is in bits per complex channel use; R = 0 gives 0 exactly.
     """
-    if not (math.isfinite(snr) and snr > 0.0):
-        raise ValueError(f"snr must be a positive finite linear ratio, got {snr!r}")
+    _check_snr(snr)
     if not (math.isfinite(R) and R >= 0.0):
         raise ValueError(f"R must be >= 0 and finite, got {R!r}")
-    threshold = math.expm1(R * _LN2) / snr
+    t = R * _LN2
+    if t > _LOG_FLOAT_MAX:
+        # 2^R - 1 is not a float, but equals 2^R to double precision here
+        threshold = math.exp(min(t - math.log(snr), _LOG_FLOAT_MAX))
+    else:
+        threshold = math.expm1(t) / snr
     return -math.expm1(-threshold)
 
 
 def outage_capacity_siso(snr: float, eps: float) -> float:
     """The rate whose outage probability is exactly eps:
     log2(1 - snr * ln(1 - eps))."""
-    if not (math.isfinite(snr) and snr > 0.0):
-        raise ValueError(f"snr must be a positive finite linear ratio, got {snr!r}")
+    _check_snr(snr)
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     return math.log2(1.0 - snr * math.log1p(-eps))
@@ -147,9 +158,7 @@ def _qs_integrand(u: float, snr: float, R: float, corr: float, n: float) -> floa
     g = -math.log(u)
     if g <= 0.0:
         return _qs_limit_at_zero_gain(R, corr)
-    x = snr * g
-    c = math.log2(1.0 + x)
-    v = x * (2.0 + x) / (1.0 + x) ** 2 * _LOG2_E**2
+    c, v = _cv_complex(snr * g)
     if v <= 0.0:
         return _qs_limit_at_zero_gain(R, corr)
     return q_func((c + corr - R) / math.sqrt(v / n))
@@ -169,21 +178,22 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
         R: rate in bits per channel use, > 0.
         n: blocklength, >= 1.
     """
-    if not (math.isfinite(snr) and snr > 0.0):
-        raise ValueError(f"snr must be a positive finite linear ratio, got {snr!r}")
+    _check_snr(snr)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"R must be positive and finite, got {R!r}")
     if not (math.isfinite(n) and n >= 1.0):
         raise ValueError(f"n must be >= 1, got {n!r}")
     corr = math.log2(n) / (2.0 * n)
     # the integrand transitions around the gain where capacity meets the
-    # rate; hand that point to the adaptive rule
+    # rate; hand that point to the adaptive rule (unless 2**(R - corr) is
+    # past the float range, where the point sits at u = 0)
     points = None
-    g_star = (2.0 ** (R - corr) - 1.0) / snr
-    if g_star > 0.0:
-        u_star = math.exp(-g_star)
-        if 0.0 < u_star < 1.0:
-            points = [u_star]
+    if R - corr < _EXP2_OVERFLOW:
+        g_star = (2.0 ** (R - corr) - 1.0) / snr
+        if g_star > 0.0:
+            u_star = math.exp(-g_star)
+            if 0.0 < u_star < 1.0:
+                points = [u_star]
     val, _ = quad(
         _qs_integrand,
         0.0,
@@ -216,8 +226,7 @@ def outage_prob_mimo_mc(
     over l independent fading blocks per trial.  Deterministic in
     (cfg, l, R, trials, seed).
     """
-    if not (isinstance(l, int) and l >= 1):
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    _check_count("l", l)
     if not (math.isfinite(R) and R >= 0.0):
         raise ValueError(f"R must be >= 0 and finite, got {R!r}")
     trials = _check_trials(trials)
@@ -234,21 +243,8 @@ def outage_prob_mimo_mc(
         mi = logdet.mean(axis=1) / _LN2
         count += int(np.count_nonzero(mi[:m] <= R))
 
-    p = count / trials
-    return SimReport(
-        metric_name="mimo_outage_probability",
-        estimate=p,
-        std_error=math.sqrt(p * (1.0 - p) / trials),
-        trials=trials,
-        seed=seed,
-        config={
-            "snr": cfg.snr,
-            "m_t": cfg.m_t,
-            "m_r": cfg.m_r,
-            "fading_blocks": l,
-            "rate": R,
-        },
-    )
+    config = {"snr": cfg.snr, "m_t": cfg.m_t, "m_r": cfg.m_r, "fading_blocks": l, "rate": R}
+    return _binomial_report("mimo_outage_probability", count, trials, seed, config)
 
 
 def dmt_curve(m_t: int, m_r: int, mode: DmtMode, n_c: int | None = None) -> DmtCurve:
@@ -260,10 +256,8 @@ def dmt_curve(m_t: int, m_r: int, mode: DmtMode, n_c: int | None = None) -> DmtC
     multiplexing by 1 - m_star/n_c with m_star = min(m_t, m_r, floor(n_c/2)),
     and requires n_c >= 2*m_star + m_r + 1.
     """
-    if not (isinstance(m_t, int) and m_t >= 1):
-        raise ValueError(f"m_t must be an integer >= 1, got {m_t!r}")
-    if not (isinstance(m_r, int) and m_r >= 1):
-        raise ValueError(f"m_r must be an integer >= 1, got {m_r!r}")
+    _check_count("m_t", m_t)
+    _check_count("m_r", m_r)
     if not isinstance(mode, DmtMode):
         raise ValueError(f"mode must be a DmtMode member, got {mode!r}")
 
@@ -275,8 +269,7 @@ def dmt_curve(m_t: int, m_r: int, mode: DmtMode, n_c: int | None = None) -> DmtC
     else:
         if n_c is None:
             raise ValueError("noncoherent curve requires n_c")
-        if not (isinstance(n_c, int) and n_c >= 1):
-            raise ValueError(f"n_c must be an integer >= 1, got {n_c!r}")
+        _check_count("n_c", n_c)
         ms = min(m_t, m_r, n_c // 2)
         needed = 2 * ms + m_r + 1
         if n_c < needed:
@@ -305,11 +298,8 @@ def dmt_eval(curve: DmtCurve, d: float) -> float:
 def noncoherent_prelog(m_t: int, m_r: int, n_c: int) -> float:
     """High-SNR capacity pre-log without receiver channel knowledge:
     m_star * (1 - m_star/n_c), m_star = min(m_t, m_r, floor(n_c/2))."""
-    if not (isinstance(m_t, int) and m_t >= 1):
-        raise ValueError(f"m_t must be an integer >= 1, got {m_t!r}")
-    if not (isinstance(m_r, int) and m_r >= 1):
-        raise ValueError(f"m_r must be an integer >= 1, got {m_r!r}")
-    if not (isinstance(n_c, int) and n_c >= 1):
-        raise ValueError(f"n_c must be an integer >= 1, got {n_c!r}")
+    _check_count("m_t", m_t)
+    _check_count("m_r", m_r)
+    _check_count("n_c", n_c)
     ms = min(m_t, m_r, n_c // 2)
     return ms * (1.0 - ms / n_c)

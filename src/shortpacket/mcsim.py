@@ -16,11 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from ._rand import check_seed, trial_blocks
+from ._rand import (
+    MIN_TRIALS,
+    SimConfigError,
+    SimReport,
+    _binomial_report,
+    _check_trials,
+    check_seed,
+    trial_blocks,
+)
 from .awgn import CodeSpec, eps_star
 from .protocols import AlohaConfig, TwoWayConfig
 
@@ -33,31 +40,7 @@ __all__ = [
     "sim_twoway",
 ]
 
-# below this the normal-theory standard error is not a trustworthy summary
-MIN_TRIALS = 10_000
-
 _BLOCK = 1 << 16
-
-
-class SimConfigError(ValueError):
-    """A Monte-Carlo run was configured too weakly to be meaningful."""
-
-
-@dataclass(frozen=True)
-class SimReport:
-    """One Monte-Carlo estimate with its provenance.
-
-    config echoes the inputs that produced the estimate so a report is
-    self-describing; std_error is the normal-theory standard error of the
-    estimate.
-    """
-
-    metric_name: str
-    estimate: float
-    std_error: float
-    trials: int
-    seed: int
-    config: dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -68,15 +51,6 @@ class AlohaSimReports:
 
     per_slot_throughput: SimReport
     per_device_success: SimReport
-
-
-def _check_trials(trials: int) -> int:
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise SimConfigError(f"trials must be an integer, got {trials!r}")
-    trials = int(trials)
-    if trials < MIN_TRIALS:
-        raise SimConfigError(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    return trials
 
 
 def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
@@ -101,10 +75,8 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     sum_s2 = 0
     for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
         m = stop - start
-        slots = rng.integers(0, cfg.K, size=(_BLOCK, cfg.M))
-        u = rng.random((_BLOCK, cfg.M))
-        slots = slots[:m]
-        u = u[:m]
+        slots = rng.integers(0, cfg.K, size=(_BLOCK, cfg.M))[:m]
+        u = rng.random((_BLOCK, cfg.M))[:m]
         occupancy = (slots[:, :, None] == np.arange(cfg.K)).sum(axis=1)
         alone = np.take_along_axis(occupancy, slots, axis=1) == 1
         success = alone & (u < p_decode)
@@ -113,11 +85,7 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
         sum_s2 += int((s * s).sum())
 
     mean_s = sum_s / trials
-    if trials > 1:
-        var_s = max((sum_s2 - sum_s * sum_s / trials) / (trials - 1), 0.0)
-    else:
-        var_s = 0.0
-    sd_s = math.sqrt(var_s)
+    sd_s = math.sqrt(max((sum_s2 - sum_s * sum_s / trials) / (trials - 1), 0.0))
     config = {
         "devices": cfg.M,
         "bits_per_packet": cfg.D,
@@ -166,19 +134,12 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
         ok = (u[:, 0] >= e1) & (u[:, 1] >= e2)
         successes += int(np.count_nonzero(ok))
 
-    p = successes / trials
-    return SimReport(
-        metric_name="exchange_reliability",
-        estimate=p,
-        std_error=math.sqrt(p * (1.0 - p) / trials),
-        trials=trials,
-        seed=seed,
-        config={
-            "k1": cfg.k1,
-            "k2": cfg.k2,
-            "n1": n1,
-            "n2": n2,
-            "snr": cfg.ch.snr,
-            "convention": cfg.ch.convention.value,
-        },
-    )
+    config = {
+        "k1": cfg.k1,
+        "k2": cfg.k2,
+        "n1": n1,
+        "n2": n2,
+        "snr": cfg.ch.snr,
+        "convention": cfg.ch.convention.value,
+    }
+    return _binomial_report("exchange_reliability", successes, trials, seed, config)

@@ -91,6 +91,17 @@ class TddResult:
     throughput: float
 
 
+def _check_devices(cfg: DownlinkConfig | AlohaConfig) -> None:
+    if not (isinstance(cfg.M, int) and cfg.M >= 1):
+        raise ValueError(f"M must be an integer >= 1, got {cfg.M!r}")
+    if not (math.isfinite(cfg.D) and cfg.D > 0.0):
+        raise ValueError(f"D must be positive and finite, got {cfg.D!r}")
+    if not (math.isfinite(cfg.n) and cfg.n >= 1.0):
+        raise ValueError(f"n must be >= 1, got {cfg.n!r}")
+    if not isinstance(cfg.ch, Channel):
+        raise ValueError(f"ch must be a Channel, got {cfg.ch!r}")
+
+
 @dataclass(frozen=True)
 class DownlinkConfig:
     """Downlink broadcast to M devices, D bits each, per-device slot n."""
@@ -101,14 +112,7 @@ class DownlinkConfig:
     ch: Channel
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 1):
-            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
-        if not (math.isfinite(self.D) and self.D > 0.0):
-            raise ValueError(f"D must be positive and finite, got {self.D!r}")
-        if not (math.isfinite(self.n) and self.n >= 1.0):
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if not isinstance(self.ch, Channel):
-            raise ValueError(f"ch must be a Channel, got {self.ch!r}")
+        _check_devices(self)
 
     @property
     def frame_length(self) -> float:
@@ -145,14 +149,7 @@ class AlohaConfig:
     K: int | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 1):
-            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
-        if not (math.isfinite(self.D) and self.D > 0.0):
-            raise ValueError(f"D must be positive and finite, got {self.D!r}")
-        if not (math.isfinite(self.n) and self.n >= 1.0):
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if not isinstance(self.ch, Channel):
-            raise ValueError(f"ch must be a Channel, got {self.ch!r}")
+        _check_devices(self)
         if self.K is not None and not (isinstance(self.K, int) and self.K >= 1):
             raise ValueError(f"K must be an integer >= 1, got {self.K!r}")
 
@@ -213,17 +210,12 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     if (cfg.n_total is None) == (cfg.target_reliability is None):
         raise ValueError("exactly one of n_total and target_reliability must be set")
 
-    if cfg.n_total is not None:
-        n = cfg.n_total
+    def result(n: int, feasible: bool) -> TwoWayResult:
         n1, rel = _best_split(cfg, n)
-        return TwoWayResult(
-            feasible=True,
-            n=n,
-            n1=n1,
-            n2=n - n1,
-            reliability=rel,
-            throughput=rel * k_i1 / n,
-        )
+        return TwoWayResult(feasible, n, n1, n - n1, reliability=rel, throughput=rel * k_i1 / n)
+
+    if cfg.n_total is not None:
+        return result(cfg.n_total, True)
 
     target = cfg.target_reliability
     if n_ceiling < 2:
@@ -237,15 +229,7 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     _, rel = _best_split(cfg, hi)
     while rel <= target:
         if hi >= n_ceiling:
-            n1, rel = _best_split(cfg, n_ceiling)
-            return TwoWayResult(
-                feasible=False,
-                n=n_ceiling,
-                n1=n1,
-                n2=n_ceiling - n1,
-                reliability=rel,
-                throughput=rel * k_i1 / n_ceiling,
-            )
+            return result(n_ceiling, False)
         lo = hi
         hi = min(hi * 2, n_ceiling)
         _, rel = _best_split(cfg, hi)
@@ -256,15 +240,7 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
             hi = mid
         else:
             lo = mid
-    n1, rel = _best_split(cfg, hi)
-    return TwoWayResult(
-        feasible=True,
-        n=hi,
-        n1=n1,
-        n2=hi - n1,
-        reliability=rel,
-        throughput=rel * k_i1 / hi,
-    )
+    return result(hi, True)
 
 
 def twoway_tdd_eval(k: float, k_i: float, n_slot: float, ch: Channel) -> TddResult:

@@ -31,6 +31,8 @@ def test_dispersion_spot_value():
     assert dispersion(CH10_CPLX) == pytest.approx(2.06417, abs=1e-4)
     # closed form: snr(2+snr)/(1+snr)^2 in nats^2, scaled to bits^2
     assert dispersion(CH10_CPLX) == pytest.approx(120.0 / 121.0 * math.log2(math.e) ** 2, rel=1e-12)
+    # finite at any finite snr, approaching log2(e)^2
+    assert dispersion(Channel(1e200)) == pytest.approx(math.log2(math.e) ** 2, rel=1e-12)
 
 
 def test_real_convention_halves_exactly():

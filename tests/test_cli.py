@@ -126,6 +126,8 @@ def test_outage_round_trip_via_cli():
     assert data["p_out"] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
     cap = run_json("outage-cap", "--eps", repr(data["p_out"]), "--snr-db", "10")
     assert cap["c_eps"] == pytest.approx(rate, rel=1e-10)
+    # a rate past the float range of 2^R is a certain outage, not a traceback
+    assert run_json("outage", "--rate", "2000", "--snr-db", "10") == {"p_out": 1.0}
 
 
 def test_qs_eps_json():

@@ -2,6 +2,7 @@
 MIMO Monte-Carlo estimator, and the DMT/pre-log curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,10 @@ def test_outage_round_trip():
 def test_outage_monotone_in_rate():
     ps = [outage_prob_siso(SNR, float(r)) for r in np.linspace(0.0, 8.0, 50)]
     assert all(a < b for a, b in zip(ps, ps[1:]))
+    # past the float range of 2^R: saturated, and still exact at a huge snr
+    assert outage_prob_siso(SNR, 2000.0) == 1.0
+    threshold = 4.0 * (2.0**1023 / 1e308)  # (2^1025 - 1)/1e308 to double precision
+    assert outage_prob_siso(1e308, 1025.0) == pytest.approx(-math.expm1(-threshold), rel=1e-12)
 
 
 def test_outage_rejects_bad_inputs():
@@ -130,6 +135,10 @@ def test_quasistatic_bounded_and_monotone_in_rate():
     vals = [eps_quasistatic(SNR, float(r), 200.0) for r in np.linspace(0.2, 5.0, 25)]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(a < b for a, b in zip(vals, vals[1:]))
+    # a rate past the float range of 2^R is certain to fail, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eps_quasistatic(SNR, 2000.0, 100.0) == 1.0
 
 
 def test_quasistatic_rejects_bad_inputs():
