@@ -1,0 +1,59 @@
+"""The package's one input policy: what counts as a valid number.
+
+Each helper returns its argument as a plain Python number or raises
+ValueError naming the parameter.  A real is an int, a float or a numpy real
+scalar, finite, and becomes a float, so all arithmetic runs in float64.  An
+integer is an int or a numpy integer scalar and becomes an int; every float
+is refused, 132.0 included.  bool is refused by both.  Checks that relate
+one argument to another stay with their owners.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["integer", "probability", "real"]
+
+_REALS = (int, float, np.integer, np.floating)
+_INTEGERS = (int, np.integer)
+_OPS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+
+
+def _bounds(**limits: float | None) -> str:
+    return " and ".join(f"{_OPS[op]} {lim}" for op, lim in limits.items() if lim is not None)
+
+
+def real(name: str, value: object, *, gt: float | None = None, ge: float | None = None,
+         lt: float | None = None, le: float | None = None) -> float:
+    """value as a finite Python float within the bounds: gt/lt open, ge/le closed."""
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    low = x > gt if gt is not None else ge is None or x >= ge
+    high = x < lt if lt is not None else le is None or x <= le
+    if not (low and high):
+        raise ValueError(f"{name} must be {_bounds(gt=gt, ge=ge, lt=lt, le=le)}, got {value!r}")
+    return x
+
+
+def probability(name: str, value: object) -> float:
+    """value as a Python float strictly inside (0, 1)."""
+    return real(name, value, gt=0.0, lt=1.0)
+
+
+def integer(name: str, value: object, *, ge: int, le: int | None = None,
+            error: type[ValueError] = ValueError) -> int:
+    """value as a Python int in [ge, le]; otherwise `error` naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS):
+        raise error(f"{name} must be an integer, got {value!r}")
+    n = int(value)
+    if n < ge or (le is not None and n > le):
+        raise error(f"{name} must be an integer {_bounds(ge=ge, le=le)}, got {n}")
+    return n

@@ -19,6 +19,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from ._check import integer
+
 __all__ = ["MIN_TRIALS", "SimConfigError", "SimReport", "check_seed", "trial_blocks"]
 
 # below this the normal-theory standard error is not a trustworthy summary
@@ -55,22 +57,12 @@ def _binomial_report(
 
 
 def _check_trials(trials: int) -> int:
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise SimConfigError(f"trials must be an integer, got {trials!r}")
-    trials = int(trials)
-    if trials < MIN_TRIALS:
-        raise SimConfigError(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    return trials
+    return integer("trials", trials, ge=MIN_TRIALS, error=SimConfigError)
 
 
 def check_seed(seed: int) -> int:
     """Validate a 64-bit unsigned seed and return it as a plain int."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+    return integer("seed", seed, ge=0, le=2**64 - 1)
 
 
 def trial_blocks(
@@ -80,12 +72,8 @@ def trial_blocks(
 
     The generator for block b is Philox keyed by (seed, b); callers must
     always draw the full block's worth of variates and slice to stop-start.
+    They pass a seed from check_seed and at least one trial and block.
     """
-    seed = check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
     for b in range((trials + block - 1) // block):
         start = b * block
         stop = min(start + block, trials)

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
+from ._check import probability, real
 from .specfun import q_inv
 
 __all__ = [
@@ -65,8 +67,7 @@ class Channel:
     convention: Convention = Convention.COMPLEX_CU
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.snr, (int, float)) and math.isfinite(self.snr) and self.snr > 0.0):
-            raise ValueError(f"snr must be a positive finite linear ratio, got {self.snr!r}")
+        object.__setattr__(self, "snr", real("snr", self.snr, gt=0.0))
         if not isinstance(self.convention, Convention):
             raise ValueError(f"convention must be a Convention member, got {self.convention!r}")
 
@@ -79,10 +80,8 @@ class CodeSpec:
     n: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ValueError(f"k must be positive and finite, got {self.k!r}")
-        if not (math.isfinite(self.n) and self.n > 0.0):
-            raise ValueError(f"n must be positive and finite, got {self.n!r}")
+        object.__setattr__(self, "k", real("k", self.k, gt=0.0))
+        object.__setattr__(self, "n", real("n", self.n, gt=0.0))
 
 
 @dataclass(frozen=True)
@@ -140,10 +139,8 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
         n: blocklength in channel uses, > 0 (real-valued is allowed).
         eps: target packet error probability, in (0, 1).
     """
-    if not (math.isfinite(n) and n > 0.0):
-        raise ValueError(f"blocklength must be positive and finite, got {n!r}")
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
+    n = real("n", n, gt=0.0)
+    eps = probability("eps", eps)
     cap, disp = _cv(ch)
     penalty = math.sqrt(disp / n) * q_inv(eps)
     correction = math.log2(n) / (2.0 * n)
@@ -183,33 +180,31 @@ def eps_star_log(ch: Channel, code: CodeSpec) -> float:
     return float(log_ndtr(-_tail_args(ch, code.k, code.n)))
 
 
+def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | None:
+    """Smallest n in [lo, ceiling] where holds(n), or None; holds must stay
+    true once true.  Brackets by doubling from lo, then bisects."""
+    below, n = lo - 1, lo
+    while not holds(n):
+        if n >= ceiling:
+            return None
+        below, n = n, min(2 * n, ceiling)
+    while n - below > 1:
+        mid = (below + n) // 2
+        if holds(mid):
+            n = mid
+        else:
+            below = mid
+    return n
+
+
 def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
     """Smallest integer n with eps_star(ch, (k, n)) <= eps_target.
 
-    Bracket by doubling, then bisect; both steps lean on eps_star being
-    strictly decreasing in n.
+    The search leans on eps_star being strictly decreasing in n.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive and finite, got {k!r}")
-    if not (0.0 < eps_target < 1.0):
-        raise ValueError(f"eps_target must be in (0, 1), got {eps_target!r}")
-
-    def eps_at(n: int) -> float:
-        return float(_eps_star_grid(ch, k, n))
-
-    if eps_at(1) <= eps_target:
-        return 1
-    lo, hi = 1, 2
-    while eps_at(hi) > eps_target:
-        lo, hi = hi, hi * 2
-        if hi > _MAX_BLOCKLENGTH:
-            raise ValueError(
-                f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps_at(mid) <= eps_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = real("k", k, gt=0.0)
+    eps_target = probability("eps_target", eps_target)
+    n = _smallest_n(lambda m: float(_eps_star_grid(ch, k, m)) <= eps_target, 1, _MAX_BLOCKLENGTH)
+    if n is None:
+        raise ValueError(f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}")
+    return n

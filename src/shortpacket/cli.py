@@ -70,7 +70,10 @@ class _Output:
 
 
 def _snr(args: argparse.Namespace) -> float:
-    return 10.0 ** (args.snr_db / 10.0)
+    try:
+        return 10.0 ** (args.snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"--snr-db {args.snr_db!r} is past the float range") from None
 
 
 def _channel(args: argparse.Namespace) -> Channel:
@@ -585,7 +588,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code is None else int(exc.code)
     try:
         return args.handler(args)
-    except _ArgError as exc:
+    except (_ArgError, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimConfigError as exc:

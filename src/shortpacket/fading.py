@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ndtr
 
+from ._check import integer, probability, real
 from ._rand import SimReport, _binomial_report, _check_trials, check_seed, trial_blocks
 from .awgn import _cv_complex
-from .specfun import q_func
 
 __all__ = [
     "QuasiStaticConfig",
@@ -47,16 +47,6 @@ _SQRT2 = math.sqrt(2.0)
 _MIMO_BLOCK = 1 << 13
 
 
-def _check_snr(snr: float) -> None:
-    if not (math.isfinite(snr) and snr > 0.0):
-        raise ValueError(f"snr must be a positive finite linear ratio, got {snr!r}")
-
-
-def _check_count(name: str, value: int) -> None:
-    if not (isinstance(value, int) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class QuasiStaticConfig:
     """A quasi-static MIMO link: one fading realization per codeword."""
@@ -66,9 +56,9 @@ class QuasiStaticConfig:
     m_r: int = 1
 
     def __post_init__(self) -> None:
-        _check_snr(self.snr)
-        _check_count("m_t", self.m_t)
-        _check_count("m_r", self.m_r)
+        object.__setattr__(self, "snr", real("snr", self.snr, gt=0.0))
+        object.__setattr__(self, "m_t", integer("m_t", self.m_t, ge=1))
+        object.__setattr__(self, "m_r", integer("m_r", self.m_r, ge=1))
 
 
 @dataclass(frozen=True)
@@ -79,8 +69,8 @@ class BlockFadingConfig:
     l: int
 
     def __post_init__(self) -> None:
-        _check_count("n_c", self.n_c)
-        _check_count("l", self.l)
+        object.__setattr__(self, "n_c", integer("n_c", self.n_c, ge=1))
+        object.__setattr__(self, "l", integer("l", self.l, ge=1))
 
     @property
     def blocklength(self) -> int:
@@ -122,9 +112,8 @@ def outage_prob_siso(snr: float, R: float) -> float:
 
     R is in bits per complex channel use; R = 0 gives 0 exactly.
     """
-    _check_snr(snr)
-    if not (math.isfinite(R) and R >= 0.0):
-        raise ValueError(f"R must be >= 0 and finite, got {R!r}")
+    snr = real("snr", snr, gt=0.0)
+    R = real("R", R, ge=0.0)
     t = R * _LN2
     if t > _LOG_FLOAT_MAX:
         # 2^R - 1 is not a float, but equals 2^R to double precision here
@@ -137,9 +126,8 @@ def outage_prob_siso(snr: float, R: float) -> float:
 def outage_capacity_siso(snr: float, eps: float) -> float:
     """The rate whose outage probability is exactly eps:
     log2(1 - snr * ln(1 - eps))."""
-    _check_snr(snr)
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
+    snr = real("snr", snr, gt=0.0)
+    eps = probability("eps", eps)
     return math.log2(1.0 - snr * math.log1p(-eps))
 
 
@@ -161,7 +149,7 @@ def _qs_integrand(u: float, snr: float, R: float, corr: float, n: float) -> floa
     c, v = _cv_complex(snr * g)
     if v <= 0.0:
         return _qs_limit_at_zero_gain(R, corr)
-    return q_func((c + corr - R) / math.sqrt(v / n))
+    return float(ndtr(-((c + corr - R) / math.sqrt(v / n))))
 
 
 def eps_quasistatic(snr: float, R: float, n: float) -> float:
@@ -178,11 +166,10 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
         R: rate in bits per channel use, > 0.
         n: blocklength, >= 1.
     """
-    _check_snr(snr)
-    if not (math.isfinite(R) and R > 0.0):
-        raise ValueError(f"R must be positive and finite, got {R!r}")
-    if not (math.isfinite(n) and n >= 1.0):
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    from scipy.integrate import quad  # the slowest import, needed only here
+    snr = real("snr", snr, gt=0.0)
+    R = real("R", R, gt=0.0)
+    n = real("n", n, ge=1.0)
     corr = math.log2(n) / (2.0 * n)
     # the integrand transitions around the gain where capacity meets the
     # rate; hand that point to the adaptive rule (unless 2**(R - corr) is
@@ -226,9 +213,8 @@ def outage_prob_mimo_mc(
     over l independent fading blocks per trial.  Deterministic in
     (cfg, l, R, trials, seed).
     """
-    _check_count("l", l)
-    if not (math.isfinite(R) and R >= 0.0):
-        raise ValueError(f"R must be >= 0 and finite, got {R!r}")
+    l = integer("l", l, ge=1)
+    R = real("R", R, ge=0.0)
     trials = _check_trials(trials)
     seed = check_seed(seed)
 
@@ -256,20 +242,19 @@ def dmt_curve(m_t: int, m_r: int, mode: DmtMode, n_c: int | None = None) -> DmtC
     multiplexing by 1 - m_star/n_c with m_star = min(m_t, m_r, floor(n_c/2)),
     and requires n_c >= 2*m_star + m_r + 1.
     """
-    _check_count("m_t", m_t)
-    _check_count("m_r", m_r)
+    m_t = integer("m_t", m_t, ge=1)
+    m_r = integer("m_r", m_r, ge=1)
     if not isinstance(mode, DmtMode):
         raise ValueError(f"mode must be a DmtMode member, got {mode!r}")
 
     if mode is DmtMode.COHERENT:
-        if n_c is not None:
-            if not (isinstance(n_c, int) and n_c >= m_t):
-                raise ValueError(f"coherent curve requires n_c >= m_t = {m_t}, got {n_c!r}")
+        if n_c is not None:  # the breakpoints need at least m_t uses per coherence interval
+            integer("n_c", n_c, ge=m_t)
         scaling = 1.0
     else:
         if n_c is None:
             raise ValueError("noncoherent curve requires n_c")
-        _check_count("n_c", n_c)
+        n_c = integer("n_c", n_c, ge=1)
         ms = min(m_t, m_r, n_c // 2)
         needed = 2 * ms + m_r + 1
         if n_c < needed:
@@ -288,8 +273,7 @@ def dmt_eval(curve: DmtCurve, d: float) -> float:
     """Multiplexing gain supported at diversity d: linear interpolation
     between breakpoints, exact at the breakpoints themselves."""
     d_max = curve.breakpoints[0][0]
-    if not (math.isfinite(d) and 0.0 <= d <= d_max):
-        raise ValueError(f"d must be in [0, {d_max}], got {d!r}")
+    d = real("d", d, ge=0.0, le=d_max)
     ds = [p[0] for p in reversed(curve.breakpoints)]
     rs = [p[1] for p in reversed(curve.breakpoints)]
     return float(np.interp(d, ds, rs))
@@ -298,8 +282,8 @@ def dmt_eval(curve: DmtCurve, d: float) -> float:
 def noncoherent_prelog(m_t: int, m_r: int, n_c: int) -> float:
     """High-SNR capacity pre-log without receiver channel knowledge:
     m_star * (1 - m_star/n_c), m_star = min(m_t, m_r, floor(n_c/2))."""
-    _check_count("m_t", m_t)
-    _check_count("m_r", m_r)
-    _check_count("n_c", n_c)
+    m_t = integer("m_t", m_t, ge=1)
+    m_r = integer("m_r", m_r, ge=1)
+    n_c = integer("n_c", n_c, ge=1)
     ms = min(m_t, m_r, n_c // 2)
     return ms * (1.0 - ms / n_c)

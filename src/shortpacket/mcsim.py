@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._check import integer
 from ._rand import (
     MIN_TRIALS,
     SimConfigError,
@@ -77,8 +78,9 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
         m = stop - start
         slots = rng.integers(0, cfg.K, size=(_BLOCK, cfg.M))[:m]
         u = rng.random((_BLOCK, cfg.M))[:m]
-        occupancy = (slots[:, :, None] == np.arange(cfg.K)).sum(axis=1)
-        alone = np.take_along_axis(occupancy, slots, axis=1) == 1
+        # a flat count over (trial, slot) cells: memory per trial is O(M + K), not O(M * K)
+        cell = slots + cfg.K * np.arange(m)[:, None]
+        alone = np.bincount(cell.ravel(), minlength=m * cfg.K)[cell] == 1
         success = alone & (u < p_decode)
         s = success.sum(axis=1)
         sum_s += int(s.sum())
@@ -120,12 +122,12 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
     Each trial draws two uniforms; leg i fails when its uniform falls below
     eps*(ki, ni), and the exchange succeeds only if both legs decode.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"n1 and n2 must be >= 1, got {n1}, {n2}")
+    n1 = integer("n1", n1, ge=1)
+    n2 = integer("n2", n2, ge=1)
     trials = _check_trials(trials)
     seed = check_seed(seed)
-    e1 = eps_star(cfg.ch, CodeSpec(cfg.k1, float(n1)))
-    e2 = eps_star(cfg.ch, CodeSpec(cfg.k2, float(n2)))
+    e1 = eps_star(cfg.ch, CodeSpec(cfg.k1, n1))
+    e2 = eps_star(cfg.ch, CodeSpec(cfg.k2, n2))
 
     successes = 0
     for start, stop, rng in trial_blocks(seed, trials, _BLOCK):

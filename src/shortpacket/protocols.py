@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .awgn import Channel, CodeSpec, _eps_star_grid, eps_star, eps_star_log
+from ._check import integer, probability, real
+from .awgn import Channel, CodeSpec, _eps_star_grid, _smallest_n, eps_star, eps_star_log
 
 __all__ = [
     "TwoWayConfig",
@@ -51,20 +52,15 @@ class TwoWayConfig:
     target_reliability: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k1) and self.k1 > 0.0):
-            raise ValueError(f"k1 must be positive and finite, got {self.k1!r}")
-        if not (math.isfinite(self.k2) and self.k2 > 0.0):
-            raise ValueError(f"k2 must be positive and finite, got {self.k2!r}")
+        object.__setattr__(self, "k1", real("k1", self.k1, gt=0.0))
+        object.__setattr__(self, "k2", real("k2", self.k2, gt=0.0))
         if not isinstance(self.ch, Channel):
             raise ValueError(f"ch must be a Channel, got {self.ch!r}")
         if self.n_total is not None:
-            if not (isinstance(self.n_total, int) and self.n_total >= 2):
-                raise ValueError(f"n_total must be an integer >= 2, got {self.n_total!r}")
+            object.__setattr__(self, "n_total", integer("n_total", self.n_total, ge=2))
         if self.target_reliability is not None:
-            if not 0.0 < self.target_reliability < 1.0:
-                raise ValueError(
-                    f"target_reliability must be in (0, 1), got {self.target_reliability!r}"
-                )
+            target = probability("target_reliability", self.target_reliability)
+            object.__setattr__(self, "target_reliability", target)
         if self.n_total is not None and self.target_reliability is not None:
             raise ValueError("set at most one of n_total and target_reliability")
 
@@ -92,12 +88,9 @@ class TddResult:
 
 
 def _check_devices(cfg: DownlinkConfig | AlohaConfig) -> None:
-    if not (isinstance(cfg.M, int) and cfg.M >= 1):
-        raise ValueError(f"M must be an integer >= 1, got {cfg.M!r}")
-    if not (math.isfinite(cfg.D) and cfg.D > 0.0):
-        raise ValueError(f"D must be positive and finite, got {cfg.D!r}")
-    if not (math.isfinite(cfg.n) and cfg.n >= 1.0):
-        raise ValueError(f"n must be >= 1, got {cfg.n!r}")
+    object.__setattr__(cfg, "M", integer("M", cfg.M, ge=1))
+    object.__setattr__(cfg, "D", real("D", cfg.D, gt=0.0))
+    object.__setattr__(cfg, "n", real("n", cfg.n, ge=1.0))
     if not isinstance(cfg.ch, Channel):
         raise ValueError(f"ch must be a Channel, got {cfg.ch!r}")
 
@@ -150,8 +143,8 @@ class AlohaConfig:
 
     def __post_init__(self) -> None:
         _check_devices(self)
-        if self.K is not None and not (isinstance(self.K, int) and self.K >= 1):
-            raise ValueError(f"K must be an integer >= 1, got {self.K!r}")
+        if self.K is not None:
+            object.__setattr__(self, "K", integer("K", self.K, ge=1))
 
     @property
     def slot_length(self) -> float:
@@ -172,10 +165,10 @@ class AlohaOptResult:
 def twoway_reliability(cfg: TwoWayConfig, n1: int, n2: int) -> float:
     """Probability both packets of the exchange decode: the product
     (1 - eps*(k1, n1)) * (1 - eps*(k2, n2))."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"n1 and n2 must be >= 1, got {n1}, {n2}")
-    e1 = eps_star(cfg.ch, CodeSpec(cfg.k1, float(n1)))
-    e2 = eps_star(cfg.ch, CodeSpec(cfg.k2, float(n2)))
+    n1 = integer("n1", n1, ge=1)
+    n2 = integer("n2", n2, ge=1)
+    e1 = eps_star(cfg.ch, CodeSpec(cfg.k1, n1))
+    e2 = eps_star(cfg.ch, CodeSpec(cfg.k2, n2))
     return (1.0 - e1) * (1.0 - e2)
 
 
@@ -205,8 +198,8 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
             throughput = reliability * k_i1 / n.
         n_ceiling: giving-up point for the minimum-blocklength search.
     """
-    if not (math.isfinite(k_i1) and k_i1 > 0.0):
-        raise ValueError(f"k_i1 must be positive and finite, got {k_i1!r}")
+    k_i1 = real("k_i1", k_i1, gt=0.0)
+    n_ceiling = integer("n_ceiling", n_ceiling, ge=2)
     if (cfg.n_total is None) == (cfg.target_reliability is None):
         raise ValueError("exactly one of n_total and target_reliability must be set")
 
@@ -217,30 +210,11 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     if cfg.n_total is not None:
         return result(cfg.n_total, True)
 
+    # the best achievable reliability is nondecreasing in n (any split at n
+    # is available at n+1 with one spare use added where it cannot hurt)
     target = cfg.target_reliability
-    if n_ceiling < 2:
-        raise ValueError(f"n_ceiling must be >= 2, got {n_ceiling!r}")
-
-    # bracket by doubling, then bisect; the best achievable reliability is
-    # nondecreasing in n (any split at n is available at n+1 with one spare
-    # use added where it cannot hurt)
-    lo = 1
-    hi = 2
-    _, rel = _best_split(cfg, hi)
-    while rel <= target:
-        if hi >= n_ceiling:
-            return result(n_ceiling, False)
-        lo = hi
-        hi = min(hi * 2, n_ceiling)
-        _, rel = _best_split(cfg, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        _, rel = _best_split(cfg, mid)
-        if rel > target:
-            hi = mid
-        else:
-            lo = mid
-    return result(hi, True)
+    n = _smallest_n(lambda m: _best_split(cfg, m)[1] > target, 2, n_ceiling)
+    return result(n_ceiling, False) if n is None else result(n, True)
 
 
 def twoway_tdd_eval(k: float, k_i: float, n_slot: float, ch: Channel) -> TddResult:
@@ -249,10 +223,10 @@ def twoway_tdd_eval(k: float, k_i: float, n_slot: float, ch: Channel) -> TddResu
 
     throughput = (1 - eps*(k, n_slot)) * k_i / n_slot.
     """
-    if not (math.isfinite(k_i) and 0.0 < k_i <= k):
-        raise ValueError(f"k_i must satisfy 0 < k_i <= k, got k_i={k_i!r}, k={k!r}")
-    eps = eps_star(ch, CodeSpec(k, n_slot))
-    return TddResult(eps=eps, throughput=(1.0 - eps) * k_i / n_slot)
+    code = CodeSpec(k, real("n_slot", n_slot, gt=0.0))
+    k_i = real("k_i", k_i, gt=0.0, le=code.k)  # credited bits are a part of the k sent
+    eps = eps_star(ch, code)
+    return TddResult(eps=eps, throughput=(1.0 - eps) * k_i / code.n)
 
 
 def downlink_compare(cfg: DownlinkConfig) -> DownlinkResult:
@@ -300,10 +274,7 @@ def aloha_optimize(
     Scans K = 1..k_max (default 4*M); ties go to the smaller K.  Returns
     the winner and the full profile for inspection or plotting.
     """
-    if k_max is None:
-        k_max = 4 * cfg.M
-    if not (isinstance(k_max, int) and k_max >= 1):
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+    k_max = integer("k_max", 4 * cfg.M if k_max is None else k_max, ge=1)
     ks = np.arange(1, k_max + 1)
     ps = _aloha_profile(cfg, ks, assume_perfect_decoding)
     i = int(np.argmax(ps))

@@ -13,6 +13,8 @@ import math
 
 from scipy.special import log_ndtr, ndtr, ndtri
 
+from ._check import probability, real
+
 __all__ = ["q_func", "log_q_func", "q_inv"]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -27,16 +29,12 @@ def q_func(x: float) -> float:
     Returns:
         Q(x) in [0, 1], with full relative accuracy in the upper tail.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"q_func requires a finite argument, got {x!r}")
-    return float(ndtr(-x))
+    return float(ndtr(-real("x", x)))
 
 
 def log_q_func(x: float) -> float:
     """Natural logarithm of Q(x), finite even where Q(x) underflows."""
-    if not math.isfinite(x):
-        raise ValueError(f"log_q_func requires a finite argument, got {x!r}")
-    return float(log_ndtr(-x))
+    return float(log_ndtr(-real("x", x)))
 
 
 def q_inv(p: float) -> float:
@@ -48,8 +46,7 @@ def q_inv(p: float) -> float:
     tails.  For p > 1/2 the reflected problem is solved instead; 1 - p is
     exact in floating point there, so no accuracy is lost on either side.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"q_inv requires 0 < p < 1, got {p!r}")
+    p = probability("p", p)
     if p > 0.5:
         return -_q_inv_lower(1.0 - p)
     return _q_inv_lower(p)

@@ -272,6 +272,19 @@ def test_domain_error_exits_3():
     code, out, err = run_cli("eps", "--k", "-5", "--n", "125", "--snr-db", "10")
     assert code == 3
     assert "error" in err.lower()
+    # 10**400 is past the float range: one error line, no traceback
+    code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "4000")
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(
+        "eps", "--k", "194", "--n", "125", "--snr-db", "10", "--output", str(path)
+    )
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_weak_monte_carlo_exits_4():

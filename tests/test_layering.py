@@ -1,24 +1,27 @@
 """Imports inside the package flow one way:
 
-    _rand, specfun -> awgn -> {fading, protocols} -> mcsim -> repro -> cli
+    _check -> {_rand, specfun} -> awgn -> {fading, protocols} -> mcsim -> repro -> cli
 
 A module may import only from modules on a strictly lower layer, so the
 two modules on one layer never import each other."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import shortpacket
 
 LAYERS = {
-    "_rand": 0,
-    "specfun": 0,
-    "awgn": 1,
-    "fading": 2,
-    "protocols": 2,
-    "mcsim": 3,
-    "repro": 4,
-    "cli": 5,
+    "_check": 0,
+    "_rand": 1,
+    "specfun": 1,
+    "awgn": 2,
+    "fading": 3,
+    "protocols": 3,
+    "mcsim": 4,
+    "repro": 5,
+    "cli": 6,
 }
 
 PACKAGE = Path(shortpacket.__file__).parent
@@ -44,3 +47,14 @@ def test_imports_flow_one_way():
         if LAYERS[target] >= layer
     ]
     assert back_edges == []
+
+
+def test_cli_start_leaves_out_scipy_integrate():
+    # the quadrature module costs about a third of every CLI start, and only
+    # eps_quasistatic uses it, so it is imported there, on first use
+    code = "import sys, shortpacket.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 formulas, and config validation."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,42 @@ def test_sim_aloha_config_echo():
         assert r.seed == 11
     assert rep.per_slot_throughput.metric_name == "per_slot_throughput"
     assert rep.per_device_success.metric_name == "per_device_success"
+
+
+# reports captured from the (trials, M, K) comparison-tensor occupancy count
+# that the flat count replaced: (per-slot estimate, std error, per-device
+# estimate, std error) for two configurations and two seeds each
+ALOHA_GOLDEN = {
+    (10, 0): (0.3224266666666667, 0.0005547243270026719, 0.19345600000000002, 0.0003328345962016032),
+    (10, 1): (0.3240633333333333, 0.000553397948178746, 0.194438, 0.0003320387689072476),
+    (100, 0): (0.3134409586588542, 0.0004400563499896286, 0.1880645751953125, 0.0002640338099937772),
+    (100, 1): (0.3135325113932292, 0.0004393436213097958, 0.1881195068359375, 0.00026360617278587745),
+}
+ALOHA_SHAPES = {
+    10: (AlohaConfig(10, 192.0, 800.0, CH, K=6), 100_000),
+    100: (AlohaConfig(100, 192.0, 7500.0, CH, K=60), 1 << 14),
+}
+
+
+@pytest.mark.parametrize("devices, seed", sorted(ALOHA_GOLDEN))
+def test_sim_aloha_reports_pinned(devices, seed):
+    cfg, trials = ALOHA_SHAPES[devices]
+    rep = sim_aloha(cfg, trials, seed)
+    s, d = rep.per_slot_throughput, rep.per_device_success
+    assert (s.estimate, s.std_error, d.estimate, d.std_error) == ALOHA_GOLDEN[devices, seed]
+
+
+def test_sim_aloha_memory_does_not_grow_with_m_times_k():
+    # the (65536, M) draws set the floor, about 140 MB here; counting
+    # occupancy through a (trials, M, K) tensor took the peak past 200 MB
+    cfg, trials = ALOHA_SHAPES[100]
+    tracemalloc.start()
+    try:
+        sim_aloha(cfg, trials, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6
 
 
 def test_trial_floor_enforced():
