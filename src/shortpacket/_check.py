@@ -4,8 +4,9 @@ Each helper returns its argument as a plain Python number or raises
 ValueError naming the parameter.  A real is an int, a float or a numpy real
 scalar, finite, and becomes a float, so all arithmetic runs in float64.  An
 integer is an int or a numpy integer scalar and becomes an int; every float
-is refused, 132.0 included.  bool is refused by both.  Checks that relate
-one argument to another stay with their owners.
+is refused, 132.0 included, and so is a value past 2**53 (where floats stop
+counting exactly) unless the call sets its own le.  bool is refused by
+both.  Checks that relate one argument to another stay with their owners.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ def probability(name: str, value: object) -> float:
     return real(name, value, gt=0.0, lt=1.0)
 
 
-def integer(name: str, value: object, *, ge: int, le: int | None = None,
+def integer(name: str, value: object, *, ge: int, le: int = 2**53,
             error: type[ValueError] = ValueError) -> int:
     """value as a Python int in [ge, le]; otherwise `error` naming the parameter."""
     if isinstance(value, bool) or not isinstance(value, _INTEGERS):
         raise error(f"{name} must be an integer, got {value!r}")
     n = int(value)
-    if n < ge or (le is not None and n > le):
+    if n < ge or n > le:
         raise error(f"{name} must be an integer {_bounds(ge=ge, le=le)}, got {n}")
     return n

@@ -2,11 +2,12 @@
 counter-based random streams, the trial-count check, and the report type.
 
 Trials are partitioned into fixed-width blocks and block b draws from a
-Philox generator keyed by (seed, b).  Every block generates draws for its
-full width in a fixed per-trial layout and slices off what it needs, so the
-outcome of trial i depends only on the seed, i, and the estimator's draw
-layout -- never on scheduling order, degree of parallelism, or the total
-trial count.
+Philox generator keyed by (seed, b) in the estimator's full-block draw
+layout, so the outcome of trial i depends only on the seed, i, and that
+layout -- never on scheduling order, parallelism, or the trial count.
+Philox fills arrays in stream order, so a kernel reads a block in chunks of
+about _CHUNK draws with the same values: it never makes the draws after the
+last one it keeps, and memory stays O(_CHUNK) whatever the trials or width.
 
 This module sits below both fading and mcsim, so neither imports the other.
 """
@@ -25,6 +26,8 @@ __all__ = ["MIN_TRIALS", "SimConfigError", "SimReport", "check_seed", "trial_blo
 
 # below this the normal-theory standard error is not a trustworthy summary
 MIN_TRIALS = 10_000
+
+_CHUNK = 1 << 16  # draws per chunk when a kernel reads a block
 
 
 class SimConfigError(ValueError):
@@ -70,8 +73,8 @@ def trial_blocks(
 ) -> Iterator[tuple[int, int, np.random.Generator]]:
     """Yield (start, stop, generator) covering range(trials) in keyed blocks.
 
-    The generator for block b is Philox keyed by (seed, b); callers must
-    always draw the full block's worth of variates and slice to stop-start.
+    The generator for block b is Philox keyed by (seed, b); callers draw in
+    their full-block layout, in _chunks, up to the last draw they keep.
     They pass a seed from check_seed and at least one trial and block.
     """
     for b in range((trials + block - 1) // block):
@@ -79,3 +82,10 @@ def trial_blocks(
         stop = min(start + block, trials)
         key = np.array([seed, b], dtype=np.uint64)
         yield start, stop, np.random.Generator(np.random.Philox(key=key))
+
+
+def _chunks(rows: int, width: int) -> Iterator[int]:
+    """Row counts that sum to rows: _CHUNK // width each (at least one), then the rest."""
+    step = max(1, _CHUNK // width)
+    for lo in range(0, rows, step):
+        yield min(step, rows - lo)

@@ -144,6 +144,8 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
     cap, disp = _cv(ch)
     penalty = math.sqrt(disp / n) * q_inv(eps)
     correction = math.log2(n) / (2.0 * n)
+    if not (math.isfinite(penalty) and math.isfinite(correction)):
+        raise ValueError(f"n={n!r} is too small: the normal approximation is not finite there")
     return RateResult(
         rate=cap - penalty + correction,
         capacity=cap,

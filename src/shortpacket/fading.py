@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._check import integer, probability, real
-from ._rand import SimReport, _binomial_report, _check_trials, check_seed, trial_blocks
+from ._rand import SimReport, _binomial_report, _check_trials, _chunks, check_seed, trial_blocks
 from .awgn import _cv_complex
 
 __all__ = [
@@ -222,12 +222,12 @@ def outage_prob_mimo_mc(
     eye = np.eye(cfg.m_r)
     count = 0
     for start, stop, rng in trial_blocks(seed, trials, _MIMO_BLOCK):
-        m = stop - start
-        h = _sample_fading_matrices(rng, _MIMO_BLOCK, l, cfg.m_t, cfg.m_r)
-        gram = eye + a * np.einsum("blti,bltj->blij", h.conj(), h)
-        _, logdet = np.linalg.slogdet(gram)
-        mi = logdet.mean(axis=1) / _LN2
-        count += int(np.count_nonzero(mi[:m] <= R))
+        for rows in _chunks(stop - start, 2 * l * cfg.m_t * cfg.m_r):
+            h = _sample_fading_matrices(rng, rows, l, cfg.m_t, cfg.m_r)
+            # I + a H^H H is Hermitian with eigenvalues >= 1: its Cholesky factor exists
+            chol = np.linalg.cholesky(eye + a * (h.conj().swapaxes(-1, -2) @ h))
+            logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
+            count += int(np.count_nonzero(logdet.mean(axis=1) / _LN2 <= R))
 
     config = {"snr": cfg.snr, "m_t": cfg.m_t, "m_r": cfg.m_r, "fading_blocks": l, "rate": R}
     return _binomial_report("mimo_outage_probability", count, trials, seed, config)

@@ -14,6 +14,7 @@ order-independent too.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from ._rand import (
     SimReport,
     _binomial_report,
     _check_trials,
+    _chunks,
     check_seed,
     trial_blocks,
 )
@@ -61,7 +63,11 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     uniformly; a packet alone in its slot decodes with probability
     1 - eps*(D, floor(n/K)) (collided packets are always lost).
 
-    Draw layout per frame: M slot choices, then M decoding uniforms.
+    Draw layout per block: (_BLOCK, M) slot choices, then (_BLOCK, M)
+    decoding uniforms.  The slot choices' rejection sampler makes the
+    uniforms' offset data-dependent, so a first pass walks past all slot
+    choices and a second reads the kept frames' ones again, from a copy of
+    the block's generator, next to their uniforms; both in chunks.
     """
     if cfg.K is None:
         raise ValueError("sim_aloha requires cfg.K to be set")
@@ -75,16 +81,18 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     sum_s = 0
     sum_s2 = 0
     for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
-        m = stop - start
-        slots = rng.integers(0, cfg.K, size=(_BLOCK, cfg.M))[:m]
-        u = rng.random((_BLOCK, cfg.M))[:m]
-        # a flat count over (trial, slot) cells: memory per trial is O(M + K), not O(M * K)
-        cell = slots + cfg.K * np.arange(m)[:, None]
-        alone = np.bincount(cell.ravel(), minlength=m * cfg.K)[cell] == 1
-        success = alone & (u < p_decode)
-        s = success.sum(axis=1)
-        sum_s += int(s.sum())
-        sum_s2 += int((s * s).sum())
+        slot_rng = copy.deepcopy(rng)
+        for rows in _chunks(_BLOCK, cfg.M):
+            rng.integers(0, cfg.K, size=(rows, cfg.M))
+        # rows sized by max(M, K), so the count over (trial, slot) cells is chunk-sized too
+        for rows in _chunks(stop - start, max(cfg.M, cfg.K)):
+            slots = slot_rng.integers(0, cfg.K, size=(rows, cfg.M))
+            u = rng.random((rows, cfg.M))
+            cell = slots + cfg.K * np.arange(rows)[:, None]
+            alone = np.bincount(cell.ravel())[cell] == 1
+            s = (alone & (u < p_decode)).sum(axis=1)
+            sum_s += int(s.sum())
+            sum_s2 += int((s * s).sum())
 
     mean_s = sum_s / trials
     sd_s = math.sqrt(max((sum_s2 - sum_s * sum_s / trials) / (trials - 1), 0.0))
@@ -131,10 +139,9 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
 
     successes = 0
     for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
-        m = stop - start
-        u = rng.random((_BLOCK, 2))[:m]
-        ok = (u[:, 0] >= e1) & (u[:, 1] >= e2)
-        successes += int(np.count_nonzero(ok))
+        for rows in _chunks(stop - start, 2):
+            u = rng.random((rows, 2))
+            successes += int(np.count_nonzero((u[:, 0] >= e1) & (u[:, 1] >= e2)))
 
     config = {
         "k1": cfg.k1,

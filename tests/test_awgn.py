@@ -184,6 +184,10 @@ def test_rate_na_rejects_bad_inputs():
         rate_na(CH10_CPLX, 100.0, 0.0)
     with pytest.raises(ValueError):
         rate_na(CH10_CPLX, 100.0, 1.0)
+    # sqrt(V/n) overflows: inf * Qinv(0.5) = inf * 0 was a nan rate
+    for eps in (0.5, 1e-3):
+        with pytest.raises(ValueError, match="not finite"):
+            rate_na(CH10_CPLX, 1e-320, eps)
 
 
 def test_min_blocklength_rejects_bad_inputs():

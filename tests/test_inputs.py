@@ -5,8 +5,9 @@ varies only that parameter.  Reals accept int, float and numpy real scalars
 and integers accept int and numpy integer scalars, with results equal to
 those for the matching Python number and holding no numpy scalars.  bool,
 str, None, complex and non-finite values are refused with a ValueError that
-names the parameter, and so is every float given for an integer parameter;
-a bad trial count raises SimConfigError."""
+names the parameter, and so is every float given for an integer parameter
+and every integer past 2**53 unless the parameter has its own bound (the
+seed keeps 2**64 - 1); a bad trial count raises SimConfigError."""
 
 import dataclasses
 import math
@@ -173,6 +174,8 @@ def test_non_numbers_are_refused(entry, param, kind, valid, call):
         bad = NOT_NUMBERS + NOT_FINITE + (10**400,)  # an int past the float range
     else:
         bad = NOT_NUMBERS + NOT_FINITE + (valid + 0.5, float(valid), np.float64(valid))
+        if param != "seed":  # past 2**53, where floats stop counting exactly
+            bad += (2**53 + 1, 10**400, np.uint64(2**64 - 1))
     if f"{entry}-{param}" in OPTIONAL:
         bad = tuple(v for v in bad if v is not None)
     for v in bad:

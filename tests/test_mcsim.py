@@ -1,16 +1,103 @@
-"""Monte-Carlo cross-checks: determinism, agreement with the analytic
-formulas, and config validation."""
+"""Monte-Carlo cross-checks: determinism, the documented draw layouts,
+agreement with the analytic formulas, memory, and config validation."""
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
-from shortpacket.mcsim import MIN_TRIALS, AlohaSimReports, SimConfigError, sim_aloha, sim_twoway
+from shortpacket.fading import _MIMO_BLOCK, QuasiStaticConfig, outage_prob_mimo_mc
+from shortpacket.mcsim import (
+    _BLOCK,
+    MIN_TRIALS,
+    AlohaSimReports,
+    SimConfigError,
+    sim_aloha,
+    sim_twoway,
+)
 from shortpacket.protocols import AlohaConfig, TwoWayConfig, aloha_success, twoway_reliability
 
 CH = Channel(10.0, Convention.REAL_CU)
+
+
+# Reference kernels: each draws whole blocks in the documented layout, all
+# at once, and slices off the trials it needs.  The simulators read blocks
+# in chunks and must reproduce these outcomes trial for trial.
+
+def _block_rngs(seed, trials, block):
+    """The Philox generator of each block covering `trials`, keyed by (seed, block index)."""
+    keys = [np.array([seed, b], dtype=np.uint64) for b in range(-(-trials // block))]
+    return [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+
+
+def twoway_outcomes(cfg, n1, n2, trials, seed):
+    """Per-trial exchange success: each block draws (_BLOCK, 2) uniforms."""
+    e1 = eps_star(cfg.ch, CodeSpec(cfg.k1, n1))
+    e2 = eps_star(cfg.ch, CodeSpec(cfg.k2, n2))
+    u = np.concatenate([rng.random((_BLOCK, 2)) for rng in _block_rngs(seed, trials, _BLOCK)])
+    return (u[:trials, 0] >= e1) & (u[:trials, 1] >= e2)
+
+
+def aloha_successes(cfg, trials, seed):
+    """Per-frame success counts: each block draws its (_BLOCK, M) slot
+    choices, then its (_BLOCK, M) decoding uniforms."""
+    p_decode = 1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, float(cfg.n // cfg.K)))
+    out = []
+    for rng in _block_rngs(seed, trials, _BLOCK):
+        slots = rng.integers(0, cfg.K, size=(_BLOCK, cfg.M))
+        u = rng.random((_BLOCK, cfg.M))
+        alone = np.zeros(slots.shape, dtype=bool)
+        for k in range(cfg.K):
+            hit = slots == k
+            alone |= hit & (hit.sum(axis=1) == 1)[:, None]
+        out.append((alone & (u < p_decode)).sum(axis=1))
+    return np.concatenate(out)[:trials]
+
+
+def mimo_outages(cfg, l, rate, trials, seed):
+    """Per-trial outage: each block draws (_MIMO_BLOCK, l, m_t, m_r, 2)
+    normals, the real and imaginary parts of its fading matrices."""
+    out = []
+    for rng in _block_rngs(seed, trials, _MIMO_BLOCK):
+        z = rng.standard_normal((_MIMO_BLOCK, l, cfg.m_t, cfg.m_r, 2))
+        h = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        gram = np.eye(cfg.m_r) + cfg.snr / cfg.m_t * np.einsum("blti,bltj->blij", h.conj(), h)
+        out.append(np.linalg.slogdet(gram)[1].mean(axis=1) / math.log(2.0) <= rate)
+    return np.concatenate(out)[:trials]
+
+
+TRIALS = st.integers(MIN_TRIALS, 3 * _BLOCK - 1)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@given(trials=TRIALS, seed=SEEDS)
+def test_sim_twoway_follows_full_block_layout(trials, seed):
+    cfg = TwoWayConfig(193.0, 97.0, CH)
+    ok = twoway_outcomes(cfg, 115, 62, trials, seed)
+    assert sim_twoway(cfg, 115, 62, trials, seed).estimate == np.count_nonzero(ok) / trials
+
+
+@given(trials=TRIALS, seed=SEEDS, devices=st.integers(1, 8), slots=st.integers(1, 16))
+def test_sim_aloha_follows_full_block_layout(trials, seed, devices, slots):
+    # 104 bits in a 60-use slot decode with probability 0.64, so the uniforms count
+    cfg = AlohaConfig(devices, 104.0, 60.0 * slots, CH, K=slots)
+    s = aloha_successes(cfg, trials, seed)
+    rep = sim_aloha(cfg, trials, seed).per_device_success
+    assert rep.estimate == int(s.sum()) / trials / devices
+    assert rep.std_error == pytest.approx(s.std(ddof=1) / (devices * math.sqrt(trials)), rel=1e-9)
+
+
+@given(trials=TRIALS, seed=SEEDS, shape=st.sampled_from([(1, 1, 1), (2, 1, 3), (3, 2, 2)]))
+def test_mimo_mc_follows_full_block_layout(trials, seed, shape):
+    m_t, m_r, l = shape
+    cfg = QuasiStaticConfig(10.0, m_t, m_r)
+    rate = 1.0 + m_r
+    outage = mimo_outages(cfg, l, rate, trials, seed)
+    assert outage_prob_mimo_mc(cfg, l, rate, trials, seed).estimate == np.count_nonzero(outage) / trials
 
 
 def test_sim_twoway_deterministic():
@@ -21,13 +108,13 @@ def test_sim_twoway_deterministic():
 
 
 def test_sim_twoway_block_invariance():
-    # the first trials of a longer run reuse the exact same randomness, so
-    # a prefix re-run must agree bit for bit on the counted outcomes; easiest
-    # observable: different trial counts with same seed stay within noise
+    # the first trials of a longer run reuse the exact same randomness: every
+    # run counts a prefix of one outcome sequence, on and off the block grid
     cfg = TwoWayConfig(193.0, 97.0, CH)
-    a = sim_twoway(cfg, 132, 71, trials=100_000, seed=7)
-    b = sim_twoway(cfg, 132, 71, trials=200_000, seed=7)
-    assert abs(a.estimate - b.estimate) <= 3.0 * math.hypot(a.std_error, b.std_error) + 1e-12
+    ok = twoway_outcomes(cfg, 132, 71, 200_000, 7)
+    for trials in (MIN_TRIALS, 100_000, 2 * _BLOCK + 5, 200_000):
+        rep = sim_twoway(cfg, 132, 71, trials=trials, seed=7)
+        assert rep.estimate == np.count_nonzero(ok[:trials]) / trials
 
 
 def test_sim_twoway_matches_analytic():
@@ -170,17 +257,63 @@ def test_sim_aloha_reports_pinned(devices, seed):
     assert (s.estimate, s.std_error, d.estimate, d.std_error) == ALOHA_GOLDEN[devices, seed]
 
 
-def test_sim_aloha_memory_does_not_grow_with_m_times_k():
-    # the (65536, M) draws set the floor, about 140 MB here; counting
-    # occupancy through a (trials, M, K) tensor took the peak past 200 MB
-    cfg, trials = ALOHA_SHAPES[100]
+# (estimate, std error) captured while every block was still drawn whole;
+# the trial counts fall off both the block grid and the chunk grid
+TWOWAY_GOLDEN = {
+    0: (0.7656167743095235, 0.0015179351711617222),
+    1: (0.7661046981933977, 0.0015168374839751588),
+}
+# keyed by (antennas, seed); antennas m picks the m x m link over l = m fading blocks
+MIMO_GOLDEN = {
+    (1, 0): (0.0955655264844706, 0.002244232702417179),
+    (1, 1): (0.09463317988462211, 0.0022344091870598504),
+    (4, 0): (0.06806130178894004, 0.0019225272447490399),
+    (4, 1): (0.06730377017656314, 0.001912575161964913),
+}
+MIMO_RATES = {1: 1.0, 4: 10.0}
+
+
+@pytest.mark.parametrize("seed", sorted(TWOWAY_GOLDEN))
+def test_sim_twoway_reports_pinned(seed):
+    rep = sim_twoway(TwoWayConfig(193.0, 97.0, CH), 115, 62, _BLOCK + 12_345, seed)
+    assert (rep.estimate, rep.std_error) == TWOWAY_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("antennas, seed", sorted(MIMO_GOLDEN))
+def test_mimo_mc_reports_pinned(antennas, seed):
+    cfg = QuasiStaticConfig(10.0, antennas, antennas)
+    rep = outage_prob_mimo_mc(cfg, antennas, MIMO_RATES[antennas], 2 * _MIMO_BLOCK + 777, seed)
+    assert (rep.estimate, rep.std_error) == MIMO_GOLDEN[antennas, seed]
+
+
+# every simulator call reads its blocks in chunks of about 2**16 draws, so
+# its peak stays near 2.5 MB whatever the trials, devices, slots or antennas
+MEMORY_BOUND = 16e6
+
+
+def _peak_bytes(run):
     tracemalloc.start()
     try:
-        sim_aloha(cfg, trials, 0)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160e6
+
+
+def test_sim_aloha_memory_does_not_grow_with_m_times_k():
+    # drawing each (65536, M) block whole took the peak to 139 MB here, and
+    # counting occupancy through a (trials, M, K) tensor past 200 MB
+    cfg, trials = ALOHA_SHAPES[100]
+    assert _peak_bytes(lambda: sim_aloha(cfg, trials, 0)) < MEMORY_BOUND
+
+
+@pytest.mark.parametrize("run", [
+    lambda: sim_aloha(AlohaConfig(1000, 192.0, 60_000.0, CH, K=600), MIN_TRIALS, 0),
+    lambda: sim_aloha(AlohaConfig(10, 192.0, 2e6, CH, K=10_000), MIN_TRIALS, 0),
+    lambda: outage_prob_mimo_mc(QuasiStaticConfig(10.0, 4, 4), 4, 10.0, 1 << 14, 0),
+], ids=["aloha-1000x600", "aloha-10x10000", "mimo-4x4-l4"])
+def test_simulator_memory_is_chunk_sized(run):
+    assert _peak_bytes(run) < MEMORY_BOUND
 
 
 def test_trial_floor_enforced():
