@@ -38,12 +38,17 @@ __all__ = [
     "min_blocklength",
 ]
 
+_LN2 = math.log(2.0)
 _LOG2_E_SQ = math.log2(math.e) ** 2
 
-# blocklength ceiling for the bracketing search in min_blocklength; the
-# error probability is strictly decreasing in n, so this is unreachable
-# for any satisfiable target and exists only to bound the loop
+# blocklength ceiling for the bracketing search in min_blocklength; it
+# exists only to bound the loop
 _MAX_BLOCKLENGTH = 1 << 50
+
+# candidates min_blocklength evaluates below its closed-form seed; the
+# log2(n)/2 term the seed drops moved the answer by at most 33 uses over
+# 10,240 point-sweep operating points of bench/ (SNR -5..25 dB, n 50..2000)
+_SEED_WINDOW = 64
 
 
 class Convention(Enum):
@@ -136,16 +141,15 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
 
     Args:
         ch: channel (fixes C and V, including the convention).
-        n: blocklength in channel uses, > 0 (real-valued is allowed).
+        n: blocklength in channel uses, >= 1 (real-valued is allowed);
+            below 1 the log2(n)/(2n) correction turns large and negative.
         eps: target packet error probability, in (0, 1).
     """
-    n = real("n", n, gt=0.0)
+    n = real("n", n, ge=1.0)
     eps = probability("eps", eps)
     cap, disp = _cv(ch)
     penalty = math.sqrt(disp / n) * q_inv(eps)
     correction = math.log2(n) / (2.0 * n)
-    if not (math.isfinite(penalty) and math.isfinite(correction)):
-        raise ValueError(f"n={n!r} is too small: the normal approximation is not finite there")
     return RateResult(
         rate=cap - penalty + correction,
         capacity=cap,
@@ -171,8 +175,11 @@ def _eps_star_grid(ch: Channel, k, n) -> np.ndarray:
 def eps_star(ch: Channel, code: CodeSpec) -> float:
     """Packet error probability of the best code with k bits in n uses.
 
-    Evaluates Q((nC - k + log2(n)/2) / sqrt(nV)); strictly decreasing in n,
-    strictly increasing in k.
+    Evaluates Q((nC - k + log2(n)/2) / sqrt(nV)); strictly increasing in k.
+    It is strictly decreasing in n where k + 3/(2 ln 2) > log2(1/(2C ln 2))/2.
+    That fails only when C and k are both small, and then it can rise with
+    n: at snr 1e-6 (complex) with k = 1 it is 0.0 at n = 8, 5.2e-5 at
+    n = 1e7 and 8.4e-15 at n = 1e8.
     """
     return float(_eps_star_grid(ch, code.k, code.n))
 
@@ -199,14 +206,49 @@ def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | No
     return n
 
 
-def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
-    """Smallest integer n with eps_star(ch, (k, n)) <= eps_target.
+def _seeded_min_blocklength(ch: Channel, k: float, eps_target: float) -> int | None:
+    """min_blocklength from one array evaluation below a closed-form seed;
+    None where eps_star may not fall strictly in n, or where that window
+    does not bracket the answer."""
+    c, v = _cv(ch)
+    # d/dn of the tail argument has the sign of nC + k + 1/ln 2 - log2(n)/2,
+    # whose minimum over n > 0, at n = 1/(2C ln 2), is
+    # k + 3/(2 ln 2) - log2(1/(2C ln 2))/2
+    if not (c > 0.0 and k + 1.5 / _LN2 > -0.5 * math.log2(2.0 * c * _LN2)):
+        return None
+    # without log2(n)/2, nC - k = Qinv(eps) sqrt(nV) is a quadratic in
+    # sqrt(n); for n >= 1 the dropped term only lowers eps_star, so the
+    # answer lies at or below the root's ceiling
+    b = q_inv(eps_target) * math.sqrt(v)
+    root = (b + math.sqrt(b * b + 4.0 * c * k)) / (2.0 * c)
+    n0 = root * root
+    if not n0 <= _MAX_BLOCKLENGTH:  # inf and nan fall back too
+        return None
+    top = max(math.ceil(n0), 1)
+    cand = np.arange(max(top - _SEED_WINDOW + 1, 1), top + 1, dtype=float)
+    met = np.flatnonzero(_eps_star_grid(ch, k, cand) <= eps_target)
+    if met.size == 0 or (met[0] == 0 and cand[0] > 1.0):
+        return None
+    return int(cand[met[0]])
 
-    The search leans on eps_star being strictly decreasing in n.
+
+def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
+    """Smallest integer n with eps_star(ch, (k, n)) <= eps_target, wherever
+    eps_star falls strictly in n: k + 3/(2 ln 2) > log2(1/(2C ln 2))/2.
+
+    There n is read from one window of candidates below the closed-form
+    root of the normal approximation without its log2(n)/2 term, and a
+    doubling-then-bisection search takes over when the window does not
+    bracket it.  Outside that condition only the search runs, and it
+    returns the first crossing it finds, which need not be the smallest n.
     """
     k = real("k", k, gt=0.0)
     eps_target = probability("eps_target", eps_target)
-    n = _smallest_n(lambda m: float(_eps_star_grid(ch, k, m)) <= eps_target, 1, _MAX_BLOCKLENGTH)
+    n = _seeded_min_blocklength(ch, k, eps_target)
+    if n is None:
+        n = _smallest_n(
+            lambda m: float(_eps_star_grid(ch, k, m)) <= eps_target, 1, _MAX_BLOCKLENGTH
+        )
     if n is None:
         raise ValueError(f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}")
     return n

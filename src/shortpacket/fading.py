@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._check import integer, probability, real
 from ._rand import SimReport, _binomial_report, _check_trials, _chunks, check_seed, trial_blocks
@@ -131,25 +130,23 @@ def outage_capacity_siso(snr: float, eps: float) -> float:
     return math.log2(1.0 - snr * math.log1p(-eps))
 
 
-def _qs_limit_at_zero_gain(R: float, corr: float) -> float:
-    # the Gaussian-tail integrand at vanishing power gain
-    return 1.0 if R > corr else 0.0
-
-
-def _qs_integrand(u: float, snr: float, R: float, corr: float, n: float) -> float:
+def _qs_integrand(
+    u: float, snr: float, shift: float, half_n: float, at_zero_gain: float
+) -> float:
     # after the substitution u = exp(-g) the exponential weight disappears:
     # E_g[f(g)] = integral over u in (0, 1) of f(-ln u)
     if u <= 0.0:
         return 0.0
     if u >= 1.0:
-        return _qs_limit_at_zero_gain(R, corr)
+        return at_zero_gain
     g = -math.log(u)
     if g <= 0.0:
-        return _qs_limit_at_zero_gain(R, corr)
+        return at_zero_gain
     c, v = _cv_complex(snr * g)
     if v <= 0.0:
-        return _qs_limit_at_zero_gain(R, corr)
-    return float(ndtr(-((c + corr - R) / math.sqrt(v / n))))
+        return at_zero_gain
+    # Q((c + shift) / sqrt(v/n)), written as erfc((c + shift) sqrt(n/(2v))) / 2
+    return 0.5 * math.erfc((c + shift) * math.sqrt(half_n / v))
 
 
 def eps_quasistatic(snr: float, R: float, n: float) -> float:
@@ -185,7 +182,8 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
         _qs_integrand,
         0.0,
         1.0,
-        args=(snr, R, corr, n),
+        # the tail argument's shift, n/2 and the integrand's limit at zero gain
+        args=(snr, corr - R, 0.5 * n, 1.0 if R > corr else 0.0),
         points=points,
         limit=500,
         epsabs=1e-9,

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shortpacket import awgn
 from shortpacket.awgn import (
     Channel,
     CodeSpec,
@@ -160,6 +163,76 @@ def test_min_blocklength_is_tight():
                 assert eps_star(ch, CodeSpec(k, float(n - 1))) > target
 
 
+def _search_min_blocklength(ch, k, eps):
+    # the plain doubling-then-bisection search, with no closed-form seed
+    return awgn._smallest_n(
+        lambda m: eps_star(ch, CodeSpec(k, float(m))) <= eps, 1, awgn._MAX_BLOCKLENGTH
+    )
+
+
+def _eps_falls_with_n(ch, k):
+    # d/dn of the tail argument has the sign of nC + k + 1/ln 2 - log2(n)/2,
+    # positive for every n > 0 when its minimum, at n = 1/(2C ln 2), is
+    c = capacity(ch)
+    return k + 3.0 / (2.0 * math.log(2.0)) > 0.5 * math.log2(1.0 / (2.0 * c * math.log(2.0)))
+
+
+@settings(max_examples=200)
+@given(
+    log_snr=st.floats(-7.0, 6.0),
+    conv=st.sampled_from(list(Convention)),
+    log_k=st.floats(-9.0, 7.0),
+    log_eps=st.floats(-15.0, math.log10(0.9999)),
+)
+def test_min_blocklength_matches_search_and_is_tight(log_snr, conv, log_k, log_eps):
+    ch = Channel(10.0**log_snr, conv)
+    k, eps = 10.0**log_k, 10.0**log_eps
+    n = min_blocklength(ch, k, eps)
+    assert n == _search_min_blocklength(ch, k, eps)
+    if _eps_falls_with_n(ch, k):
+        assert eps_star(ch, CodeSpec(k, float(n))) <= eps
+        assert n == 1 or eps_star(ch, CodeSpec(k, float(n - 1))) > eps
+
+
+def test_min_blocklength_seeded_and_fallback_paths(monkeypatch):
+    windows, searches = [], []
+    grid, search = awgn._eps_star_grid, awgn._smallest_n
+
+    def spy_grid(ch, k, n):
+        if np.ndim(n) == 1:
+            windows.append(n)
+        return grid(ch, k, n)
+
+    monkeypatch.setattr(awgn, "_eps_star_grid", spy_grid)
+    monkeypatch.setattr(awgn, "_smallest_n", lambda *a: searches.append(a) or search(*a))
+
+    def runs(ch, k, eps):
+        # (n, window evaluations, searches) of one min_blocklength call
+        windows.clear()
+        searches.clear()
+        n = min_blocklength(ch, k, eps)
+        ran = (n, len(windows), len(searches))
+        assert n == _search_min_blocklength(ch, k, eps)
+        assert eps_star(ch, CodeSpec(k, float(n))) <= eps
+        return ran
+
+    # eps_star falls with n and the window below the seed brackets the answer
+    assert _eps_falls_with_n(CH10_REAL, 193.0)
+    assert runs(CH10_REAL, 193.0, 4.4e-4) == (132, 1, 0)
+    assert runs(CH10_REAL, 1e-9, 0.4) == (1, 1, 0)
+    # it falls, but the dropped log2(n)/2 term is worth thousands of uses at
+    # this capacity, so the window misses and the search runs
+    assert _eps_falls_with_n(Channel(1e-3), 1000.0)
+    assert runs(Channel(1e-3), 1000.0, 1e-3) == (811122, 1, 1)
+    # small C and small k: eps_star rises again with n, so no window is
+    # evaluated and only the search runs
+    low = Channel(1e-6)
+    for k, eps, want in [(1.0, 1e-6, 5), (3.0, 1e-3, 69)]:
+        assert not _eps_falls_with_n(low, k)
+        assert runs(low, k, eps) == (want, 0, 1)
+    assert eps_star(low, CodeSpec(1.0, 1e7)) > 1e-6
+
+
 @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])
 def test_channel_rejects_bad_snr(snr):
     with pytest.raises(ValueError):
@@ -184,10 +257,13 @@ def test_rate_na_rejects_bad_inputs():
         rate_na(CH10_CPLX, 100.0, 0.0)
     with pytest.raises(ValueError):
         rate_na(CH10_CPLX, 100.0, 1.0)
-    # sqrt(V/n) overflows: inf * Qinv(0.5) = inf * 0 was a nan rate
-    for eps in (0.5, 1e-3):
-        with pytest.raises(ValueError, match="not finite"):
-            rate_na(CH10_CPLX, 1e-320, eps)
+    # n below 1 is refused: there the log2(n)/(2n) correction gave a large
+    # negative rate (-4.98e302 at 1e-300), or at 1e-320 a nan one
+    for n in (1e-320, 1e-300, 0.5, np.nextafter(1.0, 0.0)):
+        for eps in (0.5, 1e-3):
+            with pytest.raises(ValueError, match="n must be >= 1.0"):
+                rate_na(CH10_CPLX, n, eps)
+    assert rate_na(CH10_CPLX, 1.0, 0.5).correction == 0.0
 
 
 def test_min_blocklength_rejects_bad_inputs():

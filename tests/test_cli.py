@@ -276,10 +276,12 @@ def test_domain_error_exits_3():
     code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "4000")
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
-    # an integer past 2**53 (OverflowError), and a blocklength whose rate is nan
+    # an integer past 2**53 (OverflowError), and blocklengths below 1, where
+    # the rate was nan or a meaningless -4.98e302
     for argv in (
         ("downlink", "--devices", str(10**400), "--bits", "192", "--slot", "125", "--snr-db", "10"),
         ("rate", "--n", "1e-320", "--eps", "0.5", "--snr-db", "10"),
+        ("rate", "--n", "1e-300", "--eps", "0.5", "--snr-db", "10"),
     ):
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""

@@ -141,6 +141,89 @@ def test_quasistatic_bounded_and_monotone_in_rate():
         assert eps_quasistatic(SNR, 2000.0, 100.0) == 1.0
 
 
+# (snr, R, n, eps_quasistatic) as computed before the integrand moved from
+# scipy's ndtr to math.erfc; that move changed no value by more than 4.4e-16
+# relative, so any change to the quadrature itself fails here loudly
+QS_PINNED = [
+    # SNR 10, n 200, the rates of test_quasistatic_bounded_and_monotone_in_rate
+    (10.0, 0.2, 200.0, 0.013754527936211397),
+    (10.0, 0.4, 200.0, 0.030244547494185457),
+    (10.0, 0.6, 200.0, 0.0488516733921055),
+    (10.0, 0.8, 200.0, 0.06978917841377884),
+    (10.0, 1.0, 200.0, 0.09327419831636277),
+    (10.0, 1.2, 200.0, 0.11952140344628115),
+    (10.0, 1.4, 200.0, 0.1487344131730141),
+    (10.0, 1.5999999999999999, 200.0, 0.1810945720417138),
+    (10.0, 1.7999999999999998, 200.0, 0.2167467682214167),
+    (10.0, 1.9999999999999998, 200.0, 0.25578211746374824),
+    (10.0, 2.1999999999999997, 200.0, 0.29821759298271394),
+    (10.0, 2.4, 200.0, 0.3439730896971424),
+    (10.0, 2.6, 200.0, 0.3928470019932947),
+    (10.0, 2.8, 200.0, 0.4444921820252382),
+    (10.0, 3.0, 200.0, 0.49839510722016983),
+    (10.0, 3.1999999999999997, 200.0, 0.5538621318734684),
+    (10.0, 3.4, 200.0, 0.6100176410781212),
+    (10.0, 3.6, 200.0, 0.6658194533022441),
+    (10.0, 3.8, 200.0, 0.7200964913665676),
+    (10.0, 4.0, 200.0, 0.7716120470249032),
+    (10.0, 4.199999999999999, 200.0, 0.8191524570706236),
+    (10.0, 4.3999999999999995, 200.0, 0.8616355672703254),
+    (10.0, 4.6, 200.0, 0.8982265273344575),
+    (10.0, 4.8, 200.0, 0.9284417536194146),
+    (10.0, 5.0, 200.0, 0.9522178518927179),
+    # the spot values and small rates above
+    (10.0, 1.0, 168.0, 0.09300977141645661),
+    (10.0, 1e-06, 168.0, 4.155609190212421e-05),
+    (10.0, 0.001, 168.0, 4.693164909797555e-05),
+    (10.0, 0.05, 168.0, 0.002540685717476999),
+    # point-sweep-like: SNR -5..25 dB, R 0.1..6, n 50..2000
+    (117.6, 1.285, 1649.0, 0.012104733197623807),
+    (0.4913, 2.798, 2000.0, 0.9999949916843321),
+    (13.65, 0.782, 502.0, 0.05075725871988821),
+    (134.3, 3.743, 574.0, 0.08769282172759996),
+    (16.88, 5.12, 430.0, 0.8624778782693816),
+    (49.54, 3.097, 150.0, 0.1394207172957546),
+    (1.655, 4.806, 1888.0, 0.9999999244191126),
+    (26.35, 0.548, 1665.0, 0.017284742858677923),
+    (192.1, 3.681, 1726.0, 0.05958672588447882),
+    (1.369, 3.33, 178.0, 0.998318998210609),
+    (138.5, 0.669, 1904.0, 0.004232172143899694),
+    (36.37, 0.102, 208.0, 0.001767213402038568),
+    (14.76, 4.165, 1658.0, 0.6817175839043238),
+    (0.5915, 3.54, 137.0, 0.999999984715772),
+    (16.01, 0.29, 1171.0, 0.013635961413788318),
+    (240.3, 0.779, 652.0, 0.002946904943801523),
+    (0.6193, 0.442, 1500.0, 0.43668393602945854),
+    (66.08, 3.156, 1902.0, 0.11265440755783585),
+    (289.8, 2.894, 1099.0, 0.02188597421792237),
+    (106.6, 5.752, 1113.0, 0.39024290161123804),
+    (1.238, 4.518, 1990.0, 0.999999981484478),
+    (9.767, 4.096, 459.0, 0.8051390301429993),
+    (1.238, 5.911, 323.0, 1.0),
+    (11.78, 1.904, 1885.0, 0.2072440055835106),
+    (1.267, 5.377, 816.0, 0.9999999999999893),
+    (4.184, 2.734, 1630.0, 0.7400415842094357),
+    (0.7036, 3.575, 1323.0, 0.9999998363356496),
+    (164.8, 5.028, 436.0, 0.17363480910247311),
+    (10.43, 0.571, 1453.0, 0.045210508870904234),
+    (3.776, 4.155, 889.0, 0.9880304283769367),
+    (10.68, 1.14, 1272.0, 0.10615395892097745),
+    (7.351, 1.209, 1179.0, 0.16274834653178089),
+    (1.862, 2.343, 1766.0, 0.8870448971511813),
+    (80.74, 0.559, 522.0, 0.005760949571338925),
+    (168.3, 0.349, 1903.0, 0.0015688331167010988),
+]
+
+
+def test_quasistatic_pinned_values():
+    off = [
+        (snr, rate, n, want, got)
+        for snr, rate, n, want in QS_PINNED
+        if (got := eps_quasistatic(snr, rate, n)) != pytest.approx(want, rel=1e-12)
+    ]
+    assert not off
+
+
 @pytest.mark.xfail(strict=True, reason="adaptive quad on u = exp(-g) misses transition mass at small g*")
 @pytest.mark.parametrize(
     "snr, rate, n, oracle",
