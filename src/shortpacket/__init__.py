@@ -20,7 +20,6 @@ from .awgn import (
     rate_na,
 )
 from .fading import (
-    BlockFadingConfig,
     DmtCurve,
     DmtMode,
     QuasiStaticConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "min_blocklength",
     # fading
     "QuasiStaticConfig",
-    "BlockFadingConfig",
     "DmtMode",
     "DmtCurve",
     "outage_prob_siso",

@@ -4,11 +4,16 @@ sweeps, and table/json/csv output.
 SNR is taken in dB on the command line and converted to a linear ratio
 once, here; the library works in linear SNR throughout.  Sweeps re-run a
 scalar-output subcommand over an inclusive arithmetic progression of one
-parameter and emit one row per value, which in --format csv is ready for
-any external plotting tool.
+parameter, at most _SWEEP_MAX_ROWS values, and emit one row per value,
+which in --format csv is ready for any external plotting tool.
+
+Every computing subcommand is one _Command entry in _COMMANDS: its
+arguments, its compute function and the parameters it may sweep.  One
+handler, _run_command, serves them all.
 
 Exit codes: 0 success, 1 failed reproduction rows, 2 argument errors,
-3 domain errors, 4 Monte-Carlo configuration errors.
+3 domain errors (including a request too large for memory),
+4 Monte-Carlo configuration errors.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from .awgn import (
@@ -32,6 +37,7 @@ from .awgn import (
 from .fading import (
     DmtMode,
     QuasiStaticConfig,
+    _m_star,
     dmt_curve,
     dmt_eval,
     eps_quasistatic,
@@ -40,7 +46,7 @@ from .fading import (
     outage_prob_mimo_mc,
     outage_prob_siso,
 )
-from .mcsim import SimConfigError, sim_aloha, sim_twoway
+from .mcsim import SimConfigError, SimReport, sim_aloha, sim_twoway
 from .protocols import (
     AlohaConfig,
     DownlinkConfig,
@@ -55,6 +61,11 @@ from .repro import ROWS
 
 __all__ = ["run", "main"]
 
+# A --sweep yields at most this many rows; past it the command exits 2
+# before building any value.  That is about 100 times the 1001-row sweeps
+# used in practice, and the row list always fits in memory.
+_SWEEP_MAX_ROWS = 100_000
+
 
 class _ArgError(Exception):
     """Bad argument combination detected after argparse (exit code 2)."""
@@ -66,7 +77,7 @@ class _Output:
 
     scalars: dict[str, Any]
     rows_name: str | None = None
-    rows: list[dict[str, Any]] | None = field(default=None)
+    rows: list[dict[str, Any]] | None = None
 
 
 def _snr(args: argparse.Namespace) -> float:
@@ -84,24 +95,14 @@ def _channel(args: argparse.Namespace) -> Channel:
 # output rendering
 
 
-def _fmt_cell(v: Any) -> str:
+def _cell(v: Any, real: Callable[[float], str]) -> str:
+    """One output cell; real formats the floats."""
     if isinstance(v, bool):
         return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+    return real(v) if isinstance(v, float) else str(v)
 
 
-def _csv_cell(v: Any) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+_SHORT = "{:.6g}".format
 
 
 def _render_table(out: _Output) -> str:
@@ -109,12 +110,12 @@ def _render_table(out: _Output) -> str:
     if out.scalars:
         width = max(len(k) for k in out.scalars)
         for k, v in out.scalars.items():
-            lines.append(f"{k:<{width + 2}}{_fmt_cell(v)}")
+            lines.append(f"{k:<{width + 2}}{_cell(v, _SHORT)}")
     if out.rows:
         if lines:
             lines.append("")
         cols = list(out.rows[0].keys())
-        cells = [[_fmt_cell(r[c]) for c in cols] for r in out.rows]
+        cells = [[_cell(r[c], _SHORT) for c in cols] for r in out.rows]
         widths = [max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)]
         lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip())
         for row in cells:
@@ -126,10 +127,10 @@ def _render_csv(out: _Output) -> str:
     if out.rows:
         cols = list(out.rows[0].keys())
         lines = [",".join(cols)]
-        lines.extend(",".join(_csv_cell(r[c]) for c in cols) for r in out.rows)
+        lines.extend(",".join(_cell(r[c], repr) for c in cols) for r in out.rows)
     else:
         cols = list(out.scalars.keys())
-        lines = [",".join(cols), ",".join(_csv_cell(v) for v in out.scalars.values())]
+        lines = [",".join(cols), ",".join(_cell(v, repr) for v in out.scalars.values())]
     return "\n".join(lines) + "\n"
 
 
@@ -141,23 +142,21 @@ def _render_json(out: _Output) -> str:
 
 
 def _write(args: argparse.Namespace, out: _Output) -> None:
-    fmt = getattr(args, "format", "table")
-    if fmt == "json":
+    if args.format == "json":
         text = _render_json(out)
-    elif fmt == "csv":
+    elif args.format == "csv":
         text = _render_csv(out)
     else:
         text = _render_table(out)
-    path = getattr(args, "output", None)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# sweeps and the one handler
 
 
 def _parse_sweep(spec: str, allowed: dict[str, Callable[[float], Any]]) -> tuple[str, list[Any]]:
@@ -177,46 +176,37 @@ def _parse_sweep(spec: str, allowed: dict[str, Callable[[float], Any]]) -> tuple
         raise _ArgError(f"--sweep step must be positive, got {step}")
     if stop < start:
         raise _ArgError(f"--sweep stop must be >= start, got {spec!r}")
+    last = (stop - start) / step + 1e-9  # may be inf when stop - start overflows
+    if not last < _SWEEP_MAX_ROWS:
+        raise _ArgError(f"--sweep {spec!r} asks for more than {_SWEEP_MAX_ROWS} rows")
     conv = allowed[name]
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return name, [conv(start + i * step) for i in range(count)]
+    return name, [conv(start + i * step) for i in range(math.floor(last) + 1)]
 
 
 def _int_value(v: float) -> int:
     return int(round(v))
 
 
-def _run_scalar(args: argparse.Namespace) -> int:
+def _run_command(args: argparse.Namespace) -> int:
     if getattr(args, "sweep", None):
         name, values = _parse_sweep(args.sweep, args.sweep_params)
         rows = []
         for v in values:
             setattr(args, name, v)
             rows.append({name: v, **args.compute(args)})
-        _write(args, _Output(scalars={}, rows_name="sweep", rows=rows))
+        out = _Output(scalars={}, rows_name="sweep", rows=rows)
     else:
-        _write(args, _Output(scalars=args.compute(args)))
-    return 0
-
-
-def _run_plain(args: argparse.Namespace) -> int:
-    _write(args, args.build(args))
+        out = args.compute(args)
+    _write(args, out if isinstance(out, _Output) else _Output(scalars=out))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommand computations (scalar-output; sweepable)
+# compute functions: a dict of scalars, or an _Output with rows
 
 
-def _compute_rate(args: argparse.Namespace) -> dict[str, Any]:
-    r = rate_na(_channel(args), args.n, args.eps)
-    return {
-        "rate": r.rate,
-        "capacity": r.capacity,
-        "dispersion": r.dispersion,
-        "penalty": r.penalty,
-        "correction": r.correction,
-    }
+def _report(rep: SimReport, name: str) -> dict[str, Any]:
+    return {name: rep.estimate, "std_error": rep.std_error, "trials": rep.trials, "seed": rep.seed}
 
 
 def _compute_eps(args: argparse.Namespace) -> dict[str, Any]:
@@ -225,57 +215,12 @@ def _compute_eps(args: argparse.Namespace) -> dict[str, Any]:
     return {"eps": eps_star(ch, code), "log_eps": eps_star_log(ch, code)}
 
 
-def _compute_min_n(args: argparse.Namespace) -> dict[str, Any]:
-    return {"n_min": min_blocklength(_channel(args), args.k, args.eps)}
-
-
-def _compute_outage(args: argparse.Namespace) -> dict[str, Any]:
-    return {"p_out": outage_prob_siso(_snr(args), args.rate)}
-
-
-def _compute_outage_cap(args: argparse.Namespace) -> dict[str, Any]:
-    return {"c_eps": outage_capacity_siso(_snr(args), args.eps)}
-
-
-def _compute_qs_eps(args: argparse.Namespace) -> dict[str, Any]:
-    return {"eps": eps_quasistatic(_snr(args), args.rate, args.n)}
-
-
-def _compute_prelog(args: argparse.Namespace) -> dict[str, Any]:
-    return {
-        "prelog": noncoherent_prelog(args.mt, args.mr, args.nc),
-        "m_star": min(args.mt, args.mr, args.nc // 2),
-    }
-
-
 def _compute_twoway_opt(args: argparse.Namespace) -> dict[str, Any]:
     cfg = TwoWayConfig(
         args.k1, args.k2, _channel(args), n_total=args.n, target_reliability=args.target
     )
     res = twoway_optimize(cfg, args.ki1)
-    return {
-        "feasible": int(res.feasible),
-        "n": res.n,
-        "n1": res.n1,
-        "n2": res.n2,
-        "reliability": res.reliability,
-        "throughput": res.throughput,
-    }
-
-
-def _compute_twoway_tdd(args: argparse.Namespace) -> dict[str, Any]:
-    r = twoway_tdd_eval(args.k, args.ki, args.n_slot, _channel(args))
-    return {"eps": r.eps, "throughput": r.throughput}
-
-
-def _compute_downlink(args: argparse.Namespace) -> dict[str, Any]:
-    res = downlink_compare(DownlinkConfig(args.devices, args.bits, args.slot, _channel(args)))
-    return {
-        "eps_tdma": res.eps_tdma,
-        "eps_concat": res.eps_concat,
-        "log_eps_concat": res.log_eps_concat,
-        "per_device_decoded_bits": res.per_device_decoded_bits,
-    }
+    return {**asdict(res), "feasible": int(res.feasible)}
 
 
 def _compute_aloha(args: argparse.Namespace) -> dict[str, Any]:
@@ -289,24 +234,7 @@ def _compute_aloha(args: argparse.Namespace) -> dict[str, Any]:
     return {"p_success": p, "eps": eps, "slot_length": cfg.slot_length}
 
 
-# ---------------------------------------------------------------------------
-# subcommand builders (row-output or Monte-Carlo; not sweepable)
-
-
-def _build_mimo_outage(args: argparse.Namespace) -> _Output:
-    cfg = QuasiStaticConfig(_snr(args), args.mt, args.mr)
-    rep = outage_prob_mimo_mc(cfg, args.branches, args.rate, args.trials, args.seed)
-    return _Output(
-        {
-            "outage_probability": rep.estimate,
-            "std_error": rep.std_error,
-            "trials": rep.trials,
-            "seed": rep.seed,
-        }
-    )
-
-
-def _build_dmt(args: argparse.Namespace) -> _Output:
+def _compute_dmt(args: argparse.Namespace) -> _Output:
     curve = dmt_curve(args.mt, args.mr, DmtMode(args.mode), n_c=args.nc)
     scalars: dict[str, Any] = {"scaling": curve.scaling}
     if args.at is not None:
@@ -315,40 +243,166 @@ def _build_dmt(args: argparse.Namespace) -> _Output:
     return _Output(scalars, rows_name="breakpoints", rows=rows)
 
 
-def _build_aloha_opt(args: argparse.Namespace) -> _Output:
+def _compute_aloha_opt(args: argparse.Namespace) -> _Output:
     cfg = AlohaConfig(args.devices, args.bits, args.frame, _channel(args))
     res = aloha_optimize(cfg, k_max=args.k_max, assume_perfect_decoding=args.perfect_decoding)
     rows = [{"slots": k, "p_success": p} for k, p in res.profile]
     return _Output({"k_opt": res.k_opt}, rows_name="profile", rows=rows)
 
 
-def _build_sim_aloha(args: argparse.Namespace) -> _Output:
+def _compute_sim_aloha(args: argparse.Namespace) -> dict[str, Any]:
     cfg = AlohaConfig(args.devices, args.bits, args.frame, _channel(args), K=args.slots)
     reps = sim_aloha(cfg, args.trials, args.seed)
-    return _Output(
-        {
-            "per_slot_throughput": reps.per_slot_throughput.estimate,
-            "per_slot_std_error": reps.per_slot_throughput.std_error,
-            "per_device_success": reps.per_device_success.estimate,
-            "per_device_std_error": reps.per_device_success.std_error,
-            "slot_length": reps.per_slot_throughput.config["slot_length"],
-            "trials": reps.per_slot_throughput.trials,
-            "seed": reps.per_slot_throughput.seed,
-        }
-    )
+    return {
+        "per_slot_throughput": reps.per_slot_throughput.estimate,
+        "per_slot_std_error": reps.per_slot_throughput.std_error,
+        "per_device_success": reps.per_device_success.estimate,
+        "per_device_std_error": reps.per_device_success.std_error,
+        "slot_length": reps.per_slot_throughput.config["slot_length"],
+        "trials": reps.per_slot_throughput.trials,
+        "seed": reps.per_slot_throughput.seed,
+    }
 
 
-def _build_sim_twoway(args: argparse.Namespace) -> _Output:
-    cfg = TwoWayConfig(args.k1, args.k2, _channel(args))
-    rep = sim_twoway(cfg, args.n1, args.n2, args.trials, args.seed)
-    return _Output(
-        {
-            "reliability": rep.estimate,
-            "std_error": rep.std_error,
-            "trials": rep.trials,
-            "seed": rep.seed,
-        }
-    )
+# ---------------------------------------------------------------------------
+# the subcommand table
+
+# an argument: its flag and its add_argument keywords
+_Arg = tuple[str, dict[str, Any]]
+
+
+def _opt(flag: str, **kwargs: Any) -> _Arg:
+    return flag, kwargs
+
+
+def _req(flag: str, type_: Callable[[str], Any], help: str) -> _Arg:
+    return _opt(flag, type=type_, required=True, help=help)
+
+
+_SNR = _req("--snr-db", float, "SNR in dB")
+_CHANNEL = (
+    _SNR,
+    _opt("--convention", choices=("complex", "real"), default="complex",
+         help="channel-use accounting (default complex; real halves C and V)"),
+)
+_MC = (
+    _opt("--trials", type=int, default=100_000, help="Monte-Carlo trials (default 100000)"),
+    _opt("--seed", type=int, default=0, help="64-bit seed (default 0)"),
+)
+_OUTPUT = (
+    _opt("--format", choices=("table", "json", "csv"), default="table", help="output format (default table)"),
+    _opt("--output", metavar="PATH", help="write to a file instead of stdout"),
+)
+_SWEEP = _opt("--sweep", metavar="PARAM:START:STOP:STEP",
+              help="re-run over an inclusive arithmetic progression of one parameter")
+_N = _req("--n", float, "blocklength in channel uses")
+_K = _req("--k", float, "information bits per packet")
+_RATE = _req("--rate", float, "rate in bits per channel use")
+_MT = _req("--mt", int, "transmit antennas")
+_MR = _req("--mr", int, "receive antennas")
+_K1 = _req("--k1", float, "bits in the forward packet")
+_K2 = _req("--k2", float, "bits in the return packet")
+_DEVICES = _req("--devices", int, "number of devices M")
+_BITS = _req("--bits", float, "bits per packet D")
+_FRAME = _req("--frame", float, "frame length in channel uses")
+_SLOTS = _req("--slots", int, "slot count K")
+_PERFECT = _opt("--perfect-decoding", action="store_true", help="drop the finite-blocklength decoding factor")
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One computing subcommand.  args are in --help order, and a list among
+    them is a required mutually exclusive group; sweep maps each sweepable
+    parameter to its value type, or is None when the command cannot sweep."""
+
+    name: str
+    help: str
+    args: tuple[_Arg | list[_Arg], ...]
+    compute: Callable[[argparse.Namespace], dict[str, Any] | _Output]
+    sweep: dict[str, Callable[[float], Any]] | None
+
+
+_COMMANDS = (
+    _Command("rate", "normal-approximation coding rate at (n, eps)",
+             (_N, _req("--eps", float, "packet error probability"), *_CHANNEL),
+             lambda a: asdict(rate_na(_channel(a), a.n, a.eps)),
+             dict(snr_db=float, n=float, eps=float)),
+    _Command("eps", "error probability of the best (k, n) code",
+             (_K, _N, *_CHANNEL),
+             _compute_eps,
+             dict(snr_db=float, k=float, n=float)),
+    _Command("min-n", "smallest blocklength meeting a target error probability",
+             (_K, _req("--eps", float, "target error probability"), *_CHANNEL),
+             lambda a: {"n_min": min_blocklength(_channel(a), a.k, a.eps)},
+             dict(snr_db=float, k=float, eps=float)),
+    _Command("outage", "Rayleigh outage probability at a rate",
+             (_RATE, _SNR),
+             lambda a: {"p_out": outage_prob_siso(_snr(a), a.rate)},
+             dict(snr_db=float, rate=float)),
+    _Command("outage-cap", "Rayleigh outage capacity at a target outage",
+             (_req("--eps", float, "outage probability target"), _SNR),
+             lambda a: {"c_eps": outage_capacity_siso(_snr(a), a.eps)},
+             dict(snr_db=float, eps=float)),
+    _Command("qs-eps", "finite-blocklength error probability on the quasi-static Rayleigh channel",
+             (_RATE, _N, _SNR),
+             lambda a: {"eps": eps_quasistatic(_snr(a), a.rate, a.n)},
+             dict(snr_db=float, rate=float, n=float)),
+    _Command("mimo-outage", "MIMO outage probability by Monte-Carlo",
+             (_MT, _MR, _opt("--branches", type=int, default=1,
+                             help="independent fading blocks per codeword (default 1)"),
+              _RATE, _SNR, *_MC),
+             lambda a: _report(outage_prob_mimo_mc(QuasiStaticConfig(_snr(a), a.mt, a.mr), a.branches,
+                                                   a.rate, a.trials, a.seed), "outage_probability"),
+             None),
+    _Command("dmt", "diversity-multiplexing tradeoff breakpoints",
+             (_MT, _MR, _opt("--mode", choices=("coherent", "noncoherent"), default="coherent"),
+              _opt("--nc", type=int, help="coherence interval (required for noncoherent)"),
+              _opt("--at", type=float, help="also evaluate multiplexing at this diversity")),
+             _compute_dmt,
+             None),
+    _Command("prelog", "noncoherent block-fading capacity pre-log",
+             (_MT, _MR, _req("--nc", int, "coherence interval in channel uses")),
+             lambda a: {"prelog": noncoherent_prelog(a.mt, a.mr, a.nc), "m_star": _m_star(a.mt, a.mr, a.nc)},
+             dict(mt=_int_value, mr=_int_value, nc=_int_value)),
+    _Command("twoway-opt", "optimize the blocklength split of a two-way exchange",
+             (_K1, _K2, _req("--ki1", float, "information bits credited per exchange"),
+              [_opt("--n", type=int, help="fixed total blocklength (maximize reliability)"),
+               _opt("--target", type=float, help="target reliability (minimize total blocklength)")],
+              *_CHANNEL),
+             _compute_twoway_opt,
+             dict(snr_db=float, k1=float, k2=float, ki1=float, n=_int_value, target=float)),
+    _Command("twoway-tdd", "TDD round error probability and throughput",
+             (_req("--k", float, "total bits per slot (payload plus overhead)"),
+              _req("--ki", float, "information bits credited per slot"),
+              _req("--n-slot", float, "slot length in channel uses"), *_CHANNEL),
+             lambda a: asdict(twoway_tdd_eval(a.k, a.ki, a.n_slot, _channel(a))),
+             dict(snr_db=float, k=float, ki=float, n_slot=float)),
+    _Command("downlink", "downlink broadcast: per-device packets vs one concatenated packet",
+             (_DEVICES, _req("--bits", float, "bits per device D"),
+              _req("--slot", float, "per-device slot length n"), *_CHANNEL),
+             lambda a: asdict(downlink_compare(DownlinkConfig(a.devices, a.bits, a.slot, _channel(a)))),
+             dict(snr_db=float, devices=_int_value, bits=float, slot=float)),
+    _Command("aloha", "framed slotted ALOHA per-slot success probability",
+             (_DEVICES, _BITS, _FRAME, _SLOTS, _PERFECT, *_CHANNEL),
+             _compute_aloha,
+             dict(snr_db=float, devices=_int_value, bits=float, frame=float, slots=_int_value)),
+    _Command("aloha-opt", "slot count maximizing ALOHA per-slot success",
+             (_DEVICES, _BITS, _FRAME,
+              _opt("--k-max", type=int, help="largest slot count scanned (default 4*devices)"),
+              _PERFECT, *_CHANNEL),
+             _compute_aloha_opt,
+             None),
+    _Command("sim-aloha", "simulate framed slotted ALOHA",
+             (_DEVICES, _BITS, _FRAME, _SLOTS, *_CHANNEL, *_MC),
+             _compute_sim_aloha,
+             None),
+    _Command("sim-twoway", "simulate the two-way exchange at a fixed split",
+             (_K1, _K2, _req("--n1", int, "forward blocklength"), _req("--n2", int, "return blocklength"),
+              *_CHANNEL, *_MC),
+             lambda a: _report(sim_twoway(TwoWayConfig(a.k1, a.k2, _channel(a)), a.n1, a.n2, a.trials, a.seed),
+                               "reliability"),
+             None),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -381,52 +435,6 @@ def _run_reproduce(args: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _add_snr_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--snr-db", type=float, required=True, help="SNR in dB")
-
-
-def _add_channel_args(p: argparse.ArgumentParser) -> None:
-    _add_snr_arg(p)
-    p.add_argument(
-        "--convention",
-        choices=("complex", "real"),
-        default="complex",
-        help="channel-use accounting (default complex; real halves C and V)",
-    )
-
-
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default="table",
-        help="output format (default table)",
-    )
-    p.add_argument("--output", metavar="PATH", default=None, help="write to a file instead of stdout")
-
-
-def _scalar_command(
-    p: argparse.ArgumentParser,
-    compute: Callable[[argparse.Namespace], dict[str, Any]],
-    **sweep_params: Callable[[float], Any],
-) -> None:
-    """Finish a scalar-output subcommand: output options, --sweep over the
-    named parameters (each with its value type), and the handler."""
-    _add_output_args(p)
-    p.add_argument(
-        "--sweep",
-        metavar="PARAM:START:STOP:STEP",
-        default=None,
-        help="re-run over an inclusive arithmetic progression of one parameter",
-    )
-    p.set_defaults(handler=_run_scalar, compute=compute, sweep_params=sweep_params)
-
-
-def _add_mc_args(p: argparse.ArgumentParser, default_trials: int) -> None:
-    p.add_argument("--trials", type=int, default=default_trials, help=f"Monte-Carlo trials (default {default_trials})")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shortpacket",
@@ -434,133 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("rate", help="normal-approximation coding rate at (n, eps)")
-    p.add_argument("--n", type=float, required=True, help="blocklength in channel uses")
-    p.add_argument("--eps", type=float, required=True, help="packet error probability")
-    _add_channel_args(p)
-    _scalar_command(p, _compute_rate, snr_db=float, n=float, eps=float)
-
-    p = sub.add_parser("eps", help="error probability of the best (k, n) code")
-    p.add_argument("--k", type=float, required=True, help="information bits per packet")
-    p.add_argument("--n", type=float, required=True, help="blocklength in channel uses")
-    _add_channel_args(p)
-    _scalar_command(p, _compute_eps, snr_db=float, k=float, n=float)
-
-    p = sub.add_parser("min-n", help="smallest blocklength meeting a target error probability")
-    p.add_argument("--k", type=float, required=True, help="information bits per packet")
-    p.add_argument("--eps", type=float, required=True, help="target error probability")
-    _add_channel_args(p)
-    _scalar_command(p, _compute_min_n, snr_db=float, k=float, eps=float)
-
-    p = sub.add_parser("outage", help="Rayleigh outage probability at a rate")
-    p.add_argument("--rate", type=float, required=True, help="rate in bits per channel use")
-    _add_snr_arg(p)
-    _scalar_command(p, _compute_outage, snr_db=float, rate=float)
-
-    p = sub.add_parser("outage-cap", help="Rayleigh outage capacity at a target outage")
-    p.add_argument("--eps", type=float, required=True, help="outage probability target")
-    _add_snr_arg(p)
-    _scalar_command(p, _compute_outage_cap, snr_db=float, eps=float)
-
-    p = sub.add_parser(
-        "qs-eps", help="finite-blocklength error probability on the quasi-static Rayleigh channel"
-    )
-    p.add_argument("--rate", type=float, required=True, help="rate in bits per channel use")
-    p.add_argument("--n", type=float, required=True, help="blocklength in channel uses")
-    _add_snr_arg(p)
-    _scalar_command(p, _compute_qs_eps, snr_db=float, rate=float, n=float)
-
-    p = sub.add_parser("mimo-outage", help="MIMO outage probability by Monte-Carlo")
-    p.add_argument("--mt", type=int, required=True, help="transmit antennas")
-    p.add_argument("--mr", type=int, required=True, help="receive antennas")
-    p.add_argument("--branches", type=int, default=1, help="independent fading blocks per codeword (default 1)")
-    p.add_argument("--rate", type=float, required=True, help="rate in bits per channel use")
-    _add_snr_arg(p)
-    _add_mc_args(p, 100_000)
-    _add_output_args(p)
-    p.set_defaults(handler=_run_plain, build=_build_mimo_outage)
-
-    p = sub.add_parser("dmt", help="diversity-multiplexing tradeoff breakpoints")
-    p.add_argument("--mt", type=int, required=True, help="transmit antennas")
-    p.add_argument("--mr", type=int, required=True, help="receive antennas")
-    p.add_argument("--mode", choices=("coherent", "noncoherent"), default="coherent")
-    p.add_argument("--nc", type=int, default=None, help="coherence interval (required for noncoherent)")
-    p.add_argument("--at", type=float, default=None, help="also evaluate multiplexing at this diversity")
-    _add_output_args(p)
-    p.set_defaults(handler=_run_plain, build=_build_dmt)
-
-    p = sub.add_parser("prelog", help="noncoherent block-fading capacity pre-log")
-    p.add_argument("--mt", type=int, required=True, help="transmit antennas")
-    p.add_argument("--mr", type=int, required=True, help="receive antennas")
-    p.add_argument("--nc", type=int, required=True, help="coherence interval in channel uses")
-    _scalar_command(p, _compute_prelog, mt=_int_value, mr=_int_value, nc=_int_value)
-
-    p = sub.add_parser("twoway-opt", help="optimize the blocklength split of a two-way exchange")
-    p.add_argument("--k1", type=float, required=True, help="bits in the forward packet")
-    p.add_argument("--k2", type=float, required=True, help="bits in the return packet")
-    p.add_argument("--ki1", type=float, required=True, help="information bits credited per exchange")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, default=None, help="fixed total blocklength (maximize reliability)")
-    group.add_argument("--target", type=float, default=None, help="target reliability (minimize total blocklength)")
-    _add_channel_args(p)
-    _scalar_command(
-        p, _compute_twoway_opt, snr_db=float, k1=float, k2=float, ki1=float, n=_int_value, target=float
-    )
-
-    p = sub.add_parser("twoway-tdd", help="TDD round error probability and throughput")
-    p.add_argument("--k", type=float, required=True, help="total bits per slot (payload plus overhead)")
-    p.add_argument("--ki", type=float, required=True, help="information bits credited per slot")
-    p.add_argument("--n-slot", type=float, required=True, help="slot length in channel uses")
-    _add_channel_args(p)
-    _scalar_command(p, _compute_twoway_tdd, snr_db=float, k=float, ki=float, n_slot=float)
-
-    p = sub.add_parser("downlink", help="downlink broadcast: per-device packets vs one concatenated packet")
-    p.add_argument("--devices", type=int, required=True, help="number of devices M")
-    p.add_argument("--bits", type=float, required=True, help="bits per device D")
-    p.add_argument("--slot", type=float, required=True, help="per-device slot length n")
-    _add_channel_args(p)
-    _scalar_command(p, _compute_downlink, snr_db=float, devices=_int_value, bits=float, slot=float)
-
-    p = sub.add_parser("aloha", help="framed slotted ALOHA per-slot success probability")
-    p.add_argument("--devices", type=int, required=True, help="number of devices M")
-    p.add_argument("--bits", type=float, required=True, help="bits per packet D")
-    p.add_argument("--frame", type=float, required=True, help="frame length in channel uses")
-    p.add_argument("--slots", type=int, required=True, help="slot count K")
-    p.add_argument("--perfect-decoding", action="store_true", help="drop the finite-blocklength decoding factor")
-    _add_channel_args(p)
-    _scalar_command(
-        p, _compute_aloha, snr_db=float, devices=_int_value, bits=float, frame=float, slots=_int_value
-    )
-
-    p = sub.add_parser("aloha-opt", help="slot count maximizing ALOHA per-slot success")
-    p.add_argument("--devices", type=int, required=True, help="number of devices M")
-    p.add_argument("--bits", type=float, required=True, help="bits per packet D")
-    p.add_argument("--frame", type=float, required=True, help="frame length in channel uses")
-    p.add_argument("--k-max", type=int, default=None, help="largest slot count scanned (default 4*devices)")
-    p.add_argument("--perfect-decoding", action="store_true", help="drop the finite-blocklength decoding factor")
-    _add_channel_args(p)
-    _add_output_args(p)
-    p.set_defaults(handler=_run_plain, build=_build_aloha_opt)
-
-    p = sub.add_parser("sim-aloha", help="simulate framed slotted ALOHA")
-    p.add_argument("--devices", type=int, required=True, help="number of devices M")
-    p.add_argument("--bits", type=float, required=True, help="bits per packet D")
-    p.add_argument("--frame", type=float, required=True, help="frame length in channel uses")
-    p.add_argument("--slots", type=int, required=True, help="slot count K")
-    _add_channel_args(p)
-    _add_mc_args(p, 100_000)
-    _add_output_args(p)
-    p.set_defaults(handler=_run_plain, build=_build_sim_aloha)
-
-    p = sub.add_parser("sim-twoway", help="simulate the two-way exchange at a fixed split")
-    p.add_argument("--k1", type=float, required=True, help="bits in the forward packet")
-    p.add_argument("--k2", type=float, required=True, help="bits in the return packet")
-    p.add_argument("--n1", type=int, required=True, help="forward blocklength")
-    p.add_argument("--n2", type=int, required=True, help="return blocklength")
-    _add_channel_args(p)
-    _add_mc_args(p, 100_000)
-    _add_output_args(p)
-    p.set_defaults(handler=_run_plain, build=_build_sim_twoway)
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for arg in (*cmd.args, *_OUTPUT, *(() if cmd.sweep is None else (_SWEEP,))):
+            if isinstance(arg, list):
+                target, members = p.add_mutually_exclusive_group(required=True), arg
+            else:
+                target, members = p, [arg]
+            for flag, kwargs in members:
+                target.add_argument(flag, **kwargs)
+        p.set_defaults(handler=_run_command, compute=cmd.compute, sweep_params=cmd.sweep)
 
     p = sub.add_parser(
         "reproduce-paper",
@@ -596,6 +487,9 @@ def run(argv: list[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. numpy refusing an array past the address space
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -25,7 +25,6 @@ from .awgn import _cv_complex
 
 __all__ = [
     "QuasiStaticConfig",
-    "BlockFadingConfig",
     "DmtMode",
     "DmtCurve",
     "outage_prob_siso",
@@ -58,26 +57,6 @@ class QuasiStaticConfig:
         object.__setattr__(self, "snr", real("snr", self.snr, gt=0.0))
         object.__setattr__(self, "m_t", integer("m_t", self.m_t, ge=1))
         object.__setattr__(self, "m_r", integer("m_r", self.m_r, ge=1))
-
-
-@dataclass(frozen=True)
-class BlockFadingConfig:
-    """Block fading: l independent coherence blocks of n_c uses each."""
-
-    n_c: int
-    l: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_c", integer("n_c", self.n_c, ge=1))
-        object.__setattr__(self, "l", integer("l", self.l, ge=1))
-
-    @property
-    def blocklength(self) -> int:
-        return self.n_c * self.l
-
-    def m_star(self, m_t: int, m_r: int) -> int:
-        """Antennas worth using noncoherently: min(m_t, m_r, floor(n_c/2))."""
-        return min(m_t, m_r, self.n_c // 2)
 
 
 class DmtMode(Enum):
@@ -231,6 +210,11 @@ def outage_prob_mimo_mc(
     return _binomial_report("mimo_outage_probability", count, trials, seed, config)
 
 
+def _m_star(m_t: int, m_r: int, n_c: int) -> int:
+    """Antennas worth using without channel knowledge: min(m_t, m_r, floor(n_c/2))."""
+    return min(m_t, m_r, n_c // 2)
+
+
 def dmt_curve(m_t: int, m_r: int, mode: DmtMode, n_c: int | None = None) -> DmtCurve:
     """Diversity-multiplexing tradeoff breakpoints (d_k, r_k) for
     k = 0..min(m_t, m_r): d_k = (m_t - k)(m_r - k), r_k = scaling * k.
@@ -253,7 +237,7 @@ def dmt_curve(m_t: int, m_r: int, mode: DmtMode, n_c: int | None = None) -> DmtC
         if n_c is None:
             raise ValueError("noncoherent curve requires n_c")
         n_c = integer("n_c", n_c, ge=1)
-        ms = min(m_t, m_r, n_c // 2)
+        ms = _m_star(m_t, m_r, n_c)
         needed = 2 * ms + m_r + 1
         if n_c < needed:
             raise ValueError(
@@ -283,5 +267,5 @@ def noncoherent_prelog(m_t: int, m_r: int, n_c: int) -> float:
     m_t = integer("m_t", m_t, ge=1)
     m_r = integer("m_r", m_r, ge=1)
     n_c = integer("n_c", n_c, ge=1)
-    ms = min(m_t, m_r, n_c // 2)
+    ms = _m_star(m_t, m_r, n_c)
     return ms * (1.0 - ms / n_c)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: argument handling, output formats,
 exit codes, and the bundled reproduction checks."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import math
 
 import pytest
 
-from shortpacket.cli import main
+from shortpacket.cli import build_parser, main
 
 # stdout capture is done by hand because the suite runs with pytest -s
 # (the acceptance module prints a report line per criterion)
@@ -93,7 +94,10 @@ def test_csv_sweep():
 
 def test_sweep_rejects_misuse():
     base = ["eps", "--k", "194", "--n", "125", "--snr-db", "10"]
-    for sweep in ("bogus:1:2:1", "n:1:2", "n:1:5:0", "n:5:1:1", "n:a:b:c"):
+    # the last two ask for about 1e300 and 1e8 rows, past _SWEEP_MAX_ROWS
+    for sweep in (
+        "bogus:1:2:1", "n:1:2", "n:1:5:0", "n:5:1:1", "n:a:b:c", "n:1:2:1e-300", "n:1:100000001:1"
+    ):
         code, out, err = run_cli(*base, "--sweep", sweep)
         assert code == 2
         assert "error" in err.lower() or "sweep" in err
@@ -282,6 +286,11 @@ def test_domain_error_exits_3():
         ("downlink", "--devices", str(10**400), "--bits", "192", "--slot", "125", "--snr-db", "10"),
         ("rate", "--n", "1e-320", "--eps", "0.5", "--snr-db", "10"),
         ("rate", "--n", "1e-300", "--eps", "0.5", "--snr-db", "10"),
+        # a 2**53-slot profile: numpy refuses the 64 PiB array (MemoryError)
+        (
+            "aloha-opt", "--devices", "10", "--bits", "100", "--frame", "800", "--snr-db", "10",
+            "--k-max", "9007199254740992",
+        ),
     ):
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
@@ -309,6 +318,18 @@ def test_help_exits_0():
     code, out, err = run_cli("--help")
     assert code == 0
     assert "COMMAND" in out
+
+
+def test_every_subcommand_help_and_sweep_map():
+    # a sweep key that names no option would set an attribute compute never
+    # reads, and every sweep row would repeat the fixed value
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(subparsers.choices) == 17
+    for name, parser in subparsers.choices.items():
+        code, out, err = run_cli(name, "--help")
+        assert code == 0 and out.startswith(f"usage: shortpacket {name}"), name
+        dests = {action.dest for action in parser._actions}
+        assert set(parser.get_default("sweep_params") or ()) <= dests, name
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from scipy.special import ndtr
 
 from shortpacket.fading import (
-    BlockFadingConfig,
     DmtCurve,
     DmtMode,
     QuasiStaticConfig,
@@ -401,14 +400,3 @@ def test_prelog_never_exceeds_antenna_bound():
             for nc in (1, 2, 5, 20, 1000):
                 p = noncoherent_prelog(mt, mr, nc)
                 assert 0.0 <= p <= min(mt, mr)
-
-
-def test_block_fading_config():
-    cfg = BlockFadingConfig(n_c=10, l=4)
-    assert cfg.blocklength == 40
-    assert cfg.m_star(2, 2) == 2
-    assert cfg.m_star(8, 8) == 5
-    with pytest.raises(ValueError):
-        BlockFadingConfig(n_c=0, l=1)
-    with pytest.raises(ValueError):
-        BlockFadingConfig(n_c=10, l=0)

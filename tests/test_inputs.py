@@ -17,7 +17,6 @@ import pytest
 
 from shortpacket import (
     AlohaConfig,
-    BlockFadingConfig,
     Channel,
     CodeSpec,
     Convention,
@@ -68,8 +67,6 @@ ROWS = [
     ("QuasiStaticConfig", "snr", "real", 10.0, lambda v: QuasiStaticConfig(v)),
     ("QuasiStaticConfig", "m_t", "int", 2, lambda v: QuasiStaticConfig(10.0, m_t=v)),
     ("QuasiStaticConfig", "m_r", "int", 2, lambda v: QuasiStaticConfig(10.0, m_r=v)),
-    ("BlockFadingConfig", "n_c", "int", 10, lambda v: BlockFadingConfig(v, 4)),
-    ("BlockFadingConfig", "l", "int", 4, lambda v: BlockFadingConfig(10, v)),
     ("outage_prob_siso", "snr", "real", 10.0, lambda v: outage_prob_siso(v, 2.0)),
     ("outage_prob_siso", "R", "real", 2.0, lambda v: outage_prob_siso(10.0, v)),
     ("outage_capacity_siso", "snr", "real", 10.0, lambda v: outage_capacity_siso(v, 0.1)),
