@@ -15,6 +15,7 @@ global setting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -49,6 +50,11 @@ _MAX_BLOCKLENGTH = 1 << 50
 # log2(n)/2 term the seed drops moved the answer by at most 33 uses over
 # 10,240 point-sweep operating points of bench/ (SNR -5..25 dB, n 50..2000)
 _SEED_WINDOW = 64
+
+# C <= 1024 and V < 2.1 for every finite snr, so nC and nV stay finite for
+# n below this; the scalar eps_star path pays for its overflow check (an
+# np.errstate of about 2 us) only past it
+_N_NO_OVERFLOW = sys.float_info.max / 1024.0
 
 
 class Convention(Enum):
@@ -172,6 +178,18 @@ def _eps_star_grid(ch: Channel, k, n) -> np.ndarray:
     return ndtr(-_tail_args(ch, k, n))
 
 
+def _tail_arg(ch: Channel, code: CodeSpec) -> np.ndarray:
+    # one operating point; past _N_NO_OVERFLOW, nC and nV may both overflow
+    # and the argument be inf/inf = nan, which is no probability
+    if code.n < _N_NO_OVERFLOW:
+        return _tail_args(ch, code.k, code.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _tail_args(ch, code.k, code.n)
+    if math.isnan(t):
+        raise ValueError(f"eps_star is undefined at k={code.k!r}, n={code.n!r}: nC and nV overflow")
+    return t
+
+
 def eps_star(ch: Channel, code: CodeSpec) -> float:
     """Packet error probability of the best code with k bits in n uses.
 
@@ -179,14 +197,16 @@ def eps_star(ch: Channel, code: CodeSpec) -> float:
     It is strictly decreasing in n where k + 3/(2 ln 2) > log2(1/(2C ln 2))/2.
     That fails only when C and k are both small, and then it can rise with
     n: at snr 1e-6 (complex) with k = 1 it is 0.0 at n = 8, 5.2e-5 at
-    n = 1e7 and 8.4e-15 at n = 1e8.
+    n = 1e7 and 8.4e-15 at n = 1e8.  Raises ValueError where nC and nV
+    both overflow (n near 1e308), so the argument is nan.
     """
-    return float(_eps_star_grid(ch, code.k, code.n))
+    return float(ndtr(-_tail_arg(ch, code)))
 
 
 def eps_star_log(ch: Channel, code: CodeSpec) -> float:
-    """Natural log of eps_star, finite even where eps_star underflows to 0."""
-    return float(log_ndtr(-_tail_args(ch, code.k, code.n)))
+    """Natural log of eps_star, finite even where eps_star underflows to 0.
+    Raises ValueError where eps_star does."""
+    return float(log_ndtr(-_tail_arg(ch, code)))
 
 
 def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | None:

@@ -188,7 +188,7 @@ def _int_value(v: float) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    if getattr(args, "sweep", None):
+    if getattr(args, "sweep", None) is not None:
         name, values = _parse_sweep(args.sweep, args.sweep_params)
         rows = []
         for v in values:

@@ -12,6 +12,8 @@ local optima.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,12 +156,65 @@ class AlohaConfig:
         return self.n / self.K
 
 
+class _AlohaProfile(Sequence):
+    """Read-only (K, success probability) pairs for K = 1..len, over one
+    float array.
+
+    It acts as the tuple ((1, p_1), (2, p_2), ...) of int and float pairs
+    in len, indexing, slicing (which returns that tuple's slice),
+    iteration, ==, hash, repr and pickling.  The pairs are built on access,
+    so the array is all it holds.
+    """
+
+    __slots__ = ("_ps",)
+
+    def __init__(self, ps: np.ndarray) -> None:
+        ps.flags.writeable = False
+        self._ps = ps
+
+    def __len__(self) -> int:
+        return len(self._ps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(range(1, len(self._ps) + 1)[i], self._ps[i].tolist()))
+        i = operator.index(i)
+        n = len(self._ps)
+        if not -n <= i < n:
+            raise IndexError("profile index out of range")
+        i %= n
+        return i + 1, float(self._ps[i])
+
+    def __iter__(self):
+        return zip(range(1, len(self._ps) + 1), self._ps.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _AlohaProfile)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        # written out in full, never numpy's "..." summary
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return type(self), (self._ps,)
+
+
 @dataclass(frozen=True)
 class AlohaOptResult:
-    """Optimal slot count and the full (K, success probability) profile."""
+    """Optimal slot count and the full (K, success probability) profile.
+
+    profile is a read-only sequence of (int, float) pairs for K = 1..k_max,
+    computed on access from one float array; it equals, hashes and prints
+    as the tuple of those pairs.
+    """
 
     k_opt: int
-    profile: tuple[tuple[int, float], ...]
+    profile: Sequence[tuple[int, float]]
 
 
 def twoway_reliability(cfg: TwoWayConfig, n1: int, n2: int) -> float:
@@ -275,8 +330,6 @@ def aloha_optimize(
     the winner and the full profile for inspection or plotting.
     """
     k_max = integer("k_max", 4 * cfg.M if k_max is None else k_max, ge=1)
-    ks = np.arange(1, k_max + 1)
-    ps = _aloha_profile(cfg, ks, assume_perfect_decoding)
-    i = int(np.argmax(ps))
-    profile = tuple((int(k), float(p)) for k, p in zip(ks, ps))
-    return AlohaOptResult(k_opt=int(ks[i]), profile=profile)
+    ps = _aloha_profile(cfg, np.arange(1, k_max + 1), assume_perfect_decoding)
+    # ks = 1..k_max, so the first argmax at index i is K = i + 1
+    return AlohaOptResult(k_opt=int(np.argmax(ps)) + 1, profile=_AlohaProfile(ps))

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr, ndtr
 
 from shortpacket import awgn
 from shortpacket.awgn import (
@@ -127,6 +128,42 @@ def test_eps_star_monotone_in_n_k_snr():
     snrs = np.linspace(5.0, 20.0, 30)
     eps_s = [eps_star(Channel(float(s), Convention.REAL_CU), CodeSpec(194.0, 125.0)) for s in snrs]
     assert all(a > b for a, b in zip(eps_s, eps_s[1:]))
+
+
+@given(
+    log_snr=st.floats(-2.0, 3.0),
+    conv=st.sampled_from(list(Convention)),
+    log_n=st.floats(0.0, 5.0),
+    t=st.floats(-5.0, 35.0),
+    dk=st.floats(1.0, 100.0),
+)
+def test_eps_star_rises_strictly_in_k(log_snr, conv, log_n, t, dk):
+    # k placed so the tail argument is about t, where eps lies in (1e-300, 1)
+    ch, n = Channel(10.0**log_snr, conv), 10.0**log_n
+    k = n * capacity(ch) + 0.5 * math.log2(n) - t * math.sqrt(n * dispersion(ch))
+    assume(k > 0.0)
+    lo, hi = eps_star(ch, CodeSpec(k, n)), eps_star(ch, CodeSpec(k + dk, n))
+    assume(1e-300 < lo and hi < 1.0)
+    assert lo < hi
+
+
+def test_eps_star_refuses_nan_tail_argument():
+    # nC and nV both overflow, so the argument is inf/inf
+    for ch, n in [(CH10_CPLX, 1e308), (CH10_REAL, 1.75e308), (Channel(1e300), 1e308)]:
+        for fn in (eps_star, eps_star_log):
+            with pytest.raises(ValueError, match="undefined"):
+                fn(ch, CodeSpec(1e308, n))
+
+
+def test_eps_star_past_overflow_guard_matches_array_path():
+    # n past awgn._N_NO_OVERFLOW takes the checked path; its results, like
+    # those below it, are the array path's bit for bit
+    for ch in (CH10_REAL, CH10_CPLX, Channel(1e300)):
+        for k, n in [(1.0, 1e306), (1e307, 1e306), (1e306, 1e305), (194.0, 125.0)]:
+            with np.errstate(over="ignore"):  # nC overflows at snr 1e300, n 1e306
+                t = awgn._tail_args(ch, k, n)
+            assert eps_star(ch, CodeSpec(k, n)) == float(ndtr(-t))
+            assert eps_star_log(ch, CodeSpec(k, n)) == float(log_ndtr(-t))
 
 
 def test_rate_and_eps_are_consistent_inversions():

@@ -96,7 +96,8 @@ def test_sweep_rejects_misuse():
     base = ["eps", "--k", "194", "--n", "125", "--snr-db", "10"]
     # the last two ask for about 1e300 and 1e8 rows, past _SWEEP_MAX_ROWS
     for sweep in (
-        "bogus:1:2:1", "n:1:2", "n:1:5:0", "n:5:1:1", "n:a:b:c", "n:1:2:1e-300", "n:1:100000001:1"
+        "bogus:1:2:1", "n:1:2", "n:1:5:0", "n:5:1:1", "n:a:b:c", "n:1:2:1e-300", "n:1:100000001:1",
+        "",
     ):
         code, out, err = run_cli(*base, "--sweep", sweep)
         assert code == 2
@@ -286,6 +287,8 @@ def test_domain_error_exits_3():
         ("downlink", "--devices", str(10**400), "--bits", "192", "--slot", "125", "--snr-db", "10"),
         ("rate", "--n", "1e-320", "--eps", "0.5", "--snr-db", "10"),
         ("rate", "--n", "1e-300", "--eps", "0.5", "--snr-db", "10"),
+        # nC and nV both overflow, so the tail argument is inf/inf: it was nan
+        ("eps", "--k", "1e308", "--n", "1e308", "--snr-db", "10"),
         # a 2**53-slot profile: numpy refuses the 64 PiB array (MemoryError)
         (
             "aloha-opt", "--devices", "10", "--bits", "100", "--frame", "800", "--snr-db", "10",

@@ -2,12 +2,19 @@
 comparison, and framed slotted ALOHA."""
 
 import math
+import pickle
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
 from shortpacket.protocols import (
     AlohaConfig,
+    AlohaOptResult,
+    _aloha_profile,
     DownlinkConfig,
     TwoWayConfig,
     aloha_optimize,
@@ -278,3 +285,83 @@ def test_aloha_validation():
     cfg = AlohaConfig(10, 192.0, 800.0, CH)
     with pytest.raises(ValueError):
         cfg.slot_length
+
+
+# ---------------------------------------------------------------------------
+# the ALOHA profile: a read-only sequence that acts as a tuple of pairs
+
+
+def tuple_profile(cfg, k_max, perfect):
+    """The profile as a tuple of (int, float) pairs, built pair by pair."""
+    ks = np.arange(1, k_max + 1)
+    return tuple((int(k), float(p)) for k, p in zip(ks, _aloha_profile(cfg, ks, perfect)))
+
+
+@pytest.mark.parametrize("perfect", [False, True])
+@pytest.mark.parametrize("conv", list(Convention))
+@pytest.mark.parametrize("M", [10, 100, 10_000])
+def test_aloha_profile_acts_as_tuple(M, conv, perfect):
+    cfg = AlohaConfig(M, 192.0, 80.0 * M, Channel(10.0, conv))
+    res = aloha_optimize(cfg, assume_perfect_decoding=perfect)
+    prof, want = res.profile, tuple_profile(cfg, 4 * M, perfect)
+    assert prof == want and want == prof
+    assert not prof != want and not want != prof
+    assert prof != want[:-1] and prof != list(want)
+    assert hash(prof) == hash(want)
+    assert repr(prof) == repr(want)
+    assert len(prof) == len(want) == 4 * M
+    for i in (0, 1, M - 1, 4 * M - 1, -1, -2, -4 * M):
+        assert prof[i] == want[i]
+        assert type(prof[i][0]) is int and type(prof[i][1]) is float
+    for bad in (4 * M, -4 * M - 1):
+        with pytest.raises(IndexError):
+            prof[bad]
+    for sl in (slice(None), slice(3), slice(-5, None), slice(1, None, 7), slice(None, None, -3),
+               slice(M, 2, -1), slice(4 * M + 5, None)):
+        assert prof[sl] == want[sl] and type(prof[sl]) is tuple
+    assert all(type(k) is int and type(p) is float for k, p in prof)
+    assert tuple(prof) == want and list(reversed(prof)) == list(reversed(want))
+    assert want[M - 1] in prof and prof.index(want[M - 1]) == M - 1
+    with pytest.raises(TypeError):
+        prof[0] = (1, 0.0)
+    back = pickle.loads(pickle.dumps(res))
+    assert back == res and hash(back) == hash(res) and back.profile == want
+    as_tuple = AlohaOptResult(res.k_opt, want)
+    assert res == as_tuple and as_tuple == res and hash(res) == hash(as_tuple)
+    assert repr(res) == repr(as_tuple)
+
+
+def test_aloha_profile_holds_only_its_array():
+    cfg = AlohaConfig(10_000, 192.0, 800_000.0, Channel(10.0))
+    aloha_optimize(cfg)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        res = aloha_optimize(cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 40,000 float64 values are 0.32 MB; 40,000 boxed pairs were 4.68 MB
+    assert len(res.profile) == 40_000
+    assert held < 1_000_000
+
+
+@given(
+    M=st.integers(1, 200),
+    D=st.floats(10.0, 400.0),
+    per_device=st.floats(20.0, 300.0),
+    snr_db=st.floats(0.0, 20.0),
+    conv=st.sampled_from(list(Convention)),
+    perfect=st.booleans(),
+    k_max=st.one_of(st.none(), st.integers(1, 300)),
+)
+def test_aloha_optimize_profile_properties(M, D, per_device, snr_db, conv, perfect, k_max):
+    cfg = AlohaConfig(M, D, M * per_device, Channel(10.0 ** (snr_db / 10.0), conv))
+    res = aloha_optimize(cfg, k_max=k_max, assume_perfect_decoding=perfect)
+    assert [k for k, _ in res.profile] == list(range(1, (4 * M if k_max is None else k_max) + 1))
+    for k, p in res.profile:
+        at_k = AlohaConfig(M, D, cfg.n, cfg.ch, K=k)
+        assert math.isclose(p, aloha_success(at_k, perfect), rel_tol=1e-12, abs_tol=0.0)
+    # k_opt is the first argmax
+    vals = [p for _, p in res.profile]
+    best = max(vals)
+    assert vals[res.k_opt - 1] == best and best not in vals[: res.k_opt - 1]
