@@ -178,15 +178,18 @@ def _eps_star_grid(ch: Channel, k, n) -> np.ndarray:
     return ndtr(-_tail_args(ch, k, n))
 
 
-def _tail_arg(ch: Channel, code: CodeSpec) -> np.ndarray:
-    # one operating point; past _N_NO_OVERFLOW, nC and nV may both overflow
-    # and the argument be inf/inf = nan, which is no probability
-    if code.n < _N_NO_OVERFLOW:
-        return _tail_args(ch, code.k, code.n)
+def _checked_tail_args(ch: Channel, k: float, n, n_max: float) -> np.ndarray:
+    # _tail_args for one k over n <= n_max; past _N_NO_OVERFLOW, nC and nV
+    # may both overflow and the argument be inf/inf = nan, which is no
+    # probability.  Below it the check is one comparison of n_max
+    if n_max < _N_NO_OVERFLOW:
+        return _tail_args(ch, k, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _tail_args(ch, code.k, code.n)
-    if math.isnan(t):
-        raise ValueError(f"eps_star is undefined at k={code.k!r}, n={code.n!r}: nC and nV overflow")
+        t = _tail_args(ch, k, n)
+    nan = np.isnan(t)
+    if nan.any():
+        n_bad = float(np.broadcast_to(n, t.shape)[nan][0])
+        raise ValueError(f"eps_star is undefined at k={k!r}, n={n_bad!r}: nC and nV overflow")
     return t
 
 
@@ -200,13 +203,13 @@ def eps_star(ch: Channel, code: CodeSpec) -> float:
     n = 1e7 and 8.4e-15 at n = 1e8.  Raises ValueError where nC and nV
     both overflow (n near 1e308), so the argument is nan.
     """
-    return float(ndtr(-_tail_arg(ch, code)))
+    return float(ndtr(-_checked_tail_args(ch, code.k, code.n, code.n)))
 
 
 def eps_star_log(ch: Channel, code: CodeSpec) -> float:
     """Natural log of eps_star, finite even where eps_star underflows to 0.
     Raises ValueError where eps_star does."""
-    return float(log_ndtr(-_tail_arg(ch, code)))
+    return float(log_ndtr(-_checked_tail_args(ch, code.k, code.n, code.n)))
 
 
 def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | None:

@@ -13,13 +13,22 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from ._check import integer, probability, real
-from .awgn import Channel, CodeSpec, _eps_star_grid, _smallest_n, eps_star, eps_star_log
+from .awgn import (
+    Channel,
+    CodeSpec,
+    _checked_tail_args,
+    _eps_star_grid,
+    _smallest_n,
+    eps_star,
+    eps_star_log,
+)
 
 __all__ = [
     "TwoWayConfig",
@@ -36,6 +45,11 @@ __all__ = [
     "aloha_success",
     "aloha_optimize",
 ]
+
+# success-grid entries of a two-way search before its first regrowth: a
+# search whose answer is at most 256 uses (two thirds of the bench/
+# design-scan targets) builds one grid pair
+_GRID_FLOOR = 256
 
 
 @dataclass(frozen=True)
@@ -227,15 +241,33 @@ def twoway_reliability(cfg: TwoWayConfig, n1: int, n2: int) -> float:
     return (1.0 - e1) * (1.0 - e2)
 
 
-def _best_split(cfg: TwoWayConfig, n: int) -> tuple[int, float]:
-    # exhaustive scan over n1 = 1..n-1; first argmax, so ties land on
-    # the smaller n1 (and on n/2 when the objective is symmetric)
-    n1 = np.arange(1, n, dtype=float)
-    e1 = _eps_star_grid(cfg.ch, cfg.k1, n1)
-    e2 = _eps_star_grid(cfg.ch, cfg.k2, float(n) - n1)
-    rel = (1.0 - e1) * (1.0 - e2)
-    i = int(np.argmax(rel))
-    return int(n1[i]), float(rel[i])
+def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[int, float]]:
+    """best_split(n) -> (n1, reliability) for 2 <= n <= size_cap + 1.
+
+    Every split n1 = 1..n-1 is read from two success grids,
+    s[m-1] = 1 - eps*(k, m), one per leg: the same floats a from-scratch
+    scan at n multiplies.  A probe that needs a longer prefix rebuilds both
+    x4 longer (from _GRID_FLOOR, capped at size_cap entries); no other
+    probe evaluates eps*.
+    """
+    s1 = s2 = np.empty(0)
+
+    def best_split(n: int) -> tuple[int, float]:
+        nonlocal s1, s2
+        if n - 1 > len(s1):
+            size = max(_GRID_FLOOR, len(s1))
+            while size < n - 1:
+                size *= 4
+            m = np.arange(1, min(size, size_cap) + 1, dtype=float)
+            s1 = 1.0 - _eps_star_grid(cfg.ch, cfg.k1, m)
+            s2 = 1.0 - _eps_star_grid(cfg.ch, cfg.k2, m)
+        # n1 = 1..n-1 against n2 = n-1..1; first argmax, so ties land on
+        # the smaller n1 (and on n/2 when the objective is symmetric)
+        rel = s1[: n - 1] * s2[n - 2 :: -1]
+        i = int(np.argmax(rel))
+        return i + 1, float(rel[i])
+
+    return best_split
 
 
 def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) -> TwoWayResult:
@@ -246,6 +278,10 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     cfg.target_reliability set: find the smallest total n whose best split
     meets the target; if no n <= n_ceiling does, the result has
     feasible=False and reports the best split at the ceiling.
+
+    Every split probe reads two cached grids of per-leg success
+    probabilities, 1 - eps*(k1, m) and 1 - eps*(k2, m), which grow
+    geometrically as the search needs longer blocklengths.
 
     Args:
         cfg: exchange description carrying exactly one objective.
@@ -258,8 +294,10 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     if (cfg.n_total is None) == (cfg.target_reliability is None):
         raise ValueError("exactly one of n_total and target_reliability must be set")
 
+    best_split = _split_scanner(cfg, (n_ceiling if cfg.n_total is None else cfg.n_total) - 1)
+
     def result(n: int, feasible: bool) -> TwoWayResult:
-        n1, rel = _best_split(cfg, n)
+        n1, rel = best_split(n)
         return TwoWayResult(feasible, n, n1, n - n1, reliability=rel, throughput=rel * k_i1 / n)
 
     if cfg.n_total is not None:
@@ -268,7 +306,7 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     # the best achievable reliability is nondecreasing in n (any split at n
     # is available at n+1 with one spare use added where it cannot hurt)
     target = cfg.target_reliability
-    n = _smallest_n(lambda m: _best_split(cfg, m)[1] > target, 2, n_ceiling)
+    n = _smallest_n(lambda m: best_split(m)[1] > target, 2, n_ceiling)
     return result(n_ceiling, False) if n is None else result(n, True)
 
 
@@ -305,7 +343,9 @@ def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarra
     collision = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
     if perfect:
         return collision
-    eps = _eps_star_grid(cfg.ch, cfg.D, cfg.n / ks)
+    # the frame n bounds every slot n/K, so only a frame past the float
+    # range pays for the check that refuses a nan tail argument
+    eps = ndtr(-_checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n))
     return collision * (1.0 - eps)
 
 

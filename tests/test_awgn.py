@@ -147,6 +147,25 @@ def test_eps_star_rises_strictly_in_k(log_snr, conv, log_n, t, dk):
     assert lo < hi
 
 
+@settings(max_examples=200)
+@given(
+    log_snr=st.floats(-7.0, 6.0),
+    conv=st.sampled_from(list(Convention)),
+    log_n=st.floats(0.0, 7.0),
+    t=st.floats(-5.0, 35.0),
+    log_grow=st.floats(-3.0, 0.0),
+)
+def test_eps_star_falls_strictly_in_n(log_snr, conv, log_n, t, log_grow):
+    # the premise of both blocklength searches (min_blocklength and the
+    # two-way target search): k placed so the tail argument at n is about t
+    ch, n = Channel(10.0**log_snr, conv), 10.0**log_n
+    k = n * capacity(ch) + 0.5 * math.log2(n) - t * math.sqrt(n * dispersion(ch))
+    assume(k > 0.0 and _eps_falls_with_n(ch, k))
+    hi, lo = eps_star(ch, CodeSpec(k, n)), eps_star(ch, CodeSpec(k, n * (1.0 + 10.0**log_grow)))
+    assume(1e-300 < lo and hi < 1.0)
+    assert hi > lo
+
+
 def test_eps_star_refuses_nan_tail_argument():
     # nC and nV both overflow, so the argument is inf/inf
     for ch, n in [(CH10_CPLX, 1e308), (CH10_REAL, 1.75e308), (Channel(1e300), 1e308)]:

@@ -289,6 +289,8 @@ def test_domain_error_exits_3():
         ("rate", "--n", "1e-300", "--eps", "0.5", "--snr-db", "10"),
         # nC and nV both overflow, so the tail argument is inf/inf: it was nan
         ("eps", "--k", "1e308", "--n", "1e308", "--snr-db", "10"),
+        # the same overflow in the ALOHA profile's K = 1 slot: it printed nan
+        ("aloha-opt", "--devices", "10", "--bits", "1e308", "--frame", "1e308", "--snr-db", "10"),
         # a 2**53-slot profile: numpy refuses the 64 PiB array (MemoryError)
         (
             "aloha-opt", "--devices", "10", "--bits", "100", "--frame", "800", "--snr-db", "10",

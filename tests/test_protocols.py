@@ -7,10 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
+from shortpacket import protocols
+from shortpacket.awgn import Channel, CodeSpec, Convention, _eps_star_grid, eps_star
 from shortpacket.protocols import (
     AlohaConfig,
     AlohaOptResult,
@@ -36,6 +37,17 @@ def scan_best_split(cfg, n):
         if rel > best_rel:
             best_n1, best_rel = n1, rel
     return best_n1, best_rel
+
+
+def from_scratch_best_split(cfg, n):
+    """Reference optimizer: every split's eps* evaluated anew for this n, as
+    one array per leg; first argmax wins."""
+    n1 = np.arange(1, n, dtype=float)
+    e1 = _eps_star_grid(cfg.ch, cfg.k1, n1)
+    e2 = _eps_star_grid(cfg.ch, cfg.k2, float(n) - n1)
+    rel = (1.0 - e1) * (1.0 - e2)
+    i = int(np.argmax(rel))
+    return int(n1[i]), float(rel[i])
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +124,70 @@ def test_twoway_optimize_infeasible_below_ceiling():
     assert res.reliability < 0.999
     assert res.n1 + res.n2 == 50
     assert res.throughput == pytest.approx(res.reliability * 96.0 / 50.0)
+
+
+# At snr >= -5 dB and k >= 1, k + 3/(2 ln 2) > log2(1/(2C ln 2))/2 holds with
+# room (C >= 0.198 bits, so 3.16 > 0.93): eps_star falls strictly in n on
+# both legs, and the best reliability rises with n, as the search assumes
+TWOWAY_LINKS = dict(
+    k1=st.floats(1.0, 300.0),
+    k2=st.floats(1.0, 300.0),
+    snr_db=st.floats(-5.0, 20.0),
+    conv=st.sampled_from(list(Convention)),
+)
+
+
+@settings(max_examples=50)
+@given(**TWOWAY_LINKS, n=st.integers(2, 3000))
+def test_twoway_optimize_fixed_n_matches_from_scratch_scan(k1, k2, snr_db, conv, n):
+    cfg = TwoWayConfig(k1, k2, Channel(10.0 ** (snr_db / 10.0), conv), n_total=n)
+    res = twoway_optimize(cfg, 1.0)
+    assert (res.n1, res.reliability) == from_scratch_best_split(cfg, n)
+    assert res.n == n and res.n2 == n - res.n1
+
+
+@settings(max_examples=50)
+@given(**TWOWAY_LINKS, log_miss=st.floats(1.0, 6.0))
+def test_twoway_optimize_target_is_tight(k1, k2, snr_db, conv, log_miss):
+    target = 1.0 - 10.0**-log_miss  # in [0.9, 1 - 1e-6]
+    cfg = TwoWayConfig(k1, k2, Channel(10.0 ** (snr_db / 10.0), conv), target_reliability=target)
+    res = twoway_optimize(cfg, 1.0)
+    assert res.feasible
+    assert (res.n1, res.reliability) == from_scratch_best_split(cfg, res.n)
+    assert scan_best_split(cfg, res.n)[1] > target
+    assert res.n == 2 or scan_best_split(cfg, res.n - 1)[1] <= target
+
+
+def test_twoway_target_search_builds_grids_only_to_grow(monkeypatch):
+    grids, probes = [], []
+    grid, search = protocols._eps_star_grid, protocols._smallest_n
+
+    def spy_grid(ch, k, n):
+        grids.append((k, len(n)))
+        return grid(ch, k, n)
+
+    def spy_search(holds, lo, ceiling):
+        return search(lambda m: probes.append(m) or holds(m), lo, ceiling)
+
+    monkeypatch.setattr(protocols, "_eps_star_grid", spy_grid)
+    monkeypatch.setattr(protocols, "_smallest_n", spy_search)
+    # n = 203: every probe (2..256) reads the first grid pair
+    res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, target_reliability=0.999), 96.0)
+    assert (res.n, res.n1) == (203, 132)
+    assert len(probes) > 10
+    assert grids == [(193.0, 256), (97.0, 256)]
+    # a long exchange regrows x4 as the doubling probes pass each size, and
+    # the final split at the ceiling caps the last grid at n_ceiling - 1
+    grids.clear()
+    cfg = TwoWayConfig(6000.0, 3000.0, CH, target_reliability=1.0 - 1e-6)
+    res = twoway_optimize(cfg, 1.0, n_ceiling=5000)
+    assert not res.feasible and res.n == 5000
+    assert grids == [(k, size) for size in (256, 1024, 4096, 4999) for k in (6000.0, 3000.0)]
+    assert (res.n1, res.reliability) == from_scratch_best_split(cfg, 5000)
+    # fixed n: one grid pair of n - 1 entries
+    grids.clear()
+    res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, n_total=1000), 96.0)
+    assert grids == [(193.0, 999), (97.0, 999)]
 
 
 def test_twoway_config_validation():
@@ -240,6 +316,20 @@ def test_aloha_single_device_single_slot():
     expected = 1.0 - eps_star(CH, CodeSpec(100.0, 60.0))
     assert 0.05 < expected < 0.95
     assert aloha_success(tight) == pytest.approx(expected, rel=1e-12)
+
+
+def test_aloha_refuses_nan_tail_argument():
+    # at K = 1 the slot is the whole 1e308-use frame: nC and nV both
+    # overflow, and the profile value was nan
+    cfg = AlohaConfig(10, 1e308, 1e308, Channel(10.0))
+    with pytest.raises(ValueError, match="undefined"):
+        aloha_success(AlohaConfig(10, 1e308, 1e308, Channel(10.0), K=1))
+    with pytest.raises(ValueError, match="undefined"):
+        aloha_optimize(cfg)
+    # the collision term alone stays defined, and so do shorter slots
+    assert aloha_optimize(cfg, assume_perfect_decoding=True).k_opt == 10
+    at_2 = AlohaConfig(10, 1e308, 1e308, Channel(10.0), K=2)
+    assert aloha_success(at_2) == aloha_success(at_2, assume_perfect_decoding=True)
 
 
 def test_aloha_optimize_spot_values():
