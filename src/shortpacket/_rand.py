@@ -8,6 +8,8 @@ layout -- never on scheduling order, parallelism, or the trial count.
 Philox fills arrays in stream order, so a kernel reads a block in chunks of
 about _CHUNK draws with the same values: it never makes the draws after the
 last one it keeps, and memory stays O(_CHUNK) whatever the trials or width.
+_Integers reads the values of Generator.integers(0, K) straight from the
+raw words, so a kernel can count past bounded draws it does not keep.
 
 This module sits below both fading and mcsim, so neither imports the other.
 """
@@ -89,3 +91,69 @@ def _chunks(rows: int, width: int) -> Iterator[int]:
     step = max(1, _CHUNK // width)
     for lo in range(0, rows, step):
         yield min(step, rows - lo)
+
+
+_NO_HALF = np.empty(0, dtype=np.uint32)
+
+
+class _Integers:
+    """The values of successive Generator.integers(0, K) calls on a bit
+    generator's stream, read from its raw 64-bit words.
+
+    For 1 < K < 2**32 numpy applies Lemire's method to the words' 32-bit
+    halves, low half first: half h gives (h*K) >> 32, unless (h*K) mod 2**32
+    is below 2**32 mod K, when it is rejected and the next half is tried.  A
+    call that ends on a low half leaves the high half pending for the next
+    call, and Generator.random() starts at the next whole word.  K = 1 draws
+    nothing, and K >= 2**32 takes numpy's 64-bit path through integers().
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator, K: int) -> None:
+        self._bits = bit_generator
+        self._K = K
+        self._threshold = np.uint32((1 << 32) % K) if K < 1 << 32 else None
+        self._pending = _NO_HALF  # at most one half
+
+    def skip(self, count: int) -> None:
+        """Consume the next `count` draws without keeping them."""
+        if self._K >= 1 << 32:
+            rng = np.random.Generator(self._bits)
+            for n in _chunks(count, 1):
+                rng.integers(0, self._K, size=n)
+        elif self._K > 1:
+            for _ in self._accepted(count):
+                pass
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next out.size draws into the contiguous int64 array out."""
+        if self._K == 1:
+            out.fill(0)
+        elif self._K >= 1 << 32:
+            out[...] = np.random.Generator(self._bits).integers(0, self._K, size=out.shape)
+        else:
+            flat = out.reshape(-1).view(np.uint64)
+            pos = 0
+            for halves in self._accepted(flat.size):
+                dst = flat[pos : pos + halves.size]
+                np.multiply(halves, self._K, out=dst, dtype=np.uint64)
+                dst >>= np.uint64(32)
+                pos += halves.size
+        return out
+
+    def _accepted(self, count: int) -> Iterator[np.ndarray]:
+        """The accepted halves of the next `count` draws, _CHUNK or fewer at a time."""
+        while count > 0:
+            need = min(count, _CHUNK)
+            words = self._bits.random_raw((need - self._pending.size + 1) // 2)
+            halves = np.asarray(words, dtype="<u8").view("<u4")
+            if self._pending.size:
+                halves = np.concatenate((self._pending, halves))
+                self._pending = _NO_HALF
+            rejected = halves * np.uint32(self._K) < self._threshold
+            if rejected.any():
+                halves = halves[~rejected]
+            if halves.size > count:  # no rejection, and the call ends on a low half
+                self._pending = halves[-1:].copy()
+                halves = halves[:count]
+            count -= halves.size
+            yield halves

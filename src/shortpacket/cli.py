@@ -495,3 +495,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     return run(argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,6 @@ order-independent too.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -25,9 +24,11 @@ from ._rand import (
     MIN_TRIALS,
     SimConfigError,
     SimReport,
+    _CHUNK,
     _binomial_report,
     _check_trials,
     _chunks,
+    _Integers,
     check_seed,
     trial_blocks,
 )
@@ -63,11 +64,13 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     uniformly; a packet alone in its slot decodes with probability
     1 - eps*(D, floor(n/K)) (collided packets are always lost).
 
-    Draw layout per block: (_BLOCK, M) slot choices, then (_BLOCK, M)
-    decoding uniforms.  The slot choices' rejection sampler makes the
-    uniforms' offset data-dependent, so a first pass walks past all slot
-    choices and a second reads the kept frames' ones again, from a copy of
-    the block's generator, next to their uniforms; both in chunks.
+    Draw layout per block: (_BLOCK, M) slot choices from integers(0, K),
+    then (_BLOCK, M) decoding uniforms.  The slot choices' rejection sampler
+    makes the uniforms' offset data-dependent, so two cursors read the
+    block's keyed stream through _Integers: the block generator counts past
+    all slot choices to where the uniforms begin, and a fresh Philox with
+    the same key reads the kept frames' slot choices next to their
+    uniforms; both in chunks.
     """
     if cfg.K is None:
         raise ValueError("sim_aloha requires cfg.K to be set")
@@ -78,19 +81,25 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
         raise ValueError(f"slot length floor(n/K) must be >= 1, got {n_slot}")
     p_decode = 1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, float(n_slot)))
 
+    # rows sized by max(M, K), so the count over (trial, slot) cells is chunk-sized too;
+    # the slot and uniform buffers are reused, which measured faster than fresh arrays per chunk
+    width = max(cfg.M, cfg.K)
+    size = next(_chunks(min(trials, _BLOCK), width))
+    slots = np.empty((size, cfg.M), dtype=np.int64)
+    u = np.empty((size, cfg.M))
+    row_offset = cfg.K * np.arange(size)[:, None]
     sum_s = 0
     sum_s2 = 0
     for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
-        slot_rng = copy.deepcopy(rng)
-        for rows in _chunks(_BLOCK, cfg.M):
-            rng.integers(0, cfg.K, size=(rows, cfg.M))
-        # rows sized by max(M, K), so the count over (trial, slot) cells is chunk-sized too
-        for rows in _chunks(stop - start, max(cfg.M, cfg.K)):
-            slots = slot_rng.integers(0, cfg.K, size=(rows, cfg.M))
-            u = rng.random((rows, cfg.M))
-            cell = slots + cfg.K * np.arange(rows)[:, None]
+        kept = _Integers(np.random.Philox(key=rng.bit_generator.state["state"]["key"]), cfg.K)
+        _Integers(rng.bit_generator, cfg.K).skip(_BLOCK * cfg.M)
+        for rows in _chunks(stop - start, width):
+            cell = kept.fill(slots[:rows])
+            cell += row_offset[:rows]
+            if cfg.K > _CHUNK:  # rank the cells, so the count table stays chunk-sized
+                cell = np.unique(cell, return_inverse=True)[1].reshape(cell.shape)
             alone = np.bincount(cell.ravel())[cell] == 1
-            s = (alone & (u < p_decode)).sum(axis=1)
+            s = (alone & (rng.random(out=u[:rows]) < p_decode)).sum(axis=1)
             sum_s += int(s.sum())
             sum_s2 += int((s * s).sum())
 

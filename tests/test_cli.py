@@ -6,10 +6,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from shortpacket.cli import build_parser, main
+import shortpacket
+from shortpacket.cli import build_parser, main, run
 
 # stdout capture is done by hand because the suite runs with pytest -s
 # (the acceptance module prints a report line per criterion)
@@ -323,6 +328,35 @@ def test_help_exits_0():
     code, out, err = run_cli("--help")
     assert code == 0
     assert "COMMAND" in out
+
+
+def run_module(module, *argv):
+    """Run `python -m module argv` from the directory that holds the package."""
+    env = {**os.environ, "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=env, cwd=Path(shortpacket.__file__).parent.parent,
+    )
+
+
+def test_python_m_cli_runs_the_command():
+    # the module printed nothing and exited 0, where the command exits 3
+    out = run_module(
+        "shortpacket.cli", "aloha-opt", "--devices", "10", "--bits", "1e308", "--frame", "1e308",
+        "--snr-db", "10",
+    )
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+
+
+def test_python_m_package_prints_the_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out_io = io.StringIO()
+    with contextlib.redirect_stdout(out_io):
+        assert run(["--help"]) == 0
+    out = run_module("shortpacket", "--help")
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == out_io.getvalue()
 
 
 def test_every_subcommand_help_and_sweep_map():

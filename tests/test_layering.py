@@ -1,6 +1,6 @@
 """Imports inside the package flow one way:
 
-    _check -> {_rand, specfun} -> awgn -> {fading, protocols} -> mcsim -> repro -> cli
+    _check -> {_rand, specfun} -> awgn -> {fading, protocols} -> mcsim -> repro -> cli -> __main__
 
 A module may import only from modules on a strictly lower layer, so the
 two modules on one layer never import each other."""
@@ -22,6 +22,7 @@ LAYERS = {
     "mcsim": 4,
     "repro": 5,
     "cli": 6,
+    "__main__": 7,
 }
 
 PACKAGE = Path(shortpacket.__file__).parent

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shortpacket._rand import _CHUNK, _Integers
 from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
-from shortpacket.fading import _MIMO_BLOCK, QuasiStaticConfig, outage_prob_mimo_mc
+from shortpacket.fading import _MIMO_BLOCK, QuasiStaticConfig, _GramLogDets, outage_prob_mimo_mc
 from shortpacket.mcsim import (
     _BLOCK,
     MIN_TRIALS,
@@ -44,16 +45,17 @@ def twoway_outcomes(cfg, n1, n2, trials, seed):
 
 def aloha_successes(cfg, trials, seed):
     """Per-frame success counts: each block draws its (_BLOCK, M) slot
-    choices, then its (_BLOCK, M) decoding uniforms."""
+    choices, then its (_BLOCK, M) decoding uniforms.  A device is alone when
+    its (frame, slot) cell occurs once in the block; the cells are ranked
+    before the count, so it runs at any K up to 2**47."""
     p_decode = 1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, float(cfg.n // cfg.K)))
     out = []
     for rng in _block_rngs(seed, trials, _BLOCK):
         slots = rng.integers(0, cfg.K, size=(_BLOCK, cfg.M))
         u = rng.random((_BLOCK, cfg.M))
-        alone = np.zeros(slots.shape, dtype=bool)
-        for k in range(cfg.K):
-            hit = slots == k
-            alone |= hit & (hit.sum(axis=1) == 1)[:, None]
+        cells = (slots + cfg.K * np.arange(_BLOCK)[:, None]).ravel()
+        rank = np.unique(cells, return_inverse=True)[1].ravel()
+        alone = (np.bincount(rank)[rank] == 1).reshape(slots.shape)
         out.append((alone & (u < p_decode)).sum(axis=1))
     return np.concatenate(out)[:trials]
 
@@ -91,13 +93,67 @@ def test_sim_aloha_follows_full_block_layout(trials, seed, devices, slots):
     assert rep.std_error == pytest.approx(s.std(ddof=1) / (devices * math.sqrt(trials)), rel=1e-9)
 
 
-@given(trials=TRIALS, seed=SEEDS, shape=st.sampled_from([(1, 1, 1), (2, 1, 3), (3, 2, 2)]))
+@given(
+    trials=TRIALS,
+    seed=SEEDS,
+    shape=st.sampled_from([(1, 1, 1), (2, 1, 3), (3, 2, 2), (1, 3, 2), (4, 4, 4)]),
+)
 def test_mimo_mc_follows_full_block_layout(trials, seed, shape):
     m_t, m_r, l = shape
     cfg = QuasiStaticConfig(10.0, m_t, m_r)
     rate = 1.0 + m_r
     outage = mimo_outages(cfg, l, rate, trials, seed)
     assert outage_prob_mimo_mc(cfg, l, rate, trials, seed).estimate == np.count_nonzero(outage) / trials
+
+
+# K where numpy's Lemire sampler rejects never (1, 2), almost never (6, 60,
+# 2**32 - 1), a quarter (3 * 2**30) or about half (2**31 + 1) of all halves
+READER_KS = [1, 2, 6, 60, 3 << 30, (1 << 31) + 1, (1 << 32) - 1]
+
+
+@pytest.mark.parametrize("K", READER_KS)
+def test_integers_reader_matches_numpy(K):
+    key = np.array([2015, 6526], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(key=key)
+    reader = _Integers(bits, K)
+    # odd, even and chunk-spanning calls, so a pending half carries over
+    for count in (1, 2, 3, 70_001, 4, _CHUNK + 1, 2 * _CHUNK + 3):
+        want = rng.integers(0, K, size=count)
+        assert np.array_equal(reader.fill(np.empty(count, dtype=np.int64)), want), count
+    # after a skip the uniforms start where numpy's do, and a pending half
+    # waits past them for the next bounded draw
+    for count in (1, 2 * _CHUNK + 1, 2 * _CHUNK, 5):
+        rng.integers(0, K, size=count)
+        reader.skip(count)
+        assert np.random.Generator(bits).random(3).tolist() == rng.random(3).tolist()
+        want = rng.integers(0, K, size=(3, 5))
+        assert np.array_equal(reader.fill(np.empty((3, 5), dtype=np.int64)), want)
+
+
+# past 2**16 slots the kernel ranks its cells before counting them, and past
+# 2**32 the slot choices take numpy's 64-bit path; 20 devices in 2**16 + 1
+# slots collide in about 3 frames of a thousand
+@pytest.mark.parametrize("devices, slots", [
+    (1, (1 << 31) + 1), (3, (1 << 31) + 1), (3, (1 << 32) + 1), (20, (1 << 16) + 1),
+])
+def test_sim_aloha_follows_full_block_layout_at_large_k(devices, slots):
+    cfg = AlohaConfig(devices, 104.0, 60.0 * slots, CH, K=slots)
+    s = aloha_successes(cfg, MIN_TRIALS, 17)
+    rep = sim_aloha(cfg, MIN_TRIALS, 17).per_device_success
+    assert rep.estimate == int(s.sum()) / MIN_TRIALS / devices
+    assert rep.std_error == pytest.approx(s.std(ddof=1) / (devices * math.sqrt(MIN_TRIALS)), rel=1e-9)
+
+
+@pytest.mark.parametrize("m_t, m_r", [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4), (1, 8)])
+def test_gram_log_dets_match_slogdet(m_t, m_r):
+    z = np.random.default_rng(10 * m_t + m_r).standard_normal((300, m_t, m_r, 2))
+    h = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    log_dets = _GramLogDets(m_t, m_r, 400)  # sized past the batch, as for a chunk at a block's end
+    for snr in (1.0, 10.0, 1e3):
+        gram = np.eye(m_r) + snr / m_t * np.einsum("bti,btj->bij", h.conj(), h)
+        got = log_dets(z, 0.5 * snr / m_t)
+        np.testing.assert_allclose(got, np.linalg.slogdet(gram)[1], rtol=1e-12, atol=0.0)
 
 
 def test_sim_twoway_deterministic():
@@ -310,8 +366,11 @@ def test_sim_aloha_memory_does_not_grow_with_m_times_k():
 @pytest.mark.parametrize("run", [
     lambda: sim_aloha(AlohaConfig(1000, 192.0, 60_000.0, CH, K=600), MIN_TRIALS, 0),
     lambda: sim_aloha(AlohaConfig(10, 192.0, 2e6, CH, K=10_000), MIN_TRIALS, 0),
+    # a count table over all 2**22 slots took the peak to 34 MB
+    lambda: sim_aloha(AlohaConfig(3, 1.0, 2.0**22, CH, K=1 << 22), MIN_TRIALS, 0),
     lambda: outage_prob_mimo_mc(QuasiStaticConfig(10.0, 4, 4), 4, 10.0, 1 << 14, 0),
-], ids=["aloha-1000x600", "aloha-10x10000", "mimo-4x4-l4"])
+    lambda: outage_prob_mimo_mc(QuasiStaticConfig(10.0, 1, 8), 1, 3.0, 1 << 14, 0),
+], ids=["aloha-1000x600", "aloha-10x10000", "aloha-3x4194304", "mimo-4x4-l4", "mimo-1x8"])
 def test_simulator_memory_is_chunk_sized(run):
     assert _peak_bytes(run) < MEMORY_BOUND
 
