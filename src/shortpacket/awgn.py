@@ -10,6 +10,11 @@ dimensions, so the real-dimension convention halves both capacity and
 dispersion.  The convention changes short-packet conclusions by orders of
 magnitude, which is why it is a required, visible field rather than a
 global setting.
+
+The public functions take floats and evaluate in stdlib math, so they
+never load scipy.  The protocol optimizers evaluate eps_star over arrays
+of k and n through _eps_star_grid, whose Q comes from scipy.special on its
+first call; _tail_formula writes the tail argument once for both paths.
 """
 
 from __future__ import annotations
@@ -21,10 +26,9 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from ._check import probability, real
-from .specfun import q_inv
+from .specfun import _log_q, _q, q_array, q_inv
 
 __all__ = [
     "Convention",
@@ -42,18 +46,13 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LOG2_E_SQ = math.log2(math.e) ** 2
 
-# blocklength ceiling for the bracketing search in min_blocklength; it
-# exists only to bound the loop
+# min_blocklength looks for its answer up to this blocklength
 _MAX_BLOCKLENGTH = 1 << 50
-
-# candidates min_blocklength evaluates below its closed-form seed; the
-# log2(n)/2 term the seed drops moved the answer by at most 33 uses over
-# 10,240 point-sweep operating points of bench/ (SNR -5..25 dB, n 50..2000)
-_SEED_WINDOW = 64
+_LOG_MAX_BLOCKLENGTH = math.log(_MAX_BLOCKLENGTH)
 
 # C <= 1024 and V < 2.1 for every finite snr, so nC and nV stay finite for
-# n below this; the scalar eps_star path pays for its overflow check (an
-# np.errstate of about 2 us) only past it
+# n below this; the array path pays for its overflow check (an np.errstate
+# of about 2 us) only past it
 _N_NO_OVERFLOW = sys.float_info.max / 1024.0
 
 
@@ -165,17 +164,20 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
     )
 
 
+def _tail_formula(xp, c: float, v: float, k, n):
+    # (nC - k + log2(n)/2) / sqrt(nV), the argument of Q in eps_star; xp is
+    # math for floats and np for arrays, so the formula is written once
+    return (n * c - k + 0.5 * xp.log2(n)) / xp.sqrt(n * v)
+
+
 def _tail_args(ch: Channel, k, n) -> np.ndarray:
-    # (nC - k + log2(n)/2) / sqrt(nV); array-safe in k and n
     c, v = _cv(ch)
-    k = np.asarray(k, dtype=float)
-    n = np.asarray(n, dtype=float)
-    return (n * c - k + 0.5 * np.log2(n)) / np.sqrt(n * v)
+    return _tail_formula(np, c, v, np.asarray(k, dtype=float), np.asarray(n, dtype=float))
 
 
 def _eps_star_grid(ch: Channel, k, n) -> np.ndarray:
     """Vectorized error probability over arrays of k and/or n (internal)."""
-    return ndtr(-_tail_args(ch, k, n))
+    return q_array(_tail_args(ch, k, n))
 
 
 def _checked_tail_args(ch: Channel, k: float, n, n_max: float) -> np.ndarray:
@@ -193,6 +195,20 @@ def _checked_tail_args(ch: Channel, k: float, n, n_max: float) -> np.ndarray:
     return t
 
 
+def _float_tail_arg(ch: Channel, code: CodeSpec) -> float:
+    # the float path of eps_star and eps_star_log: Python floats overflow to
+    # inf without a warning, so nC and nV past the float range give inf/inf
+    c, v = _cv(ch)
+    k, n = code.k, code.n
+    try:
+        t = _tail_formula(math, c, v, k, n)
+    except ZeroDivisionError:
+        raise ValueError(f"eps_star is undefined at k={k!r}, n={n!r}: nV underflows to 0") from None
+    if t != t:
+        raise ValueError(f"eps_star is undefined at k={k!r}, n={n!r}: nC and nV overflow")
+    return t
+
+
 def eps_star(ch: Channel, code: CodeSpec) -> float:
     """Packet error probability of the best code with k bits in n uses.
 
@@ -201,15 +217,29 @@ def eps_star(ch: Channel, code: CodeSpec) -> float:
     That fails only when C and k are both small, and then it can rise with
     n: at snr 1e-6 (complex) with k = 1 it is 0.0 at n = 8, 5.2e-5 at
     n = 1e7 and 8.4e-15 at n = 1e8.  Raises ValueError where nC and nV
-    both overflow (n near 1e308), so the argument is nan.
+    both overflow (n near 1e308), so the argument is nan, and where nV
+    underflows to 0.  Evaluated in stdlib math floats; the protocol
+    optimizers take the same formula over arrays through scipy.
     """
-    return float(ndtr(-_checked_tail_args(ch, code.k, code.n, code.n)))
+    return _q(_float_tail_arg(ch, code))
 
 
 def eps_star_log(ch: Channel, code: CodeSpec) -> float:
     """Natural log of eps_star, finite even where eps_star underflows to 0.
     Raises ValueError where eps_star does."""
-    return float(log_ndtr(-_checked_tail_args(ch, code.k, code.n, code.n)))
+    return _log_q(_float_tail_arg(ch, code))
+
+
+def _first_true(holds: Callable[[int], bool], below: int, n: int) -> int:
+    """Smallest m in (below, n] where holds(m), given holds(n) and not
+    holds(below); holds must stay true once true.  Bisects."""
+    while n - below > 1:
+        mid = (below + n) // 2
+        if holds(mid):
+            n = mid
+        else:
+            below = mid
+    return n
 
 
 def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | None:
@@ -220,58 +250,68 @@ def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | No
         if n >= ceiling:
             return None
         below, n = n, min(2 * n, ceiling)
-    while n - below > 1:
-        mid = (below + n) // 2
-        if holds(mid):
-            n = mid
-        else:
-            below = mid
-    return n
-
-
-def _seeded_min_blocklength(ch: Channel, k: float, eps_target: float) -> int | None:
-    """min_blocklength from one array evaluation below a closed-form seed;
-    None where eps_star may not fall strictly in n, or where that window
-    does not bracket the answer."""
-    c, v = _cv(ch)
-    # d/dn of the tail argument has the sign of nC + k + 1/ln 2 - log2(n)/2,
-    # whose minimum over n > 0, at n = 1/(2C ln 2), is
-    # k + 3/(2 ln 2) - log2(1/(2C ln 2))/2
-    if not (c > 0.0 and k + 1.5 / _LN2 > -0.5 * math.log2(2.0 * c * _LN2)):
-        return None
-    # without log2(n)/2, nC - k = Qinv(eps) sqrt(nV) is a quadratic in
-    # sqrt(n); for n >= 1 the dropped term only lowers eps_star, so the
-    # answer lies at or below the root's ceiling
-    b = q_inv(eps_target) * math.sqrt(v)
-    root = (b + math.sqrt(b * b + 4.0 * c * k)) / (2.0 * c)
-    n0 = root * root
-    if not n0 <= _MAX_BLOCKLENGTH:  # inf and nan fall back too
-        return None
-    top = max(math.ceil(n0), 1)
-    cand = np.arange(max(top - _SEED_WINDOW + 1, 1), top + 1, dtype=float)
-    met = np.flatnonzero(_eps_star_grid(ch, k, cand) <= eps_target)
-    if met.size == 0 or (met[0] == 0 and cand[0] > 1.0):
-        return None
-    return int(cand[met[0]])
+    return _first_true(holds, below, n)
 
 
 def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
-    """Smallest integer n with eps_star(ch, (k, n)) <= eps_target, wherever
-    eps_star falls strictly in n: k + 3/(2 ln 2) > log2(1/(2C ln 2))/2.
+    """Smallest integer n with eps_star(ch, (k, n)) <= eps_target.
 
-    There n is read from one window of candidates below the closed-form
-    root of the normal approximation without its log2(n)/2 term, and a
-    doubling-then-bisection search takes over when the window does not
-    bracket it.  Outside that condition only the search runs, and it
-    returns the first crossing it finds, which need not be the smallest n.
+    The tail argument t(n) of eps_star rises with n where
+    h(n) = nC + k + 1/ln 2 - log2(n)/2 is positive.  h is convex, so t
+    rises, may fall between the two roots n_a < n_b of h, and then rises for
+    good.  The integers next to n_a decide whether the answer lies on
+    [1, n_a] or past n_b; past n_b the closed-form root of the
+    approximation without its log2(n)/2 term bounds the answer.  A bisection
+    on that bracket tests eps_star itself at each probe, so rounding cannot
+    move the answer.  Raises ValueError when no n up to 2**50 meets the
+    target.
     """
     k = real("k", k, gt=0.0)
     eps_target = probability("eps_target", eps_target)
-    n = _seeded_min_blocklength(ch, k, eps_target)
-    if n is None:
-        n = _smallest_n(
-            lambda m: float(_eps_star_grid(ch, k, m)) <= eps_target, 1, _MAX_BLOCKLENGTH
-        )
-    if n is None:
-        raise ValueError(f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}")
-    return n
+    c, v = _cv(ch)
+
+    def meets(n: int) -> bool:
+        return _q(_tail_formula(math, c, v, k, n)) <= eps_target
+
+    if meets(1):
+        return 1
+    # below: t rises on [1, top], or rises, falls and rises again while
+    # meets stays false up to n_b, so meets turns true once, at or before top
+    top = None
+    # h = 0 in u = ln n is exp(u - u_h) + a - u = 0, where a = 2 ln 2 (k + 1/ln 2)
+    # and h is least at u_h = ln(1/(2C ln 2)); it has roots when a + 1 < u_h
+    a = 2.0 * _LN2 * k + 2.0
+    u_h = -math.log(2.0 * c * _LN2) if c > 0.0 else math.inf
+    if a + 1.0 < u_h and a < _LOG_MAX_BLOCKLENGTH:
+        # the left side is convex and positive at u = a, so Newton climbs
+        # from there to the smaller root ln n_a and stops when it cannot rise
+        u = a
+        for _ in range(64):
+            e = math.exp(u - u_h)
+            step = (e + a - u) / (1.0 - e)
+            if not step > 0.0:
+                break
+            u += step
+        if u < _LOG_MAX_BLOCKLENGTH:
+            j = max(math.floor(math.exp(u)), 1)
+            if j > 1 and meets(j):
+                top = j  # t rises on [1, n_a]
+            elif meets(j + 1):
+                return j + 1
+            # else t stays below the target up to n_b
+    if top is None:
+        # without log2(n)/2, nC - k = Qinv(eps) sqrt(nV) is a quadratic in
+        # sqrt(n); for n >= 1 the dropped term only raises t, so the answer
+        # is at most its root, which lies past n_b
+        top = _MAX_BLOCKLENGTH
+        if c > 0.0:
+            b = q_inv(eps_target) * math.sqrt(v)
+            d = math.sqrt(b * b + 4.0 * c * k)
+            s = (b + d) / (2.0 * c) if b >= 0.0 else 2.0 * k / (d - b)
+            if s * s < top:  # false for inf, where 4Ck overflows
+                top = max(math.ceil(s * s), 2)
+                while not meets(top):  # rounding can leave the root a use short
+                    top += 1
+        if top == _MAX_BLOCKLENGTH and not meets(top):
+            raise ValueError(f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}")
+    return _first_true(meets, 1, top)

@@ -12,7 +12,7 @@ arguments, its compute function and the parameters it may sweep.  One
 handler, _run_command, serves them all.
 
 Exit codes: 0 success, 1 failed reproduction rows, 2 argument errors,
-3 domain errors (including a request too large for memory),
+3 domain and arithmetic errors (including a request too large for memory),
 4 Monte-Carlo configuration errors.
 """
 
@@ -485,8 +485,8 @@ def run(argv: list[str] | None = None) -> int:
     except SimConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError) as exc:  # e.g. OverflowError from stdlib math
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # e.g. numpy refusing an array past the address space
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -232,7 +232,10 @@ def outage_prob_mimo_mc(
     # the fading law: i.i.d. unit-variance complex-Gaussian entries (Rayleigh),
     # H = (X + iY)/sqrt(2) for standard normals X, Y, so snr/m_t H^H H = b Z^H Z
     b = 0.5 * cfg.snr / cfg.m_t
-    width = 2 * l * cfg.m_t * cfg.m_r
+    # a chunk's rows are sized by its normals (m_t x m_r per matrix) or its
+    # Gram buffer (m_r x m_r), whichever is larger; either way the draws
+    # follow one another in the block's stream, so they do not change
+    width = 2 * l * cfg.m_r * max(cfg.m_t, cfg.m_r)
     log_dets = _GramLogDets(cfg.m_t, cfg.m_r, next(_chunks(min(trials, _MIMO_BLOCK), width)) * l)
     count = 0
     for start, stop, rng in trial_blocks(seed, trials, _MIMO_BLOCK):

@@ -17,7 +17,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._check import integer, probability, real
 from .awgn import (
@@ -29,6 +28,7 @@ from .awgn import (
     eps_star,
     eps_star_log,
 )
+from .specfun import q_array
 
 __all__ = [
     "TwoWayConfig",
@@ -345,7 +345,7 @@ def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarra
         return collision
     # the frame n bounds every slot n/K, so only a frame past the float
     # range pays for the check that refuses a nan tail argument
-    eps = ndtr(-_checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n))
+    eps = q_array(_checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n))
     return collision * (1.0 - eps)
 
 

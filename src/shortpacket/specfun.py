@@ -5,19 +5,66 @@ expression in the package.  Q(x) = P[Z > x] for standard normal Z is
 evaluated through the complementary error function, which keeps full
 relative accuracy deep into the upper tail; ln Q(x) stays finite and
 accurate far past the point where Q(x) itself underflows to zero.
+
+Floats take stdlib math: Q is erfc(x/sqrt 2)/2, and Q^-1 starts from
+statistics.NormalDist.inv_cdf (Wichura's AS241).  Arrays take
+scipy.special.ndtr through q_array, which imports scipy on its first call,
+so a process that evaluates only floats never loads scipy.  The two agree
+to 5e-13 relative (tests/test_specfun.py).
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import log_ndtr, ndtr, ndtri
+from statistics import NormalDist
 
 from ._check import probability, real
 
 __all__ = ["q_func", "log_q_func", "q_inv"]
 
+_SQRT1_2 = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
+_STD_NORMAL = NormalDist()
+
+# past this x, log Q takes the asymptotic series: Q(37) is about 6e-302,
+# still a normal float, and there 8 terms leave a remainder below 1e-18
+_LOG_Q_SERIES = 37.0
+_SERIES_TERMS = 8
+
+_ndtr = None  # scipy.special.ndtr, bound on the first q_array call
+
+
+def _q(x: float) -> float:
+    # Q for any float x, inf included; the argument's only rounding is the
+    # product with 1/sqrt 2, as in scipy's ndtr
+    return 0.5 * math.erfc(x * _SQRT1_2)
+
+
+def _log_q(x: float) -> float:
+    # ln Q for any float x, inf included
+    if x < -1.0:
+        return math.log1p(-_q(-x))
+    if x < _LOG_Q_SERIES:
+        return math.log(_q(x))
+    # Q(x) = phi(x)/x * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...), Abramowitz and
+    # Stegun 26.2.12; x*x may overflow to inf, which gives -inf
+    r = 1.0 / (x * x)
+    term = 1.0
+    tail = 0.0
+    for j in range(1, _SERIES_TERMS + 1):
+        term *= -(2 * j - 1) * r
+        tail += term
+    return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(tail)
+
+
+def q_array(x):
+    """Q over a numpy array of arguments, by scipy.special.ndtr, which the
+    first call imports."""
+    global _ndtr
+    if _ndtr is None:
+        from scipy.special import ndtr as _ndtr
+    return _ndtr(-x)
 
 
 def q_func(x: float) -> float:
@@ -29,12 +76,12 @@ def q_func(x: float) -> float:
     Returns:
         Q(x) in [0, 1], with full relative accuracy in the upper tail.
     """
-    return float(ndtr(-real("x", x)))
+    return _q(real("x", x))
 
 
 def log_q_func(x: float) -> float:
     """Natural logarithm of Q(x), finite even where Q(x) underflows."""
-    return float(log_ndtr(-real("x", x)))
+    return _log_q(real("x", x))
 
 
 def q_inv(p: float) -> float:
@@ -53,11 +100,11 @@ def q_inv(p: float) -> float:
 
 
 def _q_inv_lower(p: float) -> float:
-    # p in (0, 0.5], so x >= 0 and q_func(x) carries full relative accuracy
-    x = float(-ndtri(p))
+    # p in (0, 0.5], so x >= 0 and Q(x) carries full relative accuracy
+    x = -_STD_NORMAL.inv_cdf(p)
     for _ in range(2):
         density = math.exp(-0.5 * x * x) / _SQRT_2PI
         if density <= 0.0:
             break
-        x += (q_func(x) - p) / density
+        x += (_q(x) - p) / density
     return x

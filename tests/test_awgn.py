@@ -3,6 +3,7 @@ error-probability / blocklength inversions."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -174,15 +175,53 @@ def test_eps_star_refuses_nan_tail_argument():
                 fn(ch, CodeSpec(1e308, n))
 
 
+def _log_q_oracle(t):
+    # ln Q(t) in working precision; past |t| = 1000 mpmath's erfc cannot
+    # evaluate, and Abramowitz and Stegun 26.2.12 to four terms is exact
+    # there to 1e-22
+    if t > 1000:
+        r = 1 / t**2
+        return -t**2 / 2 - mpmath.log(t * mpmath.sqrt(2 * mpmath.pi)) + mpmath.log(1 - r + 3 * r**2 - 15 * r**3)
+    if t < -1000:
+        return mpmath.mpf(0)
+    if t < 0:
+        return mpmath.log1p(-mpmath.erfc(-t / mpmath.sqrt(2)) / 2)
+    return mpmath.log(mpmath.erfc(t / mpmath.sqrt(2)) / 2)
+
+
+def _eps_star_oracle(ch, k, n):
+    # eps_star and its log in 50-digit arithmetic from the same float inputs
+    with mpmath.workdps(50):
+        snr = mpmath.mpf(ch.snr)
+        c = mpmath.log(1 + snr, 2)
+        v = snr * (2 + snr) / (1 + snr) ** 2 * mpmath.log(mpmath.e, 2) ** 2
+        if ch.convention is Convention.REAL_CU:
+            c, v = c / 2, v / 2
+        k, n = mpmath.mpf(k), mpmath.mpf(n)
+        log_q = _log_q_oracle((n * c - k + mpmath.log(n, 2) / 2) / mpmath.sqrt(n * v))
+        return float(mpmath.exp(log_q)), float(log_q)
+
+
 def test_eps_star_past_overflow_guard_matches_array_path():
-    # n past awgn._N_NO_OVERFLOW takes the checked path; its results, like
-    # those below it, are the array path's bit for bit
+    # floats take stdlib math and the optimizers' arrays take scipy, so the
+    # two agree to rounding rather than bit for bit, and both match mpmath
     for ch in (CH10_REAL, CH10_CPLX, Channel(1e300)):
         for k, n in [(1.0, 1e306), (1e307, 1e306), (1e306, 1e305), (194.0, 125.0)]:
             with np.errstate(over="ignore"):  # nC overflows at snr 1e300, n 1e306
                 t = awgn._tail_args(ch, k, n)
-            assert eps_star(ch, CodeSpec(k, n)) == float(ndtr(-t))
-            assert eps_star_log(ch, CodeSpec(k, n)) == float(log_ndtr(-t))
+            eps, log_eps = eps_star(ch, CodeSpec(k, n)), eps_star_log(ch, CodeSpec(k, n))
+            assert eps == pytest.approx(float(ndtr(-t)), rel=5e-13, abs=0.0)
+            assert log_eps == pytest.approx(float(log_ndtr(-t)), rel=5e-13, abs=0.0)
+            if math.isfinite(t):
+                eps_mp, log_eps_mp = _eps_star_oracle(ch, k, n)
+                assert eps == pytest.approx(eps_mp, rel=1e-12, abs=0.0)
+                assert log_eps == pytest.approx(log_eps_mp, rel=1e-12, abs=0.0)
+
+
+def test_eps_star_refuses_underflowing_dispersion():
+    # nV rounds to 0, so the tail argument would divide by zero
+    with pytest.raises(ValueError, match="nV underflows"):
+        eps_star(Channel(1e-320), CodeSpec(1.0, 1e-10))
 
 
 def test_rate_and_eps_are_consistent_inversions():
@@ -219,11 +258,9 @@ def test_min_blocklength_is_tight():
                 assert eps_star(ch, CodeSpec(k, float(n - 1))) > target
 
 
-def _search_min_blocklength(ch, k, eps):
-    # the plain doubling-then-bisection search, with no closed-form seed
-    return awgn._smallest_n(
-        lambda m: eps_star(ch, CodeSpec(k, float(m))) <= eps, 1, awgn._MAX_BLOCKLENGTH
-    )
+def _first_n(ch, k, eps, last):
+    # brute force: the first n = 1, 2, ... up to last whose eps_star meets eps
+    return next((n for n in range(1, last + 1) if eps_star(ch, CodeSpec(k, float(n))) <= eps), None)
 
 
 def _eps_falls_with_n(ch, k):
@@ -233,60 +270,101 @@ def _eps_falls_with_n(ch, k):
     return k + 3.0 / (2.0 * math.log(2.0)) > 0.5 * math.log2(1.0 / (2.0 * c * math.log(2.0)))
 
 
-@settings(max_examples=200)
+@settings(max_examples=300, deadline=None)
+@given(
+    low=st.booleans(),
+    conv=st.sampled_from(list(Convention)),
+    u_snr=st.floats(0.0, 1.0),
+    u_k=st.floats(0.0, 1.0),
+    u_eps=st.floats(0.0, 1.0),
+)
+def test_min_blocklength_matches_search_and_is_tight(low, conv, u_snr, u_k, u_eps):
+    # the oracle is a first-n scan, so answers are held to 20,000 uses; half
+    # the draws are in the low-capacity regime, where eps_star can rise with n
+    if low:
+        log_snr, log_k, log_eps = -4.0 + 3.0 * u_snr, -3.0 + 3.5 * u_k, -8.0 + 7.99 * u_eps
+    else:
+        log_snr, log_k, log_eps = -2.0 + 6.0 * u_snr, -3.0 + 6.0 * u_k, -15.0 + 14.99 * u_eps
+    ch = Channel(10.0**log_snr, conv)
+    k, eps = 10.0**log_k, 10.0**log_eps
+    n = min_blocklength(ch, k, eps)
+    assume(n <= 20_000)
+    assert n == _first_n(ch, k, eps, n)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     log_snr=st.floats(-7.0, 6.0),
     conv=st.sampled_from(list(Convention)),
     log_k=st.floats(-9.0, 7.0),
     log_eps=st.floats(-15.0, math.log10(0.9999)),
 )
-def test_min_blocklength_matches_search_and_is_tight(log_snr, conv, log_k, log_eps):
+def test_min_blocklength_is_tight_over_the_whole_range(log_snr, conv, log_k, log_eps):
+    # answers up to about 1e14 uses, past any scan: n meets the target and
+    # n - 1 does not, and where eps_star falls in n the doubling search,
+    # which assumes it does, agrees
     ch = Channel(10.0**log_snr, conv)
     k, eps = 10.0**log_k, 10.0**log_eps
     n = min_blocklength(ch, k, eps)
-    assert n == _search_min_blocklength(ch, k, eps)
+    assert eps_star(ch, CodeSpec(k, float(n))) <= eps
+    assert n == 1 or eps_star(ch, CodeSpec(k, n - 1.0)) > eps
     if _eps_falls_with_n(ch, k):
-        assert eps_star(ch, CodeSpec(k, float(n))) <= eps
-        assert n == 1 or eps_star(ch, CodeSpec(k, float(n - 1))) > eps
+        assert n == awgn._smallest_n(
+            lambda m: eps_star(ch, CodeSpec(k, float(m))) <= eps, 1, awgn._MAX_BLOCKLENGTH
+        )
 
 
-def test_min_blocklength_seeded_and_fallback_paths(monkeypatch):
-    windows, searches = [], []
-    grid, search = awgn._eps_star_grid, awgn._smallest_n
+def test_min_blocklength_meets_target_where_rounding_shortens_the_bracket():
+    # at k near 1e17 the rounding of nC - k outweighs the log2(n)/2 term the
+    # closed-form bound drops, so its ceiling can miss the target by a use
+    for snr, conv, k, eps in [
+        (1.2402363610687595e295, Convention.REAL_CU, 4.9061113134277926e17, 3.179952739234261e-237),
+        (7.980941158222597e283, Convention.REAL_CU, 2.5587227368762726e17, 9.11927173852453e-287),
+        (3.565311377370366e277, Convention.COMPLEX_CU, 5.877804764088251e17, 1.4771230433920012e-104),
+    ]:
+        ch = Channel(snr, conv)
+        assert eps_star(ch, CodeSpec(k, float(min_blocklength(ch, k, eps)))) <= eps
 
-    def spy_grid(ch, k, n):
-        if np.ndim(n) == 1:
-            windows.append(n)
-        return grid(ch, k, n)
 
-    monkeypatch.setattr(awgn, "_eps_star_grid", spy_grid)
-    monkeypatch.setattr(awgn, "_smallest_n", lambda *a: searches.append(a) or search(*a))
-
-    def runs(ch, k, eps):
-        # (n, window evaluations, searches) of one min_blocklength call
-        windows.clear()
-        searches.clear()
-        n = min_blocklength(ch, k, eps)
-        ran = (n, len(windows), len(searches))
-        assert n == _search_min_blocklength(ch, k, eps)
-        assert eps_star(ch, CodeSpec(k, float(n))) <= eps
-        return ran
-
-    # eps_star falls with n and the window below the seed brackets the answer
-    assert _eps_falls_with_n(CH10_REAL, 193.0)
-    assert runs(CH10_REAL, 193.0, 4.4e-4) == (132, 1, 0)
-    assert runs(CH10_REAL, 1e-9, 0.4) == (1, 1, 0)
-    # it falls, but the dropped log2(n)/2 term is worth thousands of uses at
-    # this capacity, so the window misses and the search runs
-    assert _eps_falls_with_n(Channel(1e-3), 1000.0)
-    assert runs(Channel(1e-3), 1000.0, 1e-3) == (811122, 1, 1)
-    # small C and small k: eps_star rises again with n, so no window is
-    # evaluated and only the search runs
+def test_min_blocklength_low_capacity_reproducers():
+    # eps_star rises again with n at this capacity and payload: a first
+    # crossing past its dip was once returned as 2373; a tighter target is
+    # met only past the dip
+    ch = Channel(0.00522)
+    assert not _eps_falls_with_n(ch, 0.2264)
+    n = min_blocklength(ch, 0.2264, 5.9e-4)
+    assert n <= 10
+    assert n == _first_n(ch, 0.2264, 5.9e-4, n)
+    assert min_blocklength(ch, 0.2264, 1e-4) == 3614 == _first_n(ch, 0.2264, 1e-4, 3614)
+    # it falls, but the dropped log2(n)/2 term is worth thousands of uses
+    ch = Channel(1e-3)
+    assert _eps_falls_with_n(ch, 1000.0)
+    n = min_blocklength(ch, 1000.0, 1e-3)
+    assert n == 811122
+    assert eps_star(ch, CodeSpec(1000.0, float(n))) <= 1e-3 < eps_star(ch, CodeSpec(1000.0, n - 1.0))
+    # t peaks between two integers, at n_a = 8.24 and at 8.63, and the target
+    # is eps_star at the better one, floor(n_a) and ceil(n_a) in turn; the
+    # answer is there, not at the next crossing past the dip (n = 3357 for
+    # the first)
+    for snr, k, n in [(0.005350066569669202, 0.014963976938024854, 8), (0.005, 0.05, 9)]:
+        ch = Channel(snr)
+        eps = eps_star(ch, CodeSpec(k, float(n)))
+        assert min_blocklength(ch, k, eps) == n == _first_n(ch, k, eps, n)
+    # small C and small k, with answers before the dip
     low = Channel(1e-6)
     for k, eps, want in [(1.0, 1e-6, 5), (3.0, 1e-3, 69)]:
         assert not _eps_falls_with_n(low, k)
-        assert runs(low, k, eps) == (want, 0, 1)
+        assert min_blocklength(low, k, eps) == want == _first_n(low, k, eps, want)
     assert eps_star(low, CodeSpec(1.0, 1e7)) > 1e-6
+
+
+def test_min_blocklength_refuses_targets_past_its_ceiling():
+    # log2(1 + snr) rounds to 0 at snr 1e-17, so only the log2(n)/2 term can
+    # outgrow k = 100, which takes 2**200 uses; at snr 1e-12 a megabit
+    # needs about 1e18 uses; the ceiling is 2**50
+    for snr, k in [(1e-17, 100.0), (1e-12, 1e6)]:
+        with pytest.raises(ValueError, match="no blocklength"):
+            min_blocklength(Channel(snr), k, 1e-3)
 
 
 @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])

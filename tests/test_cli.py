@@ -3,6 +3,7 @@ exit codes, and the bundled reproduction checks."""
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import shortpacket
+from shortpacket import cli
 from shortpacket.cli import build_parser, main, run
 
 # stdout capture is done by hand because the suite runs with pytest -s
@@ -305,6 +307,21 @@ def test_domain_error_exits_3():
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, FloatingPointError])
+def test_arithmetic_errors_exit_3_without_traceback(monkeypatch, error):
+    # stdlib math raises where numpy returned inf with a warning; an escaped
+    # exception would exit 1, which means failed reproduction rows
+    def compute(args):
+        raise error("math range error")
+
+    commands = tuple(
+        dataclasses.replace(c, compute=compute) if c.name == "eps" else c for c in cli._COMMANDS
+    )
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    code, out, err = run_cli("eps", "--k", "100", "--n", "100", "--snr-db", "10")
+    assert (code, out, err) == (3, "", "error: math range error\n")
 
 
 def test_unwritable_output_exits_2(tmp_path):

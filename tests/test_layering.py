@@ -3,7 +3,8 @@
     _check -> {_rand, specfun} -> awgn -> {fading, protocols} -> mcsim -> repro -> cli -> __main__
 
 A module may import only from modules on a strictly lower layer, so the
-two modules on one layer never import each other."""
+two modules on one layer never import each other.  No package module
+imports scipy when it loads: the scalar commands start without it."""
 
 import ast
 import subprocess
@@ -50,12 +51,72 @@ def test_imports_flow_one_way():
     assert back_edges == []
 
 
-def test_cli_start_leaves_out_scipy_integrate():
-    # the quadrature module costs about a third of every CLI start, and only
-    # eps_quasistatic uses it, so it is imported there, on first use
-    code = "import sys, shortpacket.cli; print('scipy.integrate' in sys.modules)"
+def module_level_imports(tree):
+    """Top names of the modules imported when a module loads: every import
+    outside a function body (class bodies and if/try blocks run on load)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+        else:
+            yield from module_level_imports(node)
+
+
+def test_no_module_level_scipy_import():
+    # scipy.special is most of a CLI start; the array paths import it on
+    # their first call, and eps_quasistatic imports scipy.integrate
+    loaders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "scipy" in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert loaders == []
+
+
+def run_then_list_scipy(code):
+    """stdout lines of a fresh interpreter that runs code and then prints
+    the scipy modules loaded by then."""
+    listing = "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code + listing],
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()
+
+
+def test_cli_start_leaves_out_scipy_integrate():
+    # no scipy module at all: floats take stdlib math, and each array path
+    # loads the scipy module it needs on first use
+    assert run_then_list_scipy("import shortpacket.cli") == ["[]"]
+
+
+SCIPY_FREE_COMMANDS = [
+    ["eps", "--k", "194", "--n", "125", "--snr-db", "10"],
+    ["rate", "--n", "125", "--eps", "1e-3", "--snr-db", "10"],
+    ["min-n", "--k", "193", "--eps", "4.4e-4", "--snr-db", "10", "--convention", "real"],
+    ["outage", "--rate", "1", "--snr-db", "10"],
+    ["outage-cap", "--eps", "1e-3", "--snr-db", "10"],
+    ["twoway-tdd", "--k", "194", "--ki", "160", "--n-slot", "125", "--snr-db", "10"],
+    ["downlink", "--devices", "10", "--bits", "192", "--slot", "125", "--snr-db", "10"],
+    ["dmt", "--mt", "2", "--mr", "2", "--at", "1"],
+    ["prelog", "--mt", "2", "--mr", "2", "--nc", "10"],
+    ["mimo-outage", "--mt", "2", "--mr", "2", "--rate", "3.46", "--snr-db", "10", "--trials", "10000"],
+    ["sim-aloha", "--devices", "10", "--bits", "192", "--frame", "800", "--slots", "6", "--snr-db", "10",
+     "--trials", "10000"],
+    ["sim-twoway", "--k1", "193", "--k2", "97", "--n1", "132", "--n2", "71", "--snr-db", "10",
+     "--trials", "10000"],
+]
+
+
+def test_commands_run_without_scipy():
+    code = (
+        "import contextlib, io\n"
+        "from shortpacket.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [run(argv) for argv in {SCIPY_FREE_COMMANDS!r}]\n"
+        "print(codes)"
+    )
+    assert run_then_list_scipy(code) == [str([0] * len(SCIPY_FREE_COMMANDS)), "[]"]

@@ -370,7 +370,9 @@ def test_sim_aloha_memory_does_not_grow_with_m_times_k():
     lambda: sim_aloha(AlohaConfig(3, 1.0, 2.0**22, CH, K=1 << 22), MIN_TRIALS, 0),
     lambda: outage_prob_mimo_mc(QuasiStaticConfig(10.0, 4, 4), 4, 10.0, 1 << 14, 0),
     lambda: outage_prob_mimo_mc(QuasiStaticConfig(10.0, 1, 8), 1, 3.0, 1 << 14, 0),
-], ids=["aloha-1000x600", "aloha-10x10000", "aloha-3x4194304", "mimo-4x4-l4", "mimo-1x8"])
+    # chunk rows sized by m_t * m_r alone left an m_r x m_r Gram per row: 36 MB
+    lambda: outage_prob_mimo_mc(QuasiStaticConfig(10.0, 1, 32), 1, 3.0, MIN_TRIALS, 0),
+], ids=["aloha-1000x600", "aloha-10x10000", "aloha-3x4194304", "mimo-4x4-l4", "mimo-1x8", "mimo-1x32"])
 def test_simulator_memory_is_chunk_sized(run):
     assert _peak_bytes(run) < MEMORY_BOUND
 
