@@ -180,14 +180,19 @@ def _eps_star_grid(ch: Channel, k, n) -> np.ndarray:
     return q_array(_tail_args(ch, k, n))
 
 
-def _checked_tail_args(ch: Channel, k: float, n, n_max: float) -> np.ndarray:
-    # _tail_args for one k over n <= n_max; past _N_NO_OVERFLOW, nC and nV
-    # may both overflow and the argument be inf/inf = nan, which is no
-    # probability.  Below it the check is one comparison of n_max
+def _checked_tail_args(ch: Channel, k: float, n, n_min: float, n_max: float) -> np.ndarray:
+    # _tail_args for one k over n_min <= n <= n_max, refused where eps_star
+    # refuses it: where n_min*V underflows to 0 the argument divides by 0,
+    # and past _N_NO_OVERFLOW nC and nV may both overflow and the argument
+    # be inf/inf = nan.  Elsewhere each check is one comparison
+    c, v = _cv(ch)
+    if n_min * v == 0.0:
+        raise ValueError(f"eps_star is undefined at k={k!r}, n={n_min!r}: nV underflows to 0")
+    n = np.asarray(n, dtype=float)
     if n_max < _N_NO_OVERFLOW:
-        return _tail_args(ch, k, n)
+        return _tail_formula(np, c, v, k, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _tail_args(ch, k, n)
+        t = _tail_formula(np, c, v, k, n)
     nan = np.isnan(t)
     if nan.any():
         n_bad = float(np.broadcast_to(n, t.shape)[nan][0])

@@ -8,8 +8,9 @@ parameter, at most _SWEEP_MAX_ROWS values, and emit one row per value,
 which in --format csv is ready for any external plotting tool.
 
 Every computing subcommand is one _Command entry in _COMMANDS: its
-arguments, its compute function and the parameters it may sweep.  One
-handler, _run_command, serves them all.
+arguments, its compute function and whether it sweeps, in which case any
+of its float and int options may be swept.  One handler, _run_command,
+serves them all, found by the subcommand's name.
 
 Exit codes: 0 success, 1 failed reproduction rows, 2 argument errors,
 3 domain and arithmetic errors (including a request too large for memory),
@@ -19,6 +20,7 @@ Exit codes: 0 success, 1 failed reproduction rows, 2 argument errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -188,15 +190,16 @@ def _int_value(v: float) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
+    (cmd,) = [c for c in _COMMANDS if c.name == args.command]
     if getattr(args, "sweep", None) is not None:
-        name, values = _parse_sweep(args.sweep, args.sweep_params)
+        name, values = _parse_sweep(args.sweep, cmd.sweep_params())
         rows = []
         for v in values:
             setattr(args, name, v)
-            rows.append({name: v, **args.compute(args)})
+            rows.append({name: v, **cmd.compute(args)})
         out = _Output(scalars={}, rows_name="sweep", rows=rows)
     else:
-        out = args.compute(args)
+        out = cmd.compute(args)
     _write(args, out if isinstance(out, _Output) else _Output(scalars=out))
     return 0
 
@@ -312,96 +315,91 @@ _PERFECT = _opt("--perfect-decoding", action="store_true", help="drop the finite
 @dataclass(frozen=True)
 class _Command:
     """One computing subcommand.  args are in --help order, and a list among
-    them is a required mutually exclusive group; sweep maps each sweepable
-    parameter to its value type, or is None when the command cannot sweep."""
+    them is a required mutually exclusive group; a command that sweeps may
+    sweep each of its float and int options."""
 
     name: str
     help: str
     args: tuple[_Arg | list[_Arg], ...]
     compute: Callable[[argparse.Namespace], dict[str, Any] | _Output]
-    sweep: dict[str, Callable[[float], Any]] | None
+    sweeps: bool = True
+
+    def sweep_params(self) -> dict[str, Callable[[float], Any]]:
+        """The dest of each float and int option, mapped to the type a swept value takes."""
+        conv = {float: float, int: _int_value}
+        flat = [a for arg in self.args for a in (arg if isinstance(arg, list) else [arg])]
+        return {flag[2:].replace("-", "_"): conv[kw["type"]] for flag, kw in flat if kw.get("type") in conv}
 
 
 _COMMANDS = (
     _Command("rate", "normal-approximation coding rate at (n, eps)",
              (_N, _req("--eps", float, "packet error probability"), *_CHANNEL),
-             lambda a: asdict(rate_na(_channel(a), a.n, a.eps)),
-             dict(snr_db=float, n=float, eps=float)),
+             lambda a: asdict(rate_na(_channel(a), a.n, a.eps))),
     _Command("eps", "error probability of the best (k, n) code",
              (_K, _N, *_CHANNEL),
-             _compute_eps,
-             dict(snr_db=float, k=float, n=float)),
+             _compute_eps),
     _Command("min-n", "smallest blocklength meeting a target error probability",
              (_K, _req("--eps", float, "target error probability"), *_CHANNEL),
-             lambda a: {"n_min": min_blocklength(_channel(a), a.k, a.eps)},
-             dict(snr_db=float, k=float, eps=float)),
+             lambda a: {"n_min": min_blocklength(_channel(a), a.k, a.eps)}),
     _Command("outage", "Rayleigh outage probability at a rate",
              (_RATE, _SNR),
-             lambda a: {"p_out": outage_prob_siso(_snr(a), a.rate)},
-             dict(snr_db=float, rate=float)),
+             lambda a: {"p_out": outage_prob_siso(_snr(a), a.rate)}),
     _Command("outage-cap", "Rayleigh outage capacity at a target outage",
              (_req("--eps", float, "outage probability target"), _SNR),
-             lambda a: {"c_eps": outage_capacity_siso(_snr(a), a.eps)},
-             dict(snr_db=float, eps=float)),
+             lambda a: {"c_eps": outage_capacity_siso(_snr(a), a.eps)}),
     _Command("qs-eps", "finite-blocklength error probability on the quasi-static Rayleigh channel",
              (_RATE, _N, _SNR),
-             lambda a: {"eps": eps_quasistatic(_snr(a), a.rate, a.n)},
-             dict(snr_db=float, rate=float, n=float)),
+             lambda a: {"eps": eps_quasistatic(_snr(a), a.rate, a.n)}),
     _Command("mimo-outage", "MIMO outage probability by Monte-Carlo",
              (_MT, _MR, _opt("--branches", type=int, default=1,
                              help="independent fading blocks per codeword (default 1)"),
               _RATE, _SNR, *_MC),
              lambda a: _report(outage_prob_mimo_mc(QuasiStaticConfig(_snr(a), a.mt, a.mr), a.branches,
                                                    a.rate, a.trials, a.seed), "outage_probability"),
-             None),
+             sweeps=False),
     _Command("dmt", "diversity-multiplexing tradeoff breakpoints",
              (_MT, _MR, _opt("--mode", choices=("coherent", "noncoherent"), default="coherent"),
               _opt("--nc", type=int, help="coherence interval (required for noncoherent)"),
               _opt("--at", type=float, help="also evaluate multiplexing at this diversity")),
              _compute_dmt,
-             None),
+             sweeps=False),
     _Command("prelog", "noncoherent block-fading capacity pre-log",
              (_MT, _MR, _req("--nc", int, "coherence interval in channel uses")),
-             lambda a: {"prelog": noncoherent_prelog(a.mt, a.mr, a.nc), "m_star": _m_star(a.mt, a.mr, a.nc)},
-             dict(mt=_int_value, mr=_int_value, nc=_int_value)),
+             lambda a: {"prelog": noncoherent_prelog(a.mt, a.mr, a.nc), "m_star": _m_star(a.mt, a.mr, a.nc)}),
     _Command("twoway-opt", "optimize the blocklength split of a two-way exchange",
              (_K1, _K2, _req("--ki1", float, "information bits credited per exchange"),
               [_opt("--n", type=int, help="fixed total blocklength (maximize reliability)"),
                _opt("--target", type=float, help="target reliability (minimize total blocklength)")],
               *_CHANNEL),
-             _compute_twoway_opt,
-             dict(snr_db=float, k1=float, k2=float, ki1=float, n=_int_value, target=float)),
+             _compute_twoway_opt),
     _Command("twoway-tdd", "TDD round error probability and throughput",
              (_req("--k", float, "total bits per slot (payload plus overhead)"),
               _req("--ki", float, "information bits credited per slot"),
               _req("--n-slot", float, "slot length in channel uses"), *_CHANNEL),
-             lambda a: asdict(twoway_tdd_eval(a.k, a.ki, a.n_slot, _channel(a))),
-             dict(snr_db=float, k=float, ki=float, n_slot=float)),
+             lambda a: asdict(twoway_tdd_eval(a.k, a.ki, a.n_slot, _channel(a)))),
     _Command("downlink", "downlink broadcast: per-device packets vs one concatenated packet",
              (_DEVICES, _req("--bits", float, "bits per device D"),
               _req("--slot", float, "per-device slot length n"), *_CHANNEL),
-             lambda a: asdict(downlink_compare(DownlinkConfig(a.devices, a.bits, a.slot, _channel(a)))),
-             dict(snr_db=float, devices=_int_value, bits=float, slot=float)),
+             lambda a: asdict(downlink_compare(DownlinkConfig(a.devices, a.bits, a.slot, _channel(a))))),
     _Command("aloha", "framed slotted ALOHA per-slot success probability",
              (_DEVICES, _BITS, _FRAME, _SLOTS, _PERFECT, *_CHANNEL),
-             _compute_aloha,
-             dict(snr_db=float, devices=_int_value, bits=float, frame=float, slots=_int_value)),
+             _compute_aloha),
     _Command("aloha-opt", "slot count maximizing ALOHA per-slot success",
              (_DEVICES, _BITS, _FRAME,
               _opt("--k-max", type=int, help="largest slot count scanned (default 4*devices)"),
               _PERFECT, *_CHANNEL),
              _compute_aloha_opt,
-             None),
+             sweeps=False),
     _Command("sim-aloha", "simulate framed slotted ALOHA",
              (_DEVICES, _BITS, _FRAME, _SLOTS, *_CHANNEL, *_MC),
              _compute_sim_aloha,
-             None),
+             sweeps=False),
     _Command("sim-twoway", "simulate the two-way exchange at a fixed split",
              (_K1, _K2, _req("--n1", int, "forward blocklength"), _req("--n2", int, "return blocklength"),
               *_CHANNEL, *_MC),
              lambda a: _report(sim_twoway(TwoWayConfig(a.k1, a.k2, _channel(a)), a.n1, a.n2, a.trials, a.seed),
                                "reliability"),
-             None),
+             sweeps=False),
 )
 
 
@@ -435,7 +433,10 @@ def _run_reproduce(args: argparse.Namespace) -> int:
 # parser assembly
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no per-command callable,
+    since run() dispatches on the subcommand's name."""
     parser = argparse.ArgumentParser(
         prog="shortpacket",
         description="Finite-blocklength performance toolkit for short-packet wireless links.",
@@ -444,14 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd in _COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
-        for arg in (*cmd.args, *_OUTPUT, *(() if cmd.sweep is None else (_SWEEP,))):
+        for arg in (*cmd.args, *_OUTPUT, *((_SWEEP,) if cmd.sweeps else ())):
             if isinstance(arg, list):
                 target, members = p.add_mutually_exclusive_group(required=True), arg
             else:
                 target, members = p, [arg]
             for flag, kwargs in members:
                 target.add_argument(flag, **kwargs)
-        p.set_defaults(handler=_run_command, compute=cmd.compute, sweep_params=cmd.sweep)
 
     p = sub.add_parser(
         "reproduce-paper",
@@ -465,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--list", action="store_true", help="print row names only, no computation")
     p.add_argument("--rows", default=None, metavar="NAME[,NAME...]", help="run only the named rows")
-    p.set_defaults(handler=_run_reproduce)
 
     return parser
 
@@ -478,7 +477,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     try:
-        return args.handler(args)
+        return _run_reproduce(args) if args.command == "reproduce-paper" else _run_command(args)
     except (_ArgError, OSError) as exc:  # OSError: --output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

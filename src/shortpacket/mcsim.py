@@ -114,23 +114,12 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
         "snr": cfg.ch.snr,
         "convention": cfg.ch.convention.value,
     }
-    per_slot = SimReport(
-        metric_name="per_slot_throughput",
-        estimate=mean_s / cfg.K,
-        std_error=sd_s / (cfg.K * math.sqrt(trials)),
-        trials=trials,
-        seed=seed,
-        config=config,
-    )
-    per_device = SimReport(
-        metric_name="per_device_success",
-        estimate=mean_s / cfg.M,
-        std_error=sd_s / (cfg.M * math.sqrt(trials)),
-        trials=trials,
-        seed=seed,
-        config=config,
-    )
-    return AlohaSimReports(per_slot_throughput=per_slot, per_device_success=per_device)
+
+    def report(metric_name: str, scale: int) -> SimReport:
+        """Successes per frame divided by scale (K per slot, M per device)."""
+        return SimReport(metric_name, mean_s / scale, sd_s / (scale * math.sqrt(trials)), trials, seed, config)
+
+    return AlohaSimReports(report("per_slot_throughput", cfg.K), report("per_device_success", cfg.M))
 
 
 def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) -> SimReport:

@@ -343,9 +343,8 @@ def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarra
     collision = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
     if perfect:
         return collision
-    # the frame n bounds every slot n/K, so only a frame past the float
-    # range pays for the check that refuses a nan tail argument
-    eps = q_array(_checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n))
+    # ks ascend, so the slots n/K lie between n/ks[-1] and the frame n
+    eps = q_array(_checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n / float(ks[-1]), cfg.n))
     return collision * (1.0 - eps)
 
 

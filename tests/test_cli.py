@@ -376,6 +376,23 @@ def test_python_m_package_prints_the_help(monkeypatch):
     assert out.stdout == out_io.getvalue()
 
 
+# the sweep map of each sweeping command: every float and int option,
+# int options rounded
+SWEEP_MAPS = {
+    "rate": dict(snr_db=float, n=float, eps=float),
+    "eps": dict(snr_db=float, k=float, n=float),
+    "min-n": dict(snr_db=float, k=float, eps=float),
+    "outage": dict(snr_db=float, rate=float),
+    "outage-cap": dict(snr_db=float, eps=float),
+    "qs-eps": dict(snr_db=float, rate=float, n=float),
+    "prelog": dict(mt=cli._int_value, mr=cli._int_value, nc=cli._int_value),
+    "twoway-opt": dict(snr_db=float, k1=float, k2=float, ki1=float, n=cli._int_value, target=float),
+    "twoway-tdd": dict(snr_db=float, k=float, ki=float, n_slot=float),
+    "downlink": dict(snr_db=float, devices=cli._int_value, bits=float, slot=float),
+    "aloha": dict(snr_db=float, devices=cli._int_value, bits=float, frame=float, slots=cli._int_value),
+}
+
+
 def test_every_subcommand_help_and_sweep_map():
     # a sweep key that names no option would set an attribute compute never
     # reads, and every sweep row would repeat the fixed value
@@ -384,8 +401,20 @@ def test_every_subcommand_help_and_sweep_map():
     for name, parser in subparsers.choices.items():
         code, out, err = run_cli(name, "--help")
         assert code == 0 and out.startswith(f"usage: shortpacket {name}"), name
-        dests = {action.dest for action in parser._actions}
-        assert set(parser.get_default("sweep_params") or ()) <= dests, name
+        assert ("--sweep" in parser._option_string_actions) == (name in SWEEP_MAPS), name
+    for cmd in cli._COMMANDS:
+        if cmd.sweeps:
+            dests = {action.dest for action in subparsers.choices[cmd.name]._actions}
+            assert cmd.sweep_params() == SWEEP_MAPS[cmd.name] and set(SWEEP_MAPS[cmd.name]) <= dests
+    assert sorted(c.name for c in cli._COMMANDS if c.sweeps) == sorted(SWEEP_MAPS)
+
+
+def test_run_builds_the_parser_once():
+    # the 17 subparsers were most of an in-process call's time
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli("min-n", "--k", "193", "--eps", "1e-3", "--snr-db", "10")[0] == 0
+    assert build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from shortpacket.fading import (
@@ -58,6 +60,24 @@ def test_outage_round_trip():
         rate = float(rate)
         p = outage_prob_siso(SNR, rate)
         assert abs(outage_capacity_siso(SNR, p) - rate) <= 1e-10 * max(1.0, rate)
+
+
+def outage_round_trip_error(snr, eps):
+    """Relative error of eps after the outage capacity and back."""
+    return abs(outage_prob_siso(snr, outage_capacity_siso(snr, eps)) - eps) / eps
+
+
+@given(log_snr=st.floats(-4.0, 7.0), log_eps=st.floats(-15.0, -1e-9))
+def test_outage_pair_is_an_exact_inverse(log_snr, log_eps):
+    snr, eps = 10.0**log_snr, 10.0**log_eps
+    assume(snr * eps >= 1e-3)
+    assert outage_round_trip_error(snr, eps) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="log2(1 - snr*ln(1 - eps)) loses digits where snr*eps is tiny")
+def test_outage_pair_inverts_at_small_snr_eps():
+    # outage_capacity_siso is 5.9% low here against mpmath
+    assert outage_round_trip_error(1.18e-3, 1.2e-12) <= 1e-12
 
 
 def test_outage_monotone_in_rate():

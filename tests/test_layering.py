@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import shortpacket
+from shortpacket import awgn, fading, mcsim, protocols, specfun
 
 LAYERS = {
     "_check": 0,
@@ -120,3 +121,20 @@ def test_commands_run_without_scipy():
         "print(codes)"
     )
     assert run_then_list_scipy(code) == [str([0] * len(SCIPY_FREE_COMMANDS)), "[]"]
+
+
+def test_package_names_are_the_modules_names():
+    # each public name is declared once, in its module's __all__
+    modules = (specfun, awgn, fading, protocols, mcsim)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert shortpacket.__all__ == ["__version__", *names]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(shortpacket, name) is getattr(module, name)
+
+
+def test_star_import_binds_exactly_the_package_names():
+    namespace = {}
+    exec("from shortpacket import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(shortpacket.__all__)

@@ -332,6 +332,21 @@ def test_aloha_refuses_nan_tail_argument():
     assert aloha_success(at_2) == aloha_success(at_2, assume_perfect_decoding=True)
 
 
+def test_aloha_refuses_underflowing_dispersion():
+    # slots of 1/K uses at the least positive snr: nV underflows to 0, where
+    # the profile divided by zero with a RuntimeWarning
+    ch = Channel(5e-324)
+    with pytest.raises(ValueError, match="nV underflows"):
+        eps_star(ch, CodeSpec(1.0, 0.1))
+    with pytest.raises(ValueError, match=r"^eps_star is undefined at k=1.0, n=0.1: nV underflows to 0$"):
+        aloha_optimize(AlohaConfig(1, 1.0, 1.0, ch), k_max=10)
+    with pytest.raises(ValueError, match="nV underflows"):
+        aloha_success(AlohaConfig(1, 1.0, 1.0, ch, K=1000))
+    # a one-use slot keeps nV positive, and the profile agrees with eps_star
+    one_use = aloha_optimize(AlohaConfig(1, 1.0, 1.0, ch), k_max=1).profile[0][1]
+    assert one_use == 1.0 - eps_star(ch, CodeSpec(1.0, 1.0))
+
+
 def test_aloha_optimize_spot_values():
     cfg = AlohaConfig(10, 192.0, 800.0, CH)
     res = aloha_optimize(cfg)
