@@ -7,18 +7,18 @@ integer is an int or a numpy integer scalar and becomes an int; every float
 is refused, 132.0 included, and so is a value past 2**53 (where floats stop
 counting exactly) unless the call sets its own le.  bool is refused by
 both.  Checks that relate one argument to another stay with their owners.
+
+A numpy scalar cannot exist before numpy is loaded, so numpy types are
+looked up in sys.modules, and this module never imports numpy itself.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 __all__ = ["integer", "probability", "real"]
 
-_REALS = (int, float, np.integer, np.floating)
-_INTEGERS = (int, np.integer)
 _OPS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
 
 
@@ -26,10 +26,18 @@ def _bounds(**limits: float | None) -> str:
     return " and ".join(f"{_OPS[op]} {lim}" for op, lim in limits.items() if lim is not None)
 
 
+def _numpy_scalar(value: object, floating: bool) -> bool:
+    """Whether value is a numpy integer scalar or, if floating, a numpy real one."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, (np.integer, np.floating) if floating else np.integer)
+
+
 def real(name: str, value: object, *, gt: float | None = None, ge: float | None = None,
          lt: float | None = None, le: float | None = None) -> float:
     """value as a finite Python float within the bounds: gt/lt open, ge/le closed."""
-    if isinstance(value, bool) or not isinstance(value, _REALS):
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) or _numpy_scalar(value, floating=True)
+    ):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
@@ -52,7 +60,7 @@ def probability(name: str, value: object) -> float:
 def integer(name: str, value: object, *, ge: int, le: int = 2**53,
             error: type[ValueError] = ValueError) -> int:
     """value as a Python int in [ge, le]; otherwise `error` naming the parameter."""
-    if isinstance(value, bool) or not isinstance(value, _INTEGERS):
+    if isinstance(value, bool) or not (isinstance(value, int) or _numpy_scalar(value, floating=False)):
         raise error(f"{name} must be an integer, got {value!r}")
     n = int(value)
     if n < ge or n > le:

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-import numpy as np
-
 from ._check import integer
 
 __all__ = ["MIN_TRIALS", "SimConfigError", "SimReport", "check_seed", "trial_blocks"]
@@ -79,6 +77,7 @@ def trial_blocks(
     their full-block layout, in _chunks, up to the last draw they keep.
     They pass a seed from check_seed and at least one trial and block.
     """
+    import numpy as np
     for b in range((trials + block - 1) // block):
         start = b * block
         stop = min(start + block, trials)
@@ -91,9 +90,6 @@ def _chunks(rows: int, width: int) -> Iterator[int]:
     step = max(1, _CHUNK // width)
     for lo in range(0, rows, step):
         yield min(step, rows - lo)
-
-
-_NO_HALF = np.empty(0, dtype=np.uint32)
 
 
 class _Integers:
@@ -109,13 +105,16 @@ class _Integers:
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, K: int) -> None:
+        import numpy as np
         self._bits = bit_generator
         self._K = K
         self._threshold = np.uint32((1 << 32) % K) if K < 1 << 32 else None
-        self._pending = _NO_HALF  # at most one half
+        self._no_half = np.empty(0, dtype=np.uint32)
+        self._pending = self._no_half  # at most one half
 
     def skip(self, count: int) -> None:
         """Consume the next `count` draws without keeping them."""
+        import numpy as np
         if self._K >= 1 << 32:
             rng = np.random.Generator(self._bits)
             for n in _chunks(count, 1):
@@ -126,6 +125,7 @@ class _Integers:
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write the next out.size draws into the contiguous int64 array out."""
+        import numpy as np
         if self._K == 1:
             out.fill(0)
         elif self._K >= 1 << 32:
@@ -142,13 +142,14 @@ class _Integers:
 
     def _accepted(self, count: int) -> Iterator[np.ndarray]:
         """The accepted halves of the next `count` draws, _CHUNK or fewer at a time."""
+        import numpy as np
         while count > 0:
             need = min(count, _CHUNK)
             words = self._bits.random_raw((need - self._pending.size + 1) // 2)
             halves = np.asarray(words, dtype="<u8").view("<u4")
             if self._pending.size:
                 halves = np.concatenate((self._pending, halves))
-                self._pending = _NO_HALF
+                self._pending = self._no_half
             rejected = halves * np.uint32(self._K) < self._threshold
             if rejected.any():
                 halves = halves[~rejected]

@@ -12,9 +12,10 @@ magnitude, which is why it is a required, visible field rather than a
 global setting.
 
 The public functions take floats and evaluate in stdlib math, so they
-never load scipy.  The protocol optimizers evaluate eps_star over arrays
-of k and n through _eps_star_grid, whose Q comes from scipy.special on its
-first call; _tail_formula writes the tail argument once for both paths.
+never load numpy or scipy.  The protocol optimizers evaluate eps_star over
+numpy arrays of k and n through _eps_star_grid, whose Q comes from
+scipy.special on its first call; _tail_formula writes the tail argument
+once for both paths.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
-
-import numpy as np
 
 from ._check import probability, real
 from .specfun import _log_q, _q, q_array, q_inv
@@ -51,8 +50,8 @@ _MAX_BLOCKLENGTH = 1 << 50
 _LOG_MAX_BLOCKLENGTH = math.log(_MAX_BLOCKLENGTH)
 
 # C <= 1024 and V < 2.1 for every finite snr, so nC and nV stay finite for
-# n below this; the array path pays for its overflow check (an np.errstate
-# of about 2 us) only past it
+# n below this; the array path pays for its overflow checks (an np.errstate
+# of about 2 us) only past it, or where sqrt(nV) < 1
 _N_NO_OVERFLOW = sys.float_info.max / 1024.0
 
 
@@ -171,6 +170,7 @@ def _tail_formula(xp, c: float, v: float, k, n):
 
 
 def _tail_args(ch: Channel, k, n) -> np.ndarray:
+    import numpy as np
     c, v = _cv(ch)
     return _tail_formula(np, c, v, np.asarray(k, dtype=float), np.asarray(n, dtype=float))
 
@@ -184,13 +184,19 @@ def _checked_tail_args(ch: Channel, k: float, n, n_min: float, n_max: float) -> 
     # _tail_args for one k over n_min <= n <= n_max, refused where eps_star
     # refuses it: where n_min*V underflows to 0 the argument divides by 0,
     # and past _N_NO_OVERFLOW nC and nV may both overflow and the argument
-    # be inf/inf = nan.  Elsewhere each check is one comparison
+    # be inf/inf = nan.  Below it the numerator stays in the float range,
+    # so the quotient can overflow to +-inf, as in eps_star, only where
+    # sqrt(nV) < 1.  Elsewhere each check is one comparison
+    import numpy as np
     c, v = _cv(ch)
     if n_min * v == 0.0:
         raise ValueError(f"eps_star is undefined at k={k!r}, n={n_min!r}: nV underflows to 0")
     n = np.asarray(n, dtype=float)
     if n_max < _N_NO_OVERFLOW:
-        return _tail_formula(np, c, v, k, n)
+        if n_min * v >= 1.0:
+            return _tail_formula(np, c, v, k, n)
+        with np.errstate(over="ignore"):
+            return _tail_formula(np, c, v, k, n)
     with np.errstate(over="ignore", invalid="ignore"):
         t = _tail_formula(np, c, v, k, n)
     nan = np.isnan(t)

@@ -12,12 +12,11 @@ and the finite-blocklength penalty is only a modest correction on top.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from ._check import integer, probability, real
 from ._rand import SimReport, _binomial_report, _check_trials, _chunks, check_seed, trial_blocks
@@ -184,6 +183,7 @@ class _GramLogDets:
     """
 
     def __init__(self, m_t: int, m_r: int, size: int) -> None:
+        import numpy as np
         self._z = np.empty((m_t, m_r, size), dtype=np.complex128)
         self._z_parts = self._z.view(np.float64).reshape(m_t, m_r, size, 2)
         self._z_conj = np.empty_like(self._z)
@@ -193,6 +193,7 @@ class _GramLogDets:
         self._pivots = np.empty((m_r, size))
 
     def __call__(self, normals: np.ndarray, b: float) -> np.ndarray:
+        import numpy as np
         n, m_t, m_r = normals.shape[:3]
         z, z_conj, g, term, col, d = (
             a[..., :n] for a in (self._z, self._z_conj, self._gram, self._term, self._col, self._pivots)
@@ -224,6 +225,7 @@ def outage_prob_mimo_mc(
     over l independent fading blocks per trial.  Deterministic in
     (cfg, l, R, trials, seed).
     """
+    import numpy as np
     l = integer("l", l, ge=1)
     R = real("R", R, ge=0.0)
     trials = _check_trials(trials)
@@ -290,12 +292,18 @@ def dmt_curve(m_t: int, m_r: int, mode: DmtMode, n_c: int | None = None) -> DmtC
 
 def dmt_eval(curve: DmtCurve, d: float) -> float:
     """Multiplexing gain supported at diversity d: linear interpolation
-    between breakpoints, exact at the breakpoints themselves."""
+    between breakpoints, exact at the breakpoints themselves.  The
+    arithmetic is numpy.interp's, so the two agree bit for bit."""
     d_max = curve.breakpoints[0][0]
     d = real("d", d, ge=0.0, le=d_max)
-    ds = [p[0] for p in reversed(curve.breakpoints)]
-    rs = [p[1] for p in reversed(curve.breakpoints)]
-    return float(np.interp(d, ds, rs))
+    ds = [float(p[0]) for p in reversed(curve.breakpoints)]
+    rs = [float(p[1]) for p in reversed(curve.breakpoints)]
+    # the last breakpoint at or below d; below the first, interp returns rs[0]
+    j = max(bisect.bisect_right(ds, d) - 1, 0)
+    if j == len(ds) - 1 or ds[j] >= d:
+        return rs[j]
+    slope = (rs[j + 1] - rs[j]) / (ds[j + 1] - ds[j])
+    return slope * (d - ds[j]) + rs[j]
 
 
 def noncoherent_prelog(m_t: int, m_r: int, n_c: int) -> float:

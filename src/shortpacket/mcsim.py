@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._check import integer
 from ._rand import (
     MIN_TRIALS,
@@ -72,6 +70,7 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     the same key reads the kept frames' slot choices next to their
     uniforms; both in chunks.
     """
+    import numpy as np
     if cfg.K is None:
         raise ValueError("sim_aloha requires cfg.K to be set")
     trials = _check_trials(trials)
@@ -128,6 +127,7 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
     Each trial draws two uniforms; leg i fails when its uniform falls below
     eps*(ki, ni), and the exchange succeeds only if both legs decode.
     """
+    import numpy as np
     n1 = integer("n1", n1, ge=1)
     n2 = integer("n2", n2, ge=1)
     trials = _check_trials(trials)

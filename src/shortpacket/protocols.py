@@ -16,8 +16,6 @@ import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._check import integer, probability, real
 from .awgn import (
     Channel,
@@ -250,6 +248,7 @@ def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[in
     x4 longer (from _GRID_FLOOR, capped at size_cap entries); no other
     probe evaluates eps*.
     """
+    import numpy as np
     s1 = s2 = np.empty(0)
 
     def best_split(n: int) -> tuple[int, float]:
@@ -357,6 +356,7 @@ def aloha_success(cfg: AlohaConfig, assume_perfect_decoding: bool = False) -> fl
     """
     if cfg.K is None:
         raise ValueError("aloha_success requires cfg.K to be set")
+    import numpy as np
     return float(_aloha_profile(cfg, np.array([cfg.K]), assume_perfect_decoding)[0])
 
 
@@ -368,6 +368,7 @@ def aloha_optimize(
     Scans K = 1..k_max (default 4*M); ties go to the smaller K.  Returns
     the winner and the full profile for inspection or plotting.
     """
+    import numpy as np
     k_max = integer("k_max", 4 * cfg.M if k_max is None else k_max, ge=1)
     ps = _aloha_profile(cfg, np.arange(1, k_max + 1), assume_perfect_decoding)
     # ks = 1..k_max, so the first argmax at index i is K = i + 1

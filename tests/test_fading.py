@@ -384,6 +384,20 @@ def test_dmt_eval_midpoint():
     assert dmt_eval(curve, 2.5) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", list(DmtMode))
+def test_dmt_eval_is_numpy_interp_bit_for_bit(mode):
+    # dmt_eval writes numpy.interp's arithmetic in floats: on a dense grid,
+    # breakpoints included, every result has the same bits
+    for m_t in range(1, 5):
+        for m_r in range(1, 5):
+            for n_c in (None,) if mode is DmtMode.COHERENT else range(2 * min(m_t, m_r) + m_r + 1, 16):
+                curve = dmt_curve(m_t, m_r, mode, n_c=n_c)
+                ds, rs = (np.array(axis[::-1]) for axis in zip(*curve.breakpoints))
+                grid = np.concatenate((np.linspace(0.0, ds[-1], 401), ds))
+                got = np.array([dmt_eval(curve, d) for d in grid.tolist()])
+                assert got.tobytes() == np.interp(grid, ds, rs).tobytes()
+
+
 def test_dmt_eval_rejects_out_of_range():
     curve = dmt_curve(2, 2, DmtMode.COHERENT)
     with pytest.raises(ValueError):

@@ -4,7 +4,9 @@
 
 A module may import only from modules on a strictly lower layer, so the
 two modules on one layer never import each other.  No package module
-imports scipy when it loads: the scalar commands start without it."""
+imports numpy or scipy when it loads: each function that builds or reads an
+array imports numpy in its body, so the scalar commands, which evaluate in
+stdlib math, start and run without either."""
 
 import ast
 import subprocess
@@ -66,21 +68,31 @@ def module_level_imports(tree):
             yield from module_level_imports(node)
 
 
+def module_level_loaders(package):
+    """Names of the package modules that import package when they load."""
+    return [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if package in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+
+
 def test_no_module_level_scipy_import():
     # scipy.special is most of a CLI start; the array paths import it on
     # their first call, and eps_quasistatic imports scipy.integrate
-    loaders = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if "scipy" in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
-    ]
-    assert loaders == []
+    assert module_level_loaders("scipy") == []
 
 
-def run_then_list_scipy(code):
+def test_no_module_level_numpy_import():
+    # numpy was most of what a CLI start had left to load; the functions
+    # that build or read arrays import it in their first line
+    assert module_level_loaders("numpy") == []
+
+
+def run_then_list(package, code):
     """stdout lines of a fresh interpreter that runs code and then prints
-    the scipy modules loaded by then."""
-    listing = "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    the modules of the top-level package loaded by then."""
+    listing = f"\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     out = subprocess.run(
         [sys.executable, "-c", code + listing],
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
@@ -91,7 +103,13 @@ def run_then_list_scipy(code):
 def test_cli_start_leaves_out_scipy_integrate():
     # no scipy module at all: floats take stdlib math, and each array path
     # loads the scipy module it needs on first use
-    assert run_then_list_scipy("import shortpacket.cli") == ["[]"]
+    assert run_then_list("scipy", "import shortpacket.cli") == ["[]"]
+
+
+def test_cli_start_leaves_out_numpy():
+    # shortpacket.cli imports every package module, and none loads numpy
+    # (nor, since scipy imports numpy, scipy)
+    assert run_then_list("numpy", "import shortpacket.cli") == ["[]"]
 
 
 SCIPY_FREE_COMMANDS = [
@@ -112,15 +130,53 @@ SCIPY_FREE_COMMANDS = [
 ]
 
 
-def test_commands_run_without_scipy():
+def run_commands_then_list(package, commands):
+    """The exit codes of cli.run over commands in a fresh interpreter, then
+    the modules of the top-level package loaded by then."""
     code = (
         "import contextlib, io\n"
         "from shortpacket.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [run(argv) for argv in {SCIPY_FREE_COMMANDS!r}]\n"
+        f"    codes = [run(argv) for argv in {commands!r}]\n"
         "print(codes)"
     )
-    assert run_then_list_scipy(code) == [str([0] * len(SCIPY_FREE_COMMANDS)), "[]"]
+    return run_then_list(package, code)
+
+
+def test_commands_run_without_scipy():
+    assert run_commands_then_list("scipy", SCIPY_FREE_COMMANDS) == [str([0] * len(SCIPY_FREE_COMMANDS)), "[]"]
+
+
+# the scalar commands: every value comes from stdlib math, and so does a
+# sweep of one of them
+NUMPY_FREE_COMMANDS = [argv for argv in SCIPY_FREE_COMMANDS if not argv[0].startswith(("mimo-", "sim-"))] + [
+    ["eps", "--k", "194", "--n", "125", "--snr-db", "10", "--sweep", "n:100:300:10"],
+]
+
+
+def test_commands_run_without_numpy():
+    assert len(NUMPY_FREE_COMMANDS) == 10
+    assert run_commands_then_list("numpy", NUMPY_FREE_COMMANDS) == [str([0] * len(NUMPY_FREE_COMMANDS)), "[]"]
+
+
+def test_input_policy_reads_numpy_types_only_once_loaded():
+    # Python numbers never load numpy; numpy scalars, which exist only once
+    # numpy is loaded, keep the policy: real and integer scalars pass,
+    # np.bool_ does not
+    code = (
+        "from shortpacket._check import integer, real\n"
+        "assert real('x', 2.5) == 2.5 and real('x', 3) == 3.0 and integer('n', 7, ge=0) == 7\n"
+        "import sys; print('numpy' in sys.modules)\n"
+        "import numpy as np\n"
+        "print(real('x', np.float32(1.5)), real('x', np.int64(3)), integer('n', np.int64(4), ge=0))\n"
+        "for check in (lambda: real('x', np.bool_(True)), lambda: integer('n', np.bool_(True), ge=0),\n"
+        "              lambda: integer('n', np.float32(4.0), ge=0), lambda: real('x', np.complex128(1))):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    assert run_then_list("numpy", code)[:-1] == ["False", "1.5 3.0 4", *["refused"] * 4]
 
 
 def test_package_names_are_the_modules_names():

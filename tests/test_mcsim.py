@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shortpacket._rand import _CHUNK, _Integers
-from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
+from shortpacket.awgn import Channel, CodeSpec, Convention, capacity, eps_star
 from shortpacket.fading import _MIMO_BLOCK, QuasiStaticConfig, _GramLogDets, outage_prob_mimo_mc
 from shortpacket.mcsim import (
     _BLOCK,
@@ -276,6 +276,37 @@ def test_sim_aloha_undecodable_payload():
     rep = sim_aloha(cfg, trials=MIN_TRIALS, seed=0)
     assert rep.per_device_success.estimate == 0.0
     assert rep.per_slot_throughput.std_error == 0.0
+
+
+LINKS = {"snr_db": st.floats(0.0, 20.0), "conv": st.sampled_from(list(Convention))}
+# a payload is a share of what its packet's uses carry at capacity, so the
+# error probabilities spread over (0, 1) rather than sit at 0 or 1
+LOAD = st.floats(0.3, 1.0)
+
+
+@given(**LINKS, M=st.integers(1, 20), K=st.integers(1, 20), slot=st.integers(10, 300),
+       load=LOAD, trials=st.integers(MIN_TRIALS, 2**16), seed=SEEDS)
+def test_sim_aloha_agrees_with_analytic(snr_db, conv, M, K, slot, load, trials, seed):
+    # the frame is K whole slots, so floor(n/K) and n/K are the same slot;
+    # sigma is the exact standard error of the mean success count per slot
+    ch = Channel(10.0 ** (snr_db / 10.0), conv)
+    cfg = AlohaConfig(M, load * slot * capacity(ch), float(K * slot), ch, K=K)
+    p = 1.0 - eps_star(ch, CodeSpec(cfg.D, float(slot)))
+    alone = (1.0 - 1.0 / K) ** (M - 1) * p  # one device's success
+    both = (1.0 - 1.0 / K) * (1.0 - 2.0 / K) ** max(M - 2, 0) * p * p  # two devices' joint success
+    var = M * alone * (1.0 - alone) + M * (M - 1) * (both - alone * alone)
+    rep = sim_aloha(cfg, trials, seed).per_slot_throughput
+    assert abs(rep.estimate - aloha_success(cfg)) <= 5.0 * math.sqrt(max(var, 0.0) / trials) / K
+
+
+@given(**LINKS, n1=st.integers(10, 500), n2=st.integers(10, 500), load1=LOAD, load2=LOAD,
+       trials=st.integers(MIN_TRIALS, 2**16), seed=SEEDS)
+def test_sim_twoway_agrees_with_analytic(snr_db, conv, n1, n2, load1, load2, trials, seed):
+    ch = Channel(10.0 ** (snr_db / 10.0), conv)
+    cfg = TwoWayConfig(load1 * n1 * capacity(ch), load2 * n2 * capacity(ch), ch)
+    truth = twoway_reliability(cfg, n1, n2)
+    rep = sim_twoway(cfg, n1, n2, trials, seed)
+    assert abs(rep.estimate - truth) <= 5.0 * math.sqrt(truth * (1.0 - truth) / trials)
 
 
 def test_sim_aloha_config_echo():

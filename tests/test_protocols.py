@@ -347,6 +347,18 @@ def test_aloha_refuses_underflowing_dispersion():
     assert one_use == 1.0 - eps_star(ch, CodeSpec(1.0, 1.0))
 
 
+def test_aloha_takes_an_overflowing_tail_argument_as_eps_star_does():
+    # sqrt(nV) is subnormal, so the tail argument overflows to -inf: the
+    # float path gives Q(-inf) = 1 silently, and the array path gave numpy's
+    # overflow warning (an error under the test filter)
+    assert eps_star(Channel(5e-324), CodeSpec(1e300, 1.0)) == 1.0
+    assert aloha_success(AlohaConfig(1, 1e300, 1.0, Channel(5e-324), K=1)) == 0.0
+    res = aloha_optimize(AlohaConfig(2, 1e300, 10.0, Channel(1e-300)))
+    assert all(eps_star(Channel(1e-300), CodeSpec(1e300, 10.0 / K)) == 1.0 for K in range(1, 9))
+    assert res.k_opt == 1
+    assert res.profile == tuple((K, 0.0) for K in range(1, 9))
+
+
 def test_aloha_optimize_spot_values():
     cfg = AlohaConfig(10, 192.0, 800.0, CH)
     res = aloha_optimize(cfg)
