@@ -12,10 +12,10 @@ magnitude, which is why it is a required, visible field rather than a
 global setting.
 
 The public functions take floats and evaluate in stdlib math, so they
-never load numpy or scipy.  The protocol optimizers evaluate eps_star over
-numpy arrays of k and n through _eps_star_grid, whose Q comes from
-scipy.special on its first call; _tail_formula writes the tail argument
-once for both paths.
+never load numpy or scipy.  The protocol optimizers take 1 - eps_star over
+numpy arrays of k and n through _success, which evaluates Q by scipy.special
+(loaded on its first call) only where 1 - Q is not already 0 or 1;
+_tail_formula writes the tail argument once for both paths.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LOG2_E_SQ = math.log2(math.e) ** 2
+
+_SATURATED = 8.5  # 1 - Q(t) is exactly 1.0 or 0.0 in float64 from |t| = 8.2924 on
 
 # min_blocklength looks for its answer up to this blocklength
 _MAX_BLOCKLENGTH = 1 << 50
@@ -170,27 +172,34 @@ def _tail_formula(xp, c: float, v: float, k, n):
 
 
 def _tail_args(ch: Channel, k, n) -> np.ndarray:
+    # unchecked, over arrays of k and n: the tests' from-scratch reference
     import numpy as np
     c, v = _cv(ch)
     return _tail_formula(np, c, v, np.asarray(k, dtype=float), np.asarray(n, dtype=float))
 
 
-def _eps_star_grid(ch: Channel, k, n) -> np.ndarray:
-    """Vectorized error probability over arrays of k and/or n (internal)."""
-    return q_array(_tail_args(ch, k, n))
+def _success(t: np.ndarray) -> np.ndarray:
+    """1.0 - q_array(t), bit for bit, with Q evaluated only where |t| < _SATURATED
+    or t is nan; every other entry is 1.0 where t > 0 and 0.0 otherwise."""
+    import numpy as np
+    s = (t > 0.0).astype(float)
+    live = ~(np.abs(t) >= _SATURATED)
+    s[live] = 1.0 - q_array(t[live])
+    return s
 
 
-def _checked_tail_args(ch: Channel, k: float, n, n_min: float, n_max: float) -> np.ndarray:
-    # _tail_args for one k over n_min <= n <= n_max, refused where eps_star
-    # refuses it: where n_min*V underflows to 0 the argument divides by 0,
-    # and past _N_NO_OVERFLOW nC and nV may both overflow and the argument
-    # be inf/inf = nan.  Below it the numerator stays in the float range,
-    # so the quotient can overflow to +-inf, as in eps_star, only where
-    # sqrt(nV) < 1.  Elsewhere each check is one comparison
+def _checked_tail_args(ch: Channel, k, n, n_min: float, n_max: float) -> np.ndarray:
+    # _tail_args for a float k or a column of them over n_min <= n <= n_max,
+    # refused where eps_star refuses it: where n_min*V underflows to 0 the
+    # argument divides by 0, and past _N_NO_OVERFLOW nC and nV may both
+    # overflow and the argument be inf/inf = nan.  Below it the numerator
+    # stays in the float range, so the quotient can overflow to +-inf, as in
+    # eps_star, only where sqrt(nV) < 1.  Elsewhere each check is one comparison
     import numpy as np
     c, v = _cv(ch)
     if n_min * v == 0.0:
-        raise ValueError(f"eps_star is undefined at k={k!r}, n={n_min!r}: nV underflows to 0")
+        k_first = float(np.ravel(k)[0])
+        raise ValueError(f"eps_star is undefined at k={k_first!r}, n={n_min!r}: nV underflows to 0")
     n = np.asarray(n, dtype=float)
     if n_max < _N_NO_OVERFLOW:
         if n_min * v >= 1.0:
@@ -201,8 +210,8 @@ def _checked_tail_args(ch: Channel, k: float, n, n_min: float, n_max: float) -> 
         t = _tail_formula(np, c, v, k, n)
     nan = np.isnan(t)
     if nan.any():
-        n_bad = float(np.broadcast_to(n, t.shape)[nan][0])
-        raise ValueError(f"eps_star is undefined at k={k!r}, n={n_bad!r}: nC and nV overflow")
+        k_bad, n_bad = (float(np.broadcast_to(x, t.shape)[nan][0]) for x in (k, n))
+        raise ValueError(f"eps_star is undefined at k={k_bad!r}, n={n_bad!r}: nC and nV overflow")
     return t
 
 

@@ -21,12 +21,11 @@ from .awgn import (
     Channel,
     CodeSpec,
     _checked_tail_args,
-    _eps_star_grid,
     _smallest_n,
+    _success,
     eps_star,
     eps_star_log,
 )
-from .specfun import q_array
 
 __all__ = [
     "TwoWayConfig",
@@ -244,12 +243,14 @@ def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[in
 
     Every split n1 = 1..n-1 is read from two success grids,
     s[m-1] = 1 - eps*(k, m), one per leg: the same floats a from-scratch
-    scan at n multiplies.  A probe that needs a longer prefix rebuilds both
-    x4 longer (from _GRID_FLOOR, capped at size_cap entries); no other
-    probe evaluates eps*.
+    scan at n multiplies.  One _success call builds both, over k as a (2, 1)
+    column, so m*C, log2(m)/2 and sqrt(mV) are shared.  A probe that needs a
+    longer prefix rebuilds the pair x4 longer (from _GRID_FLOOR, capped at
+    size_cap entries); no other probe evaluates eps*.
     """
     import numpy as np
     s1 = s2 = np.empty(0)
+    k = np.array([[cfg.k1], [cfg.k2]])
 
     def best_split(n: int) -> tuple[int, float]:
         nonlocal s1, s2
@@ -258,8 +259,7 @@ def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[in
             while size < n - 1:
                 size *= 4
             m = np.arange(1, min(size, size_cap) + 1, dtype=float)
-            s1 = 1.0 - _eps_star_grid(cfg.ch, cfg.k1, m)
-            s2 = 1.0 - _eps_star_grid(cfg.ch, cfg.k2, m)
+            s1, s2 = _success(_checked_tail_args(cfg.ch, k, m, 1.0, float(len(m))))
         # n1 = 1..n-1 against n2 = n-1..1; first argmax, so ties land on
         # the smaller n1 (and on n/2 when the objective is symmetric)
         rel = s1[: n - 1] * s2[n - 2 :: -1]
@@ -335,16 +335,15 @@ def downlink_compare(cfg: DownlinkConfig) -> DownlinkResult:
 
 
 def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarray:
-    # p_success(K) = (M/K)(1 - 1/K)^(M-1) * (1 - eps*(D, n/K));
-    # expected successful packets per slot, which is also the per-slot
-    # throughput of the frame
+    """p_success(K) = (M/K)(1 - 1/K)^(M-1) * (1 - eps*(D, n/K)) for K in ks,
+    the per-slot throughput, with 1 - eps* from _success (dropped if perfect)."""
     ks = ks.astype(float)
     collision = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
     if perfect:
         return collision
     # ks ascend, so the slots n/K lie between n/ks[-1] and the frame n
-    eps = q_array(_checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n / float(ks[-1]), cfg.n))
-    return collision * (1.0 - eps)
+    t = _checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n / float(ks[-1]), cfg.n)
+    return collision * _success(t)
 
 
 def aloha_success(cfg: AlohaConfig, assume_perfect_decoding: bool = False) -> float:

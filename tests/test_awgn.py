@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import log_ndtr, ndtr
 
 from shortpacket import awgn
@@ -22,6 +23,7 @@ from shortpacket.awgn import (
     min_blocklength,
     rate_na,
 )
+from shortpacket.specfun import q_array
 
 CH10_REAL = Channel(10.0, Convention.REAL_CU)
 CH10_CPLX = Channel(10.0, Convention.COMPLEX_CU)
@@ -222,6 +224,51 @@ def test_eps_star_refuses_underflowing_dispersion():
     # nV rounds to 0, so the tail argument would divide by zero
     with pytest.raises(ValueError, match="nV underflows"):
         eps_star(Channel(1e-320), CodeSpec(1.0, 1e-10))
+
+
+def test_array_tail_errors_name_one_leg_of_a_k_column():
+    # the two-way optimizer passes both legs' k as one (2, 1) column
+    k = np.array([[2.0], [1.0]])
+    with pytest.raises(ValueError, match=r"^eps_star is undefined at k=2.0, n=0.1: nV underflows to 0$"):
+        awgn._checked_tail_args(Channel(5e-324), k, np.array([0.1, 1.0]), 0.1, 1.0)
+    with pytest.raises(ValueError, match=r"^eps_star is undefined at k=2.0, n=1e\+308: nC and nV overflow$"):
+        awgn._checked_tail_args(CH10_CPLX, k, np.array([1.0, 1e308]), 1.0, 1e308)
+
+
+def test_one_minus_q_saturates_past_the_success_cut():
+    # 1 - Q(t) is exactly 1.0 for t >= 8.5 and exactly +0.0 for t <= -8.5,
+    # so _success may skip Q there
+    t = np.concatenate([np.linspace(8.5, 1e3, 1_000_001), np.geomspace(8.5, 1e3, 1_000_001), [1e300, np.inf]])
+    assert awgn._SATURATED == 8.5
+    assert np.all(1.0 - q_array(t) == 1.0)
+    lower = 1.0 - q_array(-t)
+    assert np.all(lower == 0.0) and not np.signbit(lower).any()
+
+
+_CUT_NEIGHBOURS = [x for c in (8.5, -8.5) for x in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
+_TAIL_SPECIALS = [np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 0.0, -0.0, *_CUT_NEIGHBOURS]
+
+
+@settings(max_examples=300)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(max_dims=2, max_side=40),
+        elements=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.floats(-12.0, 12.0),
+            st.floats(-1e-300, 1e-300),
+            st.sampled_from(_TAIL_SPECIALS),
+        ),
+    )
+)
+def test_success_is_one_minus_q_bit_for_bit(t):
+    # nan positions and payloads and the sign of zero included; a signalling
+    # nan sets the invalid flag on both sides alike
+    with np.errstate(invalid="ignore"):
+        got, want = awgn._success(t), 1.0 - q_array(t)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rate_and_eps_are_consistent_inversions():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortpacket import protocols
-from shortpacket.awgn import Channel, CodeSpec, Convention, _eps_star_grid, eps_star
+from shortpacket import awgn, protocols
+from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
 from shortpacket.protocols import (
     AlohaConfig,
     AlohaOptResult,
@@ -25,6 +25,7 @@ from shortpacket.protocols import (
     twoway_reliability,
     twoway_tdd_eval,
 )
+from shortpacket.specfun import q_array
 
 CH = Channel(10.0, Convention.REAL_CU)
 
@@ -41,10 +42,10 @@ def scan_best_split(cfg, n):
 
 def from_scratch_best_split(cfg, n):
     """Reference optimizer: every split's eps* evaluated anew for this n, as
-    one array per leg; first argmax wins."""
+    one array per leg with Q at every entry; first argmax wins."""
     n1 = np.arange(1, n, dtype=float)
-    e1 = _eps_star_grid(cfg.ch, cfg.k1, n1)
-    e2 = _eps_star_grid(cfg.ch, cfg.k2, float(n) - n1)
+    e1 = q_array(awgn._tail_args(cfg.ch, cfg.k1, n1))
+    e2 = q_array(awgn._tail_args(cfg.ch, cfg.k2, float(n) - n1))
     rel = (1.0 - e1) * (1.0 - e2)
     i = int(np.argmax(rel))
     return int(n1[i]), float(rel[i])
@@ -160,34 +161,46 @@ def test_twoway_optimize_target_is_tight(k1, k2, snr_db, conv, log_miss):
 
 def test_twoway_target_search_builds_grids_only_to_grow(monkeypatch):
     grids, probes = [], []
-    grid, search = protocols._eps_star_grid, protocols._smallest_n
+    tail_args, search = protocols._checked_tail_args, protocols._smallest_n
 
-    def spy_grid(ch, k, n):
-        grids.append((k, len(n)))
-        return grid(ch, k, n)
+    def spy_tail_args(ch, k, n, n_min, n_max):
+        grids.append((np.ravel(k).tolist(), len(n)))
+        return tail_args(ch, k, n, n_min, n_max)
 
     def spy_search(holds, lo, ceiling):
         return search(lambda m: probes.append(m) or holds(m), lo, ceiling)
 
-    monkeypatch.setattr(protocols, "_eps_star_grid", spy_grid)
+    monkeypatch.setattr(protocols, "_checked_tail_args", spy_tail_args)
     monkeypatch.setattr(protocols, "_smallest_n", spy_search)
-    # n = 203: every probe (2..256) reads the first grid pair
+    # n = 203: every probe (2..256) reads the first grid pair, both legs
+    # built in one call
     res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, target_reliability=0.999), 96.0)
     assert (res.n, res.n1) == (203, 132)
     assert len(probes) > 10
-    assert grids == [(193.0, 256), (97.0, 256)]
+    assert grids == [([193.0, 97.0], 256)]
     # a long exchange regrows x4 as the doubling probes pass each size, and
     # the final split at the ceiling caps the last grid at n_ceiling - 1
     grids.clear()
     cfg = TwoWayConfig(6000.0, 3000.0, CH, target_reliability=1.0 - 1e-6)
     res = twoway_optimize(cfg, 1.0, n_ceiling=5000)
     assert not res.feasible and res.n == 5000
-    assert grids == [(k, size) for size in (256, 1024, 4096, 4999) for k in (6000.0, 3000.0)]
+    assert grids == [([6000.0, 3000.0], size) for size in (256, 1024, 4096, 4999)]
     assert (res.n1, res.reliability) == from_scratch_best_split(cfg, 5000)
     # fixed n: one grid pair of n - 1 entries
     grids.clear()
     res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, n_total=1000), 96.0)
-    assert grids == [(193.0, 999), (97.0, 999)]
+    assert grids == [([193.0, 97.0], 999)]
+
+
+def test_twoway_takes_an_overflowing_tail_argument_as_eps_star_does():
+    # sqrt(mV) is subnormal, so the first leg's tail argument overflows to
+    # -inf: twoway_reliability gives 0.0 at every split without a warning,
+    # and the grid raised numpy's overflow warning (an error under the test
+    # filter)
+    cfg = TwoWayConfig(1e300, 1.0, Channel(5e-324), n_total=4)
+    assert all(twoway_reliability(cfg, n1, 4 - n1) == 0.0 for n1 in range(1, 4))
+    res = twoway_optimize(cfg, 1.0)
+    assert (res.n1, res.n2, res.reliability) == (1, 3, 0.0)
 
 
 def test_twoway_config_validation():
