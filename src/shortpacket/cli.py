@@ -38,17 +38,15 @@ from .awgn import (
 )
 from .fading import (
     DmtMode,
-    QuasiStaticConfig,
     _m_star,
     dmt_curve,
     dmt_eval,
     eps_quasistatic,
     noncoherent_prelog,
     outage_capacity_siso,
-    outage_prob_mimo_mc,
     outage_prob_siso,
 )
-from .mcsim import SimConfigError, SimReport, sim_aloha, sim_twoway
+from .mcsim import QuasiStaticConfig, SimConfigError, SimReport, outage_prob_mimo_mc, sim_aloha, sim_twoway
 from .protocols import (
     AlohaConfig,
     DownlinkConfig,
@@ -409,12 +407,13 @@ _COMMANDS = (
 
 def _run_reproduce(args: argparse.Namespace) -> int:
     rows = ROWS
-    if args.rows:
+    if args.rows is not None:
         names = [name for name, _ in ROWS]
         wanted = [w.strip() for w in args.rows.split(",") if w.strip()]
         unknown = [w for w in wanted if w not in names]
-        if unknown:
-            raise _ArgError(f"unknown row(s) {', '.join(unknown)}; known rows: {', '.join(names)}")
+        if unknown or not wanted:
+            problem = f"unknown row(s) {', '.join(unknown)}" if unknown else "--rows names no row"
+            raise _ArgError(f"{problem}; known rows: {', '.join(names)}")
         rows = [row for row in ROWS if row[0] in wanted]
     if args.list:
         for name, _ in rows:

@@ -1,7 +1,7 @@
 """Quasi-static fading metrics: outage probability and outage capacity,
 the finite-blocklength error probability obtained by averaging the Gaussian
-tail over the fading gain, MIMO outage by Monte-Carlo, diversity versus
-multiplexing tradeoff curves, and the noncoherent block-fading pre-log.
+tail over the fading gain, diversity versus multiplexing tradeoff curves,
+and the noncoherent block-fading pre-log, all in closed form.
 
 Fading formulas count complex channel uses throughout: capacity of a
 realization with power gain g is log2(1 + g * snr) bits per complex symbol.
@@ -19,17 +19,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._check import integer, probability, real
-from ._rand import SimReport, _binomial_report, _check_trials, _chunks, check_seed, trial_blocks
 from .awgn import _cv_complex
 
 __all__ = [
-    "QuasiStaticConfig",
     "DmtMode",
     "DmtCurve",
     "outage_prob_siso",
     "outage_capacity_siso",
     "eps_quasistatic",
-    "outage_prob_mimo_mc",
     "dmt_curve",
     "dmt_eval",
     "noncoherent_prelog",
@@ -39,22 +36,6 @@ _LN2 = math.log(2.0)
 # the largest t with exp(t) finite, and the smallest e with 2**e not finite
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EXP2_OVERFLOW = sys.float_info.max_exp
-
-_MIMO_BLOCK = 1 << 13
-
-
-@dataclass(frozen=True)
-class QuasiStaticConfig:
-    """A quasi-static MIMO link: one fading realization per codeword."""
-
-    snr: float
-    m_t: int = 1
-    m_r: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "snr", real("snr", self.snr, gt=0.0))
-        object.__setattr__(self, "m_t", integer("m_t", self.m_t, ge=1))
-        object.__setattr__(self, "m_r", integer("m_r", self.m_r, ge=1))
 
 
 class DmtMode(Enum):
@@ -167,86 +148,6 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
         epsrel=1e-9,
     )
     return min(max(val, 0.0), 1.0)
-
-
-class _GramLogDets:
-    """log det(I + b*Z^H Z) for batches of m_t x m_r complex matrices Z, given
-    as normals of shape (n, m_t, m_r, 2): the real and imaginary parts.
-
-    The normals are copied once into a contiguous batch-last complex layout
-    (m_t, m_r, n), and the Gram matrix is accumulated over the m_t rows.  An
-    unpivoted LDL^H then runs over the m_r pivots, vectorized across the
-    batch: the matrix is Hermitian with every eigenvalue >= 1, so no pivot
-    is below 1 and the log-det is the sum of log d_k.  The scratch arrays
-    are sized for n <= size and allocated once: fresh ones for every chunk
-    made the 4x4 call about a third slower.
-    """
-
-    def __init__(self, m_t: int, m_r: int, size: int) -> None:
-        import numpy as np
-        self._z = np.empty((m_t, m_r, size), dtype=np.complex128)
-        self._z_parts = self._z.view(np.float64).reshape(m_t, m_r, size, 2)
-        self._z_conj = np.empty_like(self._z)
-        self._gram = np.empty((m_r, m_r, size), dtype=np.complex128)
-        self._term = np.empty_like(self._gram)
-        self._col = np.empty((m_r, size), dtype=np.complex128)
-        self._pivots = np.empty((m_r, size))
-
-    def __call__(self, normals: np.ndarray, b: float) -> np.ndarray:
-        import numpy as np
-        n, m_t, m_r = normals.shape[:3]
-        z, z_conj, g, term, col, d = (
-            a[..., :n] for a in (self._z, self._z_conj, self._gram, self._term, self._col, self._pivots)
-        )
-        np.copyto(self._z_parts[:, :, :n], np.moveaxis(normals, 0, 2))
-        np.conjugate(z, out=z_conj)
-        np.multiply(z_conj[0][:, None], z[0], out=g)
-        for t in range(1, m_t):
-            g += np.multiply(z_conj[t][:, None], z[t], out=term)
-        g *= b
-        for k in range(m_r):
-            g[k, k] += 1.0
-        for k in range(m_r):
-            d[k] = g[k, k].real
-            r = m_r - 1 - k
-            if r:  # Schur complement: G[k+1:, k+1:] -= G[k+1:, k] G[k+1:, k]^H / d_k
-                np.divide(np.conjugate(g[k + 1 :, k], out=col[:r]), d[k], out=col[:r])
-                g[k + 1 :, k + 1 :] -= np.multiply(g[k + 1 :, k, None], col[:r], out=term[:r, :r])
-        return np.log(d, out=d).sum(axis=0)
-
-
-def outage_prob_mimo_mc(
-    cfg: QuasiStaticConfig, l: int, R: float, trials: int, seed: int = 0
-) -> SimReport:
-    """Monte-Carlo outage probability of an isotropic-input MIMO link:
-
-        Pr[ (1/l) * sum_k log2 det(I + (snr/m_t) H_k^H H_k) <= R ]
-
-    over l independent fading blocks per trial.  Deterministic in
-    (cfg, l, R, trials, seed).
-    """
-    import numpy as np
-    l = integer("l", l, ge=1)
-    R = real("R", R, ge=0.0)
-    trials = _check_trials(trials)
-    seed = check_seed(seed)
-
-    # the fading law: i.i.d. unit-variance complex-Gaussian entries (Rayleigh),
-    # H = (X + iY)/sqrt(2) for standard normals X, Y, so snr/m_t H^H H = b Z^H Z
-    b = 0.5 * cfg.snr / cfg.m_t
-    # a chunk's rows are sized by its normals (m_t x m_r per matrix) or its
-    # Gram buffer (m_r x m_r), whichever is larger; either way the draws
-    # follow one another in the block's stream, so they do not change
-    width = 2 * l * cfg.m_r * max(cfg.m_t, cfg.m_r)
-    log_dets = _GramLogDets(cfg.m_t, cfg.m_r, next(_chunks(min(trials, _MIMO_BLOCK), width)) * l)
-    count = 0
-    for start, stop, rng in trial_blocks(seed, trials, _MIMO_BLOCK):
-        for rows in _chunks(stop - start, width):
-            logdet = log_dets(rng.standard_normal((rows * l, cfg.m_t, cfg.m_r, 2)), b)
-            count += int(np.count_nonzero(logdet.reshape(rows, l).mean(axis=1) / _LN2 <= R))
-
-    config = {"snr": cfg.snr, "m_t": cfg.m_t, "m_r": cfg.m_r, "fading_blocks": l, "rate": R}
-    return _binomial_report("mimo_outage_probability", count, trials, seed, config)
 
 
 def _m_star(m_t: int, m_r: int, n_c: int) -> int:

@@ -1,35 +1,29 @@
-"""Seeded packet-level Monte-Carlo simulators for the protocol analyses.
+"""Seeded Monte-Carlo estimators that cross-check the closed forms: the
+ALOHA and two-way packet simulators, which abstract decoding as a Bernoulli
+failure with the packet's finite-blocklength error probability and so test
+the protocol combinatorics (collisions, split blocklengths, request/response
+coupling) on their own, and the MIMO outage estimator.
 
-Decoding is abstracted as a Bernoulli failure with the finite-blocklength
-error probability of the packet, so these simulators validate the protocol
-combinatorics (collisions, split blocklengths, request/response coupling)
-independently of the closed-form expressions they are checked against.
-
-Determinism contract: identical (config, seed, trials) produce bit-identical
-reports, regardless of execution order, because every trial's draws come
-from a counter-based stream keyed by the seed and the trial's block index
-(see _rand).  Aggregation uses exact integer accumulation, so it is
-order-independent too.
+Determinism contract: identical (config, seed, trials) give bit-identical
+reports.  Trials are split into fixed-width blocks, and block b draws from a
+Philox generator keyed by (seed, b) in the estimator's full-block draw
+layout, so trial i depends only on the seed, i and that layout -- never on
+execution order, parallelism or the trial count.  Philox fills arrays in
+stream order, so a kernel reads a block in chunks of about _CHUNK draws with
+the same values: it never makes draws past the last one it keeps, and memory
+stays O(_CHUNK) whatever the trials or width.  _Integers reads the values of
+Generator.integers(0, K) straight from the raw words, so a kernel can count
+past bounded draws it does not keep.  Counts accumulate as exact integers,
+so aggregation is order-independent too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Iterator
 
-from ._check import integer
-from ._rand import (
-    MIN_TRIALS,
-    SimConfigError,
-    SimReport,
-    _CHUNK,
-    _binomial_report,
-    _check_trials,
-    _chunks,
-    _Integers,
-    check_seed,
-    trial_blocks,
-)
+from ._check import integer, real
 from .awgn import CodeSpec, eps_star
 from .protocols import AlohaConfig, TwoWayConfig
 
@@ -38,11 +32,149 @@ __all__ = [
     "SimReport",
     "AlohaSimReports",
     "MIN_TRIALS",
+    "QuasiStaticConfig",
     "sim_aloha",
     "sim_twoway",
+    "outage_prob_mimo_mc",
 ]
 
+# below this the normal-theory standard error is not a trustworthy summary
+MIN_TRIALS = 10_000
+
+_CHUNK = 1 << 16  # draws per chunk when a kernel reads a block
 _BLOCK = 1 << 16
+_MIMO_BLOCK = 1 << 13
+_LN2 = math.log(2.0)
+
+
+class SimConfigError(ValueError):
+    """A Monte-Carlo run was configured too weakly to be meaningful."""
+
+
+@dataclass(frozen=True)
+class SimReport:
+    """One Monte-Carlo estimate with its provenance.
+
+    config echoes the inputs that produced the estimate so a report is
+    self-describing; std_error is the normal-theory standard error of the
+    estimate.
+    """
+
+    metric_name: str
+    estimate: float
+    std_error: float
+    trials: int
+    seed: int
+    config: dict[str, Any]
+
+
+def _binomial_report(
+    metric_name: str, count: int, trials: int, seed: int, config: dict[str, Any]
+) -> SimReport:
+    """The fraction of trials counted, with its binomial standard error."""
+    p = count / trials
+    return SimReport(metric_name, p, math.sqrt(p * (1.0 - p) / trials), trials, seed, config)
+
+
+def _check_trials(trials: int) -> int:
+    return integer("trials", trials, ge=MIN_TRIALS, error=SimConfigError)
+
+
+def check_seed(seed: int) -> int:
+    """Validate a 64-bit unsigned seed and return it as a plain int."""
+    return integer("seed", seed, ge=0, le=2**64 - 1)
+
+
+def trial_blocks(
+    seed: int, trials: int, block: int
+) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """Yield (start, stop, generator) covering range(trials) in keyed blocks.
+
+    The generator for block b is Philox keyed by (seed, b); callers draw in
+    their full-block layout, in _chunks, up to the last draw they keep.
+    They pass a seed from check_seed and at least one trial and block.
+    """
+    import numpy as np
+    for b in range((trials + block - 1) // block):
+        start = b * block
+        stop = min(start + block, trials)
+        key = np.array([seed, b], dtype=np.uint64)
+        yield start, stop, np.random.Generator(np.random.Philox(key=key))
+
+
+def _chunks(rows: int, width: int) -> Iterator[int]:
+    """Row counts that sum to rows: _CHUNK // width each (at least one), then the rest."""
+    step = max(1, _CHUNK // width)
+    for lo in range(0, rows, step):
+        yield min(step, rows - lo)
+
+
+class _Integers:
+    """The values of successive Generator.integers(0, K) calls on a bit
+    generator's stream, read from its raw 64-bit words.
+
+    For 1 < K < 2**32 numpy applies Lemire's method to the words' 32-bit
+    halves, low half first: half h gives (h*K) >> 32, unless (h*K) mod 2**32
+    is below 2**32 mod K, when it is rejected and the next half is tried.  A
+    call that ends on a low half leaves the high half pending for the next
+    call, and Generator.random() starts at the next whole word.  K = 1 draws
+    nothing, and K >= 2**32 takes numpy's 64-bit path through integers().
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator, K: int) -> None:
+        import numpy as np
+        self._bits = bit_generator
+        self._K = K
+        self._threshold = np.uint32((1 << 32) % K) if K < 1 << 32 else None
+        self._no_half = np.empty(0, dtype=np.uint32)
+        self._pending = self._no_half  # at most one half
+
+    def skip(self, count: int) -> None:
+        """Consume the next `count` draws without keeping them."""
+        import numpy as np
+        if self._K >= 1 << 32:
+            rng = np.random.Generator(self._bits)
+            for n in _chunks(count, 1):
+                rng.integers(0, self._K, size=n)
+        elif self._K > 1:
+            for _ in self._accepted(count):
+                pass
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next out.size draws into the contiguous int64 array out."""
+        import numpy as np
+        if self._K == 1:
+            out.fill(0)
+        elif self._K >= 1 << 32:
+            out[...] = np.random.Generator(self._bits).integers(0, self._K, size=out.shape)
+        else:
+            flat = out.reshape(-1).view(np.uint64)
+            pos = 0
+            for halves in self._accepted(flat.size):
+                dst = flat[pos : pos + halves.size]
+                np.multiply(halves, self._K, out=dst, dtype=np.uint64)
+                dst >>= np.uint64(32)
+                pos += halves.size
+        return out
+
+    def _accepted(self, count: int) -> Iterator[np.ndarray]:
+        """The accepted halves of the next `count` draws, _CHUNK or fewer at a time."""
+        import numpy as np
+        while count > 0:
+            need = min(count, _CHUNK)
+            words = self._bits.random_raw((need - self._pending.size + 1) // 2)
+            halves = np.asarray(words, dtype="<u8").view("<u4")
+            if self._pending.size:
+                halves = np.concatenate((self._pending, halves))
+                self._pending = self._no_half
+            rejected = halves * np.uint32(self._K) < self._threshold
+            if rejected.any():
+                halves = halves[~rejected]
+            if halves.size > count:  # no rejection, and the call ends on a low half
+                self._pending = halves[-1:].copy()
+                halves = halves[:count]
+            count -= halves.size
+            yield halves
 
 
 @dataclass(frozen=True)
@@ -150,3 +282,97 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
         "convention": cfg.ch.convention.value,
     }
     return _binomial_report("exchange_reliability", successes, trials, seed, config)
+
+
+@dataclass(frozen=True)
+class QuasiStaticConfig:
+    """A quasi-static MIMO link: one fading realization per codeword."""
+
+    snr: float
+    m_t: int = 1
+    m_r: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "snr", real("snr", self.snr, gt=0.0))
+        object.__setattr__(self, "m_t", integer("m_t", self.m_t, ge=1))
+        object.__setattr__(self, "m_r", integer("m_r", self.m_r, ge=1))
+
+
+class _GramLogDets:
+    """log det(I + b*Z^H Z) for batches of m_t x m_r complex matrices Z, given
+    as normals of shape (n, m_t, m_r, 2): the real and imaginary parts.
+
+    The normals are copied once into a contiguous batch-last complex layout
+    (m_t, m_r, n), and the Gram matrix is accumulated over the m_t rows.  An
+    unpivoted LDL^H then runs over the m_r pivots, vectorized across the
+    batch: the matrix is Hermitian with every eigenvalue >= 1, so no pivot
+    is below 1 and the log-det is the sum of log d_k.  The scratch arrays
+    are sized for n <= size and allocated once: fresh ones for every chunk
+    made the 4x4 call about a third slower.
+    """
+
+    def __init__(self, m_t: int, m_r: int, size: int) -> None:
+        import numpy as np
+        self._z = np.empty((m_t, m_r, size), dtype=np.complex128)
+        self._z_parts = self._z.view(np.float64).reshape(m_t, m_r, size, 2)
+        self._z_conj = np.empty_like(self._z)
+        self._gram = np.empty((m_r, m_r, size), dtype=np.complex128)
+        self._term = np.empty_like(self._gram)
+        self._col = np.empty((m_r, size), dtype=np.complex128)
+        self._pivots = np.empty((m_r, size))
+
+    def __call__(self, normals: np.ndarray, b: float) -> np.ndarray:
+        import numpy as np
+        n, m_t, m_r = normals.shape[:3]
+        z, z_conj, g, term, col, d = (
+            a[..., :n] for a in (self._z, self._z_conj, self._gram, self._term, self._col, self._pivots)
+        )
+        np.copyto(self._z_parts[:, :, :n], np.moveaxis(normals, 0, 2))
+        np.conjugate(z, out=z_conj)
+        np.multiply(z_conj[0][:, None], z[0], out=g)
+        for t in range(1, m_t):
+            g += np.multiply(z_conj[t][:, None], z[t], out=term)
+        g *= b
+        for k in range(m_r):
+            g[k, k] += 1.0
+        for k in range(m_r):
+            d[k] = g[k, k].real
+            r = m_r - 1 - k
+            if r:  # Schur complement: G[k+1:, k+1:] -= G[k+1:, k] G[k+1:, k]^H / d_k
+                np.divide(np.conjugate(g[k + 1 :, k], out=col[:r]), d[k], out=col[:r])
+                g[k + 1 :, k + 1 :] -= np.multiply(g[k + 1 :, k, None], col[:r], out=term[:r, :r])
+        return np.log(d, out=d).sum(axis=0)
+
+
+def outage_prob_mimo_mc(
+    cfg: QuasiStaticConfig, l: int, R: float, trials: int, seed: int = 0
+) -> SimReport:
+    """Monte-Carlo outage probability of an isotropic-input MIMO link:
+
+        Pr[ (1/l) * sum_k log2 det(I + (snr/m_t) H_k^H H_k) <= R ]
+
+    over l independent fading blocks per trial.  Deterministic in
+    (cfg, l, R, trials, seed).
+    """
+    import numpy as np
+    l = integer("l", l, ge=1)
+    R = real("R", R, ge=0.0)
+    trials = _check_trials(trials)
+    seed = check_seed(seed)
+
+    # the fading law: i.i.d. unit-variance complex-Gaussian entries (Rayleigh),
+    # H = (X + iY)/sqrt(2) for standard normals X, Y, so snr/m_t H^H H = b Z^H Z
+    b = 0.5 * cfg.snr / cfg.m_t
+    # a chunk's rows are sized by its normals (m_t x m_r per matrix) or its
+    # Gram buffer (m_r x m_r), whichever is larger; either way the draws
+    # follow one another in the block's stream, so they do not change
+    width = 2 * l * cfg.m_r * max(cfg.m_t, cfg.m_r)
+    log_dets = _GramLogDets(cfg.m_t, cfg.m_r, next(_chunks(min(trials, _MIMO_BLOCK), width)) * l)
+    count = 0
+    for start, stop, rng in trial_blocks(seed, trials, _MIMO_BLOCK):
+        for rows in _chunks(stop - start, width):
+            logdet = log_dets(rng.standard_normal((rows * l, cfg.m_t, cfg.m_r, 2)), b)
+            count += int(np.count_nonzero(logdet.reshape(rows, l).mean(axis=1) / _LN2 <= R))
+
+    config = {"snr": cfg.snr, "m_t": cfg.m_t, "m_r": cfg.m_r, "fading_blocks": l, "rate": R}
+    return _binomial_report("mimo_outage_probability", count, trials, seed, config)

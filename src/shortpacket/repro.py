@@ -19,15 +19,13 @@ from typing import Callable
 from .awgn import Channel, CodeSpec, Convention, eps_star, rate_na
 from .fading import (
     DmtMode,
-    QuasiStaticConfig,
     dmt_curve,
     dmt_eval,
     eps_quasistatic,
     outage_capacity_siso,
-    outage_prob_mimo_mc,
     outage_prob_siso,
 )
-from .mcsim import sim_aloha, sim_twoway
+from .mcsim import QuasiStaticConfig, outage_prob_mimo_mc, sim_aloha, sim_twoway
 from .protocols import (
     AlohaConfig,
     DownlinkConfig,

@@ -473,3 +473,13 @@ def test_reproduce_row_fails_under_complex_convention():
 def test_reproduce_unknown_row_exits_2():
     code, out, err = run_cli("reproduce-paper", "--rows", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("rows", [",", " , ", ""])
+def test_reproduce_empty_row_selection_exits_2(rows):
+    # a selection of no row would check nothing and still exit 0
+    for extra in ((), ("--list",)):
+        code, out, err = run_cli("reproduce-paper", "--rows", rows, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --rows names no row; known rows: ")
+        assert err.count("\n") == 1

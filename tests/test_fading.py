@@ -13,16 +13,14 @@ from scipy.special import ndtr
 from shortpacket.fading import (
     DmtCurve,
     DmtMode,
-    QuasiStaticConfig,
     dmt_curve,
     dmt_eval,
     eps_quasistatic,
     noncoherent_prelog,
     outage_capacity_siso,
-    outage_prob_mimo_mc,
     outage_prob_siso,
 )
-from shortpacket.mcsim import SimConfigError
+from shortpacket.mcsim import QuasiStaticConfig, SimConfigError, outage_prob_mimo_mc
 
 SNR = 10.0
 

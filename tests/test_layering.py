@@ -1,14 +1,18 @@
 """Imports inside the package flow one way:
 
-    _check -> {_rand, specfun} -> awgn -> {fading, protocols} -> mcsim -> repro -> cli -> __main__
+    _check -> specfun -> awgn -> {fading, protocols} -> mcsim -> repro -> cli -> __main__
 
 A module may import only from modules on a strictly lower layer, so the
 two modules on one layer never import each other.  No package module
 imports numpy or scipy when it loads: each function that builds or reads an
 array imports numpy in its body, so the scalar commands, which evaluate in
-stdlib math, start and run without either."""
+stdlib math, start and run without either.  fading holds closed forms only,
+and every Monte-Carlo estimator lives in mcsim.  The private names that
+cross module boundaries are pinned, so a new private coupling shows up
+here as a test diff."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +22,6 @@ from shortpacket import awgn, fading, mcsim, protocols, specfun
 
 LAYERS = {
     "_check": 0,
-    "_rand": 1,
     "specfun": 1,
     "awgn": 2,
     "fading": 3,
@@ -52,6 +55,54 @@ def test_imports_flow_one_way():
         if LAYERS[target] >= layer
     ]
     assert back_edges == []
+
+
+# (importer, source) -> the private names the importer takes from source
+PRIVATE_IMPORTS = {
+    ("awgn", "specfun"): {"_log_q", "_q"},
+    ("cli", "fading"): {"_m_star"},
+    ("fading", "awgn"): {"_cv_complex"},
+    ("protocols", "awgn"): {"_checked_tail_args", "_smallest_n", "_success"},
+}
+
+
+def private_imports():
+    """(importer, source) -> the private names imported, function bodies included."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if names:
+                    found.setdefault((path.stem, node.module), set()).update(names)
+    return found
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    assert private_imports() == PRIVATE_IMPORTS
+
+
+def imported_modules(tree):
+    """Names of the modules imported anywhere in tree, function bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_fading_is_closed_form_only():
+    imports = set(imported_modules(ast.parse((PACKAGE / "fading.py").read_text(encoding="utf-8"))))
+    assert not any(name.split(".")[0] == "numpy" for name in imports)
+    assert {name for name in imports if name.split(".")[0] == "scipy"} == {"scipy.integrate"}
+    for name, fn in inspect.getmembers(fading, inspect.isfunction):
+        if fn.__module__ == fading.__name__ and not name.startswith("_"):
+            assert not {"trials", "seed"} & set(inspect.signature(fn).parameters), name
+    for module in (specfun, awgn, fading, protocols, mcsim):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and {"trials", "seed"} & set(inspect.signature(obj).parameters):
+                assert name in mcsim.__all__, name
 
 
 def module_level_imports(tree):
