@@ -5,22 +5,30 @@ Gaussian channel, quasi-static fading metrics (outage, finite-blocklength
 error, DMT, pre-log), short-packet protocol optimizers (two-way exchange,
 TDD, downlink broadcast, framed slotted ALOHA), and seeded Monte-Carlo
 simulators that cross-check the closed forms.
+
+Importing the package loads none of its modules (PEP 562): each loads on
+first use of its name or of a public name it declares.
 """
 
-from . import awgn, fading, mcsim, protocols, specfun
-from .awgn import *
-from .fading import *
-from .mcsim import *
-from .protocols import *
-from .specfun import *
+import importlib
 
 __version__ = "0.1.0"
+_MODULES = ("specfun", "awgn", "fading", "protocols", "mcsim")  # their __all__ in order is the package's
 
-__all__ = [
-    "__version__",
-    *specfun.__all__,
-    *awgn.__all__,
-    *fading.__all__,
-    *protocols.__all__,
-    *mcsim.__all__,
-]
+
+def __getattr__(name: str) -> object:
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = ["__version__", *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    else:
+        home = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

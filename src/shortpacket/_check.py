@@ -17,7 +17,12 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = ["integer", "probability", "real"]
+__all__ = ["SimConfigError", "integer", "probability", "real"]
+
+
+class SimConfigError(ValueError):
+    """A Monte-Carlo run configured too weakly to be meaningful; mcsim re-exports it."""
+
 
 _OPS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
 

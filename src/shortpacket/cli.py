@@ -12,6 +12,10 @@ arguments, its compute function and whether it sweeps, in which case any
 of its float and int options may be swept.  One handler, _run_command,
 serves them all, found by the subcommand's name.
 
+Importing this module loads no library module: compute functions reach
+the library through the package (sp.eps_star), which loads a module on
+first use, so eps loads specfun and awgn, and prelog adds fading.
+
 Exit codes: 0 success, 1 failed reproduction rows, 2 argument errors,
 3 domain and arithmetic errors (including a request too large for memory),
 4 Monte-Carlo configuration errors.
@@ -24,40 +28,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from .awgn import (
-    Channel,
-    CodeSpec,
-    Convention,
-    eps_star,
-    eps_star_log,
-    min_blocklength,
-    rate_na,
-)
-from .fading import (
-    DmtMode,
-    _m_star,
-    dmt_curve,
-    dmt_eval,
-    eps_quasistatic,
-    noncoherent_prelog,
-    outage_capacity_siso,
-    outage_prob_siso,
-)
-from .mcsim import QuasiStaticConfig, SimConfigError, SimReport, outage_prob_mimo_mc, sim_aloha, sim_twoway
-from .protocols import (
-    AlohaConfig,
-    DownlinkConfig,
-    TwoWayConfig,
-    aloha_optimize,
-    aloha_success,
-    downlink_compare,
-    twoway_optimize,
-    twoway_tdd_eval,
-)
-from .repro import ROWS
+import shortpacket as sp
+
+from ._check import SimConfigError
 
 __all__ = ["run", "main"]
 
@@ -71,8 +46,7 @@ class _ArgError(Exception):
     """Bad argument combination detected after argparse (exit code 2)."""
 
 
-@dataclass
-class _Output:
+class _Output(NamedTuple):
     """What a subcommand produced: named scalars, plus optional rows."""
 
     scalars: dict[str, Any]
@@ -87,8 +61,8 @@ def _snr(args: argparse.Namespace) -> float:
         raise ValueError(f"--snr-db {args.snr_db!r} is past the float range") from None
 
 
-def _channel(args: argparse.Namespace) -> Channel:
-    return Channel(snr=_snr(args), convention=Convention(args.convention))
+def _channel(args: argparse.Namespace) -> sp.Channel:
+    return sp.Channel(snr=_snr(args), convention=sp.Convention(args.convention))
 
 
 # ---------------------------------------------------------------------------
@@ -206,54 +180,67 @@ def _run_command(args: argparse.Namespace) -> int:
 # compute functions: a dict of scalars, or an _Output with rows
 
 
-def _report(rep: SimReport, name: str) -> dict[str, Any]:
+def _asdict(result: Any) -> dict[str, Any]:
+    from dataclasses import asdict  # it loads inspect, which a CLI start need not
+
+    return asdict(result)
+
+
+def _report(rep: sp.SimReport, name: str) -> dict[str, Any]:
     return {name: rep.estimate, "std_error": rep.std_error, "trials": rep.trials, "seed": rep.seed}
 
 
 def _compute_eps(args: argparse.Namespace) -> dict[str, Any]:
     ch = _channel(args)
-    code = CodeSpec(args.k, args.n)
-    return {"eps": eps_star(ch, code), "log_eps": eps_star_log(ch, code)}
+    code = sp.CodeSpec(args.k, args.n)
+    return {"eps": sp.eps_star(ch, code), "log_eps": sp.eps_star_log(ch, code)}
 
 
 def _compute_twoway_opt(args: argparse.Namespace) -> dict[str, Any]:
-    cfg = TwoWayConfig(
+    cfg = sp.TwoWayConfig(
         args.k1, args.k2, _channel(args), n_total=args.n, target_reliability=args.target
     )
-    res = twoway_optimize(cfg, args.ki1)
-    return {**asdict(res), "feasible": int(res.feasible)}
+    res = sp.twoway_optimize(cfg, args.ki1)
+    return {**_asdict(res), "feasible": int(res.feasible)}
 
 
 def _compute_aloha(args: argparse.Namespace) -> dict[str, Any]:
     ch = _channel(args)
-    cfg = AlohaConfig(args.devices, args.bits, args.frame, ch, K=args.slots)
-    p = aloha_success(cfg, assume_perfect_decoding=args.perfect_decoding)
+    cfg = sp.AlohaConfig(args.devices, args.bits, args.frame, ch, K=args.slots)
+    p = sp.aloha_success(cfg, assume_perfect_decoding=args.perfect_decoding)
     if args.perfect_decoding:
         eps = 0.0
     else:
-        eps = eps_star(ch, CodeSpec(cfg.D, cfg.slot_length))
+        eps = sp.eps_star(ch, sp.CodeSpec(cfg.D, cfg.slot_length))
     return {"p_success": p, "eps": eps, "slot_length": cfg.slot_length}
 
 
 def _compute_dmt(args: argparse.Namespace) -> _Output:
-    curve = dmt_curve(args.mt, args.mr, DmtMode(args.mode), n_c=args.nc)
+    curve = sp.dmt_curve(args.mt, args.mr, sp.DmtMode(args.mode), n_c=args.nc)
     scalars: dict[str, Any] = {"scaling": curve.scaling}
     if args.at is not None:
-        scalars["multiplexing_at_d"] = dmt_eval(curve, args.at)
+        scalars["multiplexing_at_d"] = sp.dmt_eval(curve, args.at)
     rows = [{"diversity": d, "multiplexing": r} for d, r in curve.breakpoints]
     return _Output(scalars, rows_name="breakpoints", rows=rows)
 
 
+def _compute_prelog(args: argparse.Namespace) -> dict[str, Any]:
+    from .fading import _m_star
+
+    prelog = sp.noncoherent_prelog(args.mt, args.mr, args.nc)
+    return {"prelog": prelog, "m_star": _m_star(args.mt, args.mr, args.nc)}
+
+
 def _compute_aloha_opt(args: argparse.Namespace) -> _Output:
-    cfg = AlohaConfig(args.devices, args.bits, args.frame, _channel(args))
-    res = aloha_optimize(cfg, k_max=args.k_max, assume_perfect_decoding=args.perfect_decoding)
+    cfg = sp.AlohaConfig(args.devices, args.bits, args.frame, _channel(args))
+    res = sp.aloha_optimize(cfg, k_max=args.k_max, assume_perfect_decoding=args.perfect_decoding)
     rows = [{"slots": k, "p_success": p} for k, p in res.profile]
     return _Output({"k_opt": res.k_opt}, rows_name="profile", rows=rows)
 
 
 def _compute_sim_aloha(args: argparse.Namespace) -> dict[str, Any]:
-    cfg = AlohaConfig(args.devices, args.bits, args.frame, _channel(args), K=args.slots)
-    reps = sim_aloha(cfg, args.trials, args.seed)
+    cfg = sp.AlohaConfig(args.devices, args.bits, args.frame, _channel(args), K=args.slots)
+    reps = sp.sim_aloha(cfg, args.trials, args.seed)
     return {
         "per_slot_throughput": reps.per_slot_throughput.estimate,
         "per_slot_std_error": reps.per_slot_throughput.std_error,
@@ -310,8 +297,7 @@ _SLOTS = _req("--slots", int, "slot count K")
 _PERFECT = _opt("--perfect-decoding", action="store_true", help="drop the finite-blocklength decoding factor")
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One computing subcommand.  args are in --help order, and a list among
     them is a required mutually exclusive group; a command that sweeps may
     sweep each of its float and int options."""
@@ -332,28 +318,28 @@ class _Command:
 _COMMANDS = (
     _Command("rate", "normal-approximation coding rate at (n, eps)",
              (_N, _req("--eps", float, "packet error probability"), *_CHANNEL),
-             lambda a: asdict(rate_na(_channel(a), a.n, a.eps))),
+             lambda a: _asdict(sp.rate_na(_channel(a), a.n, a.eps))),
     _Command("eps", "error probability of the best (k, n) code",
              (_K, _N, *_CHANNEL),
              _compute_eps),
     _Command("min-n", "smallest blocklength meeting a target error probability",
              (_K, _req("--eps", float, "target error probability"), *_CHANNEL),
-             lambda a: {"n_min": min_blocklength(_channel(a), a.k, a.eps)}),
+             lambda a: {"n_min": sp.min_blocklength(_channel(a), a.k, a.eps)}),
     _Command("outage", "Rayleigh outage probability at a rate",
              (_RATE, _SNR),
-             lambda a: {"p_out": outage_prob_siso(_snr(a), a.rate)}),
+             lambda a: {"p_out": sp.outage_prob_siso(_snr(a), a.rate)}),
     _Command("outage-cap", "Rayleigh outage capacity at a target outage",
              (_req("--eps", float, "outage probability target"), _SNR),
-             lambda a: {"c_eps": outage_capacity_siso(_snr(a), a.eps)}),
+             lambda a: {"c_eps": sp.outage_capacity_siso(_snr(a), a.eps)}),
     _Command("qs-eps", "finite-blocklength error probability on the quasi-static Rayleigh channel",
              (_RATE, _N, _SNR),
-             lambda a: {"eps": eps_quasistatic(_snr(a), a.rate, a.n)}),
+             lambda a: {"eps": sp.eps_quasistatic(_snr(a), a.rate, a.n)}),
     _Command("mimo-outage", "MIMO outage probability by Monte-Carlo",
              (_MT, _MR, _opt("--branches", type=int, default=1,
                              help="independent fading blocks per codeword (default 1)"),
               _RATE, _SNR, *_MC),
-             lambda a: _report(outage_prob_mimo_mc(QuasiStaticConfig(_snr(a), a.mt, a.mr), a.branches,
-                                                   a.rate, a.trials, a.seed), "outage_probability"),
+             lambda a: _report(sp.outage_prob_mimo_mc(sp.QuasiStaticConfig(_snr(a), a.mt, a.mr), a.branches,
+                                                      a.rate, a.trials, a.seed), "outage_probability"),
              sweeps=False),
     _Command("dmt", "diversity-multiplexing tradeoff breakpoints",
              (_MT, _MR, _opt("--mode", choices=("coherent", "noncoherent"), default="coherent"),
@@ -363,7 +349,7 @@ _COMMANDS = (
              sweeps=False),
     _Command("prelog", "noncoherent block-fading capacity pre-log",
              (_MT, _MR, _req("--nc", int, "coherence interval in channel uses")),
-             lambda a: {"prelog": noncoherent_prelog(a.mt, a.mr, a.nc), "m_star": _m_star(a.mt, a.mr, a.nc)}),
+             _compute_prelog),
     _Command("twoway-opt", "optimize the blocklength split of a two-way exchange",
              (_K1, _K2, _req("--ki1", float, "information bits credited per exchange"),
               [_opt("--n", type=int, help="fixed total blocklength (maximize reliability)"),
@@ -374,11 +360,11 @@ _COMMANDS = (
              (_req("--k", float, "total bits per slot (payload plus overhead)"),
               _req("--ki", float, "information bits credited per slot"),
               _req("--n-slot", float, "slot length in channel uses"), *_CHANNEL),
-             lambda a: asdict(twoway_tdd_eval(a.k, a.ki, a.n_slot, _channel(a)))),
+             lambda a: _asdict(sp.twoway_tdd_eval(a.k, a.ki, a.n_slot, _channel(a)))),
     _Command("downlink", "downlink broadcast: per-device packets vs one concatenated packet",
              (_DEVICES, _req("--bits", float, "bits per device D"),
               _req("--slot", float, "per-device slot length n"), *_CHANNEL),
-             lambda a: asdict(downlink_compare(DownlinkConfig(a.devices, a.bits, a.slot, _channel(a))))),
+             lambda a: _asdict(sp.downlink_compare(sp.DownlinkConfig(a.devices, a.bits, a.slot, _channel(a))))),
     _Command("aloha", "framed slotted ALOHA per-slot success probability",
              (_DEVICES, _BITS, _FRAME, _SLOTS, _PERFECT, *_CHANNEL),
              _compute_aloha),
@@ -395,8 +381,8 @@ _COMMANDS = (
     _Command("sim-twoway", "simulate the two-way exchange at a fixed split",
              (_K1, _K2, _req("--n1", int, "forward blocklength"), _req("--n2", int, "return blocklength"),
               *_CHANNEL, *_MC),
-             lambda a: _report(sim_twoway(TwoWayConfig(a.k1, a.k2, _channel(a)), a.n1, a.n2, a.trials, a.seed),
-                               "reliability"),
+             lambda a: _report(sp.sim_twoway(sp.TwoWayConfig(a.k1, a.k2, _channel(a)), a.n1, a.n2, a.trials,
+                                            a.seed), "reliability"),
              sweeps=False),
 )
 
@@ -406,6 +392,8 @@ _COMMANDS = (
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
+    from .repro import ROWS
+
     rows = ROWS
     if args.rows is not None:
         names = [name for name, _ in ROWS]
@@ -419,7 +407,7 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         for name, _ in rows:
             print(name)
         return 0
-    conv = Convention(args.convention)
+    conv = sp.Convention(args.convention)
     all_ok = True
     for name, fn in rows:
         ok, detail = fn(conv)

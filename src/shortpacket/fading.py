@@ -199,9 +199,9 @@ def dmt_eval(curve: DmtCurve, d: float) -> float:
     d = real("d", d, ge=0.0, le=d_max)
     ds = [float(p[0]) for p in reversed(curve.breakpoints)]
     rs = [float(p[1]) for p in reversed(curve.breakpoints)]
-    # the last breakpoint at or below d; below the first, interp returns rs[0]
+    # the last breakpoint at or below d (d <= ds[-1]); below the first, interp returns rs[0]
     j = max(bisect.bisect_right(ds, d) - 1, 0)
-    if j == len(ds) - 1 or ds[j] >= d:
+    if ds[j] >= d:
         return rs[j]
     slope = (rs[j + 1] - rs[j]) / (ds[j + 1] - ds[j])
     return slope * (d - ds[j]) + rs[j]

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from ._check import integer, real
+from ._check import SimConfigError, integer, real
 from .awgn import CodeSpec, eps_star
 from .protocols import AlohaConfig, TwoWayConfig
 
@@ -45,10 +45,6 @@ _CHUNK = 1 << 16  # draws per chunk when a kernel reads a block
 _BLOCK = 1 << 16
 _MIMO_BLOCK = 1 << 13
 _LN2 = math.log(2.0)
-
-
-class SimConfigError(ValueError):
-    """A Monte-Carlo run was configured too weakly to be meaningful."""
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,15 @@ relative accuracy deep into the upper tail; ln Q(x) stays finite and
 accurate far past the point where Q(x) itself underflows to zero.
 
 Floats take stdlib math: Q is erfc(x/sqrt 2)/2, and Q^-1 starts from
-statistics.NormalDist.inv_cdf (Wichura's AS241).  Arrays take
-scipy.special.ndtr through q_array, which imports scipy on its first call,
-so a process that evaluates only floats never loads scipy.  The two agree
-to 5e-13 relative (tests/test_specfun.py).
+statistics.NormalDist.inv_cdf (Wichura's AS241), which the first q_inv
+call imports.  Arrays take scipy.special.ndtr through q_array, which
+imports scipy on its first call, so a process that evaluates only floats
+never loads scipy.  The two agree to 5e-13 relative (tests/test_specfun.py).
 """
 
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 from ._check import probability, real
 
@@ -25,7 +24,6 @@ __all__ = ["q_func", "log_q_func", "q_inv"]
 _SQRT1_2 = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = math.log(_SQRT_2PI)
-_STD_NORMAL = NormalDist()
 
 # past this x, log Q takes the asymptotic series: Q(37) is about 6e-302,
 # still a normal float, and there 8 terms leave a remainder below 1e-18
@@ -33,6 +31,7 @@ _LOG_Q_SERIES = 37.0
 _SERIES_TERMS = 8
 
 _ndtr = None  # scipy.special.ndtr, bound on the first q_array call
+_inv_cdf = None  # statistics.NormalDist().inv_cdf, bound on the first q_inv call
 
 
 def _q(x: float) -> float:
@@ -101,7 +100,11 @@ def q_inv(p: float) -> float:
 
 def _q_inv_lower(p: float) -> float:
     # p in (0, 0.5], so x >= 0 and Q(x) carries full relative accuracy
-    x = -_STD_NORMAL.inv_cdf(p)
+    global _inv_cdf
+    if _inv_cdf is None:
+        from statistics import NormalDist
+        _inv_cdf = NormalDist().inv_cdf
+    x = -_inv_cdf(p)
     for _ in range(2):
         density = math.exp(-0.5 * x * x) / _SQRT_2PI
         if density <= 0.0:

@@ -361,6 +361,28 @@ def test_min_blocklength_is_tight_over_the_whole_range(log_snr, conv, log_k, log
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    log_snr=st.floats(-4.0, 0.0),
+    conv=st.sampled_from(list(Convention)),
+    log_gap=st.floats(-6.0, math.log10(2.0)),
+    log_eps=st.floats(-8.0, -0.3),
+)
+def test_min_blocklength_is_smallest_where_h_gains_roots(log_snr, conv, log_gap, log_eps):
+    # h = nC + k + 1/ln 2 - log2(n)/2 has roots only when a + 1 < u_h (see
+    # min_blocklength); k is drawn so that a sits below u_h by 1e-6 to 2,
+    # on both sides of that edge.  Without roots the search for them
+    # diverges, so the Newton step must not be entered there
+    ch = Channel(10.0**log_snr, conv)
+    u_h = -math.log(2.0 * capacity(ch) * math.log(2.0))
+    k = (u_h - 10.0**log_gap - 2.0) / (2.0 * math.log(2.0))
+    assume(0.01 <= k <= 10.0)
+    eps = 10.0**log_eps
+    n = min_blocklength(ch, k, eps)
+    assume(n <= 20_000)
+    assert n == _first_n(ch, k, eps, n)
+
+
 def test_min_blocklength_meets_target_where_rounding_shortens_the_bracket():
     # at k near 1e17 the rounding of nC - k outweighs the log2(n)/2 term the
     # closed-form bound drops, so its ceiling can miss the target by a use

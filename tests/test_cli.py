@@ -3,7 +3,6 @@ exit codes, and the bundled reproduction checks."""
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -317,7 +316,7 @@ def test_arithmetic_errors_exit_3_without_traceback(monkeypatch, error):
         raise error("math range error")
 
     commands = tuple(
-        dataclasses.replace(c, compute=compute) if c.name == "eps" else c for c in cli._COMMANDS
+        c._replace(compute=compute) if c.name == "eps" else c for c in cli._COMMANDS
     )
     monkeypatch.setattr(cli, "_COMMANDS", commands)
     code, out, err = run_cli("eps", "--k", "100", "--n", "100", "--snr-db", "10")

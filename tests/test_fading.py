@@ -424,6 +424,8 @@ def test_prelog_spot_values():
     assert noncoherent_prelog(2, 2, 1) == 0.0
     assert noncoherent_prelog(1, 1, 10**9) == pytest.approx(1.0, abs=2e-9)
     assert noncoherent_prelog(3, 2, 7) == pytest.approx(10.0 / 7.0, rel=1e-12)
+    # m_star = floor(6/2) = 3 is the binding limit: 3 * (1 - 3/6), exact
+    assert noncoherent_prelog(4, 4, 6) == 1.5
 
 
 def test_prelog_never_exceeds_antenna_bound():

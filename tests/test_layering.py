@@ -9,13 +9,16 @@ array imports numpy in its body, so the scalar commands, which evaluate in
 stdlib math, start and run without either.  fading holds closed forms only,
 and every Monte-Carlo estimator lives in mcsim.  The private names that
 cross module boundaries are pinned, so a new private coupling shows up
-here as a test diff."""
+here as a test diff.  The package itself loads each module on first use,
+so a CLI start loads none, and a command only the modules it calls."""
 
 import ast
 import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import shortpacket
 from shortpacket import awgn, fading, mcsim, protocols, specfun
@@ -158,9 +161,40 @@ def test_cli_start_leaves_out_scipy_integrate():
 
 
 def test_cli_start_leaves_out_numpy():
-    # shortpacket.cli imports every package module, and none loads numpy
-    # (nor, since scipy imports numpy, scipy)
+    # no package module loads numpy when it loads (nor, since scipy imports
+    # numpy, scipy), so neither does a CLI start, whatever it loads
     assert run_then_list("numpy", "import shortpacket.cli") == ["[]"]
+
+
+def test_cli_start_loads_no_library_module():
+    # the compute functions reach the library through the package, which
+    # loads a module on first use; dataclasses (which loads inspect) and
+    # statistics wait for the commands that use them
+    assert run_then_list("shortpacket", "import shortpacket.cli") == [
+        "['shortpacket', 'shortpacket._check', 'shortpacket.cli']"
+    ]
+    for stdlib in ("dataclasses", "statistics"):
+        assert run_then_list(stdlib, "import shortpacket.cli") == ["[]"]
+
+
+def test_commands_load_only_the_modules_they_call():
+    eps = [["eps", "--k", "194", "--n", "125", "--snr-db", "10"]]
+    prelog = [["prelog", "--mt", "2", "--mr", "2", "--nc", "10"]]
+    cli = ["shortpacket", "shortpacket._check", "shortpacket.cli"]
+    with_eps = sorted([*cli, "shortpacket.awgn", "shortpacket.specfun"])
+    assert run_commands_then_list("shortpacket", eps) == ["[0]", str(with_eps)]
+    assert run_commands_then_list("shortpacket", eps + prelog) == [
+        "[0, 0]", str(sorted([*with_eps, "shortpacket.fading"]))
+    ]
+
+
+def test_package_loads_a_module_on_first_use():
+    assert run_then_list("shortpacket", "from shortpacket import awgn") == [
+        "['shortpacket', 'shortpacket._check', 'shortpacket.awgn', 'shortpacket.specfun']"
+    ]
+    assert run_then_list("shortpacket", "import shortpacket; shortpacket.q_inv") == [
+        "['shortpacket', 'shortpacket._check', 'shortpacket.specfun']"
+    ]
 
 
 SCIPY_FREE_COMMANDS = [
@@ -239,6 +273,12 @@ def test_package_names_are_the_modules_names():
     for module in modules:
         for name in module.__all__:
             assert getattr(shortpacket, name) is getattr(module, name)
+
+
+def test_package_lists_its_names_and_refuses_unknown_ones():
+    assert set(dir(shortpacket)) >= set(shortpacket.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        shortpacket.no_such_name
 
 
 def test_star_import_binds_exactly_the_package_names():
