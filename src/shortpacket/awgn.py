@@ -313,8 +313,8 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
                 break
             u += step
         if u < _LOG_MAX_BLOCKLENGTH:
-            j = max(math.floor(math.exp(u)), 1)
-            if j > 1 and meets(j):
+            j = math.floor(math.exp(u))  # u >= a >= 2, so j >= 7
+            if meets(j):
                 top = j  # t rises on [1, n_a]
             elif meets(j + 1):
                 return j + 1

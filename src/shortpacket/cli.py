@@ -407,10 +407,9 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         for name, _ in rows:
             print(name)
         return 0
-    conv = sp.Convention(args.convention)
     all_ok = True
     for name, fn in rows:
-        ok, detail = fn(conv)
+        ok, detail = fn()
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -443,12 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reproduce-paper",
         help="run the bundled reproduction checks and print pass/fail per row",
-    )
-    p.add_argument(
-        "--convention",
-        choices=("complex", "real"),
-        default="real",
-        help="channel-use accounting for the protocol rows (default real)",
     )
     p.add_argument("--list", action="store_true", help="print row names only, no computation")
     p.add_argument("--rows", default=None, metavar="NAME[,NAME...]", help="run only the named rows")

@@ -92,14 +92,13 @@ def _qs_integrand(
     u: float, snr: float, shift: float, half_n: float, at_zero_gain: float
 ) -> float:
     # after the substitution u = exp(-g) the exponential weight disappears:
-    # E_g[f(g)] = integral over u in (0, 1) of f(-ln u)
+    # E_g[f(g)] = integral over u in (0, 1) of f(-ln u); quad also evaluates
+    # the ends where its breakpoint exp(-g*) rounds near them
     if u <= 0.0:
         return 0.0
     if u >= 1.0:
         return at_zero_gain
-    g = -math.log(u)
-    if g <= 0.0:
-        return at_zero_gain
+    g = -math.log(u)  # > 0: ln u <= -1.1e-16 for every double u < 1
     c, v = _cv_complex(snr * g)
     if v <= 0.0:
         return at_zero_gain

@@ -5,10 +5,11 @@ expected values.
 These are the normal-approximation operating points of Polyanskiy, Poor
 and Verdu (IEEE T-IT 2010) applied to the short-packet scenarios (two-way
 exchange, downlink broadcast, uplink random access), plus the fading and
-Monte-Carlo checks.  A row is (name, fn) with fn(convention) -> (ok,
-detail); the protocol rows evaluate under the given convention, and the
-reference values hold under REAL_CU.  ``shortpacket reproduce-paper`` and
-the acceptance tests both render this one table.
+Monte-Carlo checks.  A row is (name, fn) with fn() -> (ok, detail).  The
+protocol rows' reference values hold under real channel uses, so they
+share one REAL_CU channel; awgn-rate-point and convention-sensitivity
+build their own complex one.  ``shortpacket reproduce-paper`` and the
+acceptance tests both render this one table.
 """
 
 from __future__ import annotations
@@ -41,19 +42,19 @@ from .protocols import (
 __all__ = ["ROWS"]
 
 _SNR10 = 10.0  # 10 dB as a linear ratio
+_CH = Channel(_SNR10, Convention.REAL_CU)
 
 
-def _tdd_operating_point(conv: Convention) -> tuple[bool, str]:
-    r = twoway_tdd_eval(194.0, 96.0, 125.0, Channel(_SNR10, conv))
+def _tdd_operating_point() -> tuple[bool, str]:
+    r = twoway_tdd_eval(194.0, 96.0, 125.0, _CH)
     ok = abs(r.eps - 0.0118) <= 3e-4 and abs(r.throughput - 0.759) <= 1e-3
     return ok, f"eps={r.eps:.6g} (want 0.0118±0.0003) throughput={r.throughput:.6g} (want 0.759±0.001)"
 
 
-def _two_way_min_n(conv: Convention) -> tuple[bool, str]:
-    ch = Channel(_SNR10, conv)
-    res = twoway_optimize(TwoWayConfig(193.0, 97.0, ch, target_reliability=0.999), 96.0)
+def _two_way_min_n() -> tuple[bool, str]:
+    res = twoway_optimize(TwoWayConfig(193.0, 97.0, _CH, target_reliability=0.999), 96.0)
     # every split of one use fewer, scanned here rather than taken from the optimizer
-    cfg = TwoWayConfig(193.0, 97.0, ch)
+    cfg = TwoWayConfig(193.0, 97.0, _CH)
     best_below = max(twoway_reliability(cfg, n1, 202 - n1) for n1 in range(1, 202))
     ok = (
         res.feasible
@@ -66,8 +67,8 @@ def _two_way_min_n(conv: Convention) -> tuple[bool, str]:
     )
 
 
-def _two_way_fixed_n(conv: Convention) -> tuple[bool, str]:
-    res = twoway_optimize(TwoWayConfig(193.0, 97.0, Channel(_SNR10, conv), n_total=250), 96.0)
+def _two_way_fixed_n() -> tuple[bool, str]:
+    res = twoway_optimize(TwoWayConfig(193.0, 97.0, _CH, n_total=250), 96.0)
     ok = (res.n1, res.n2) == (158, 92) and abs(res.throughput - 0.384) <= 1e-3
     return ok, (
         f"split=({res.n1},{res.n2}) (want (158,92)) "
@@ -75,8 +76,8 @@ def _two_way_fixed_n(conv: Convention) -> tuple[bool, str]:
     )
 
 
-def _downlink_strategies(conv: Convention) -> tuple[bool, str]:
-    res = downlink_compare(DownlinkConfig(10, 192.0, 125.0, Channel(_SNR10, conv)))
+def _downlink_strategies() -> tuple[bool, str]:
+    res = downlink_compare(DownlinkConfig(10, 192.0, 125.0, _CH))
     ok = abs(res.eps_tdma - 0.007) <= 5e-4 and 1e-12 <= res.eps_concat <= 1e-11
     return ok, (
         f"eps_tdma={res.eps_tdma:.6g} (want 0.007±0.0005) "
@@ -84,21 +85,21 @@ def _downlink_strategies(conv: Convention) -> tuple[bool, str]:
     )
 
 
-def _aloha_slot_count(conv: Convention) -> tuple[bool, str]:
-    cfg = AlohaConfig(10, 192.0, 800.0, Channel(_SNR10, conv))
+def _aloha_slot_count() -> tuple[bool, str]:
+    cfg = AlohaConfig(10, 192.0, 800.0, _CH)
     k = aloha_optimize(cfg).k_opt
     k_perfect = aloha_optimize(cfg, assume_perfect_decoding=True).k_opt
     ok = k == 6 and k_perfect == 10
     return ok, f"k_opt={k} (want 6); with perfect decoding k_opt={k_perfect} (want 10)"
 
 
-def _awgn_rate_point(conv: Convention) -> tuple[bool, str]:
+def _awgn_rate_point() -> tuple[bool, str]:
     r = rate_na(Channel(1.0, Convention.COMPLEX_CU), 138.0, 1e-3)
     ok = abs(r.rate - 0.697) <= 3e-3
     return ok, f"rate={r.rate:.6g} at n=138, eps=1e-3, snr=0dB complex (want 0.697±0.003)"
 
 
-def _convention_sensitivity(conv: Convention) -> tuple[bool, str]:
+def _convention_sensitivity() -> tuple[bool, str]:
     ch = Channel(_SNR10, Convention.COMPLEX_CU)
     e_tdd = eps_star(ch, CodeSpec(194.0, 125.0))
     e_dl = eps_star(ch, CodeSpec(192.0, 125.0))
@@ -118,7 +119,7 @@ def _convention_sensitivity(conv: Convention) -> tuple[bool, str]:
     )
 
 
-def _outage_round_trip(conv: Convention) -> tuple[bool, str]:
+def _outage_round_trip() -> tuple[bool, str]:
     snr = _SNR10
     grid = [1e-9, 1e-6, 1e-4] + [i / 1000.0 for i in range(1, 1000, 7)]
     worst = max(
@@ -129,7 +130,7 @@ def _outage_round_trip(conv: Convention) -> tuple[bool, str]:
     return ok, f"round-trip max error {worst:.2e} (<=1e-10); capacity-rate outage error {anchor:.2e} (<=1e-12)"
 
 
-def _quasi_static_limit(conv: Convention) -> tuple[bool, str]:
+def _quasi_static_limit() -> tuple[bool, str]:
     c01 = outage_capacity_siso(_SNR10, 0.1)
     gap_large = abs(eps_quasistatic(_SNR10, c01, 1e4) - 0.1)
     gap_small = abs(eps_quasistatic(_SNR10, c01, 1e2) - 0.1)
@@ -137,14 +138,13 @@ def _quasi_static_limit(conv: Convention) -> tuple[bool, str]:
     return ok, f"|eps-0.1| at n=1e4: {gap_large:.2e} (<=0.02), at n=1e2: {gap_small:.2e} (must be larger)"
 
 
-def _sim_analytic_agreement(conv: Convention) -> tuple[bool, str]:
-    ch = Channel(_SNR10, conv)
+def _sim_analytic_agreement() -> tuple[bool, str]:
     k_slots = 6
     n_slot = int(800 // k_slots)
     analytic_aloha = aloha_success(
-        AlohaConfig(10, 192.0, float(k_slots * n_slot), ch, K=k_slots)
+        AlohaConfig(10, 192.0, float(k_slots * n_slot), _CH, K=k_slots)
     )
-    cfg = AlohaConfig(10, 192.0, 800.0, ch, K=k_slots)
+    cfg = AlohaConfig(10, 192.0, 800.0, _CH, K=k_slots)
     worst = 0.0
     ok = True
     for seed in (0, 1):
@@ -152,7 +152,7 @@ def _sim_analytic_agreement(conv: Convention) -> tuple[bool, str]:
         dev = abs(rep.estimate - analytic_aloha) / rep.std_error
         worst = max(worst, dev)
         ok = ok and dev <= 3.0
-    two = TwoWayConfig(193.0, 97.0, ch)
+    two = TwoWayConfig(193.0, 97.0, _CH)
     rel = twoway_reliability(two, 132, 71)
     for seed in (0, 1):
         rep = sim_twoway(two, 132, 71, 10_000_000, seed)
@@ -166,7 +166,7 @@ def _sim_analytic_agreement(conv: Convention) -> tuple[bool, str]:
     return ok, f"worst deviation {worst:.2f} sigma across both simulators, two seeds each (<=3)"
 
 
-def _mimo_outage_calibration(conv: Convention) -> tuple[bool, str]:
+def _mimo_outage_calibration() -> tuple[bool, str]:
     cfg = QuasiStaticConfig(_SNR10, 1, 1)
     worst = 0.0
     ok = True
@@ -179,7 +179,7 @@ def _mimo_outage_calibration(conv: Convention) -> tuple[bool, str]:
     return ok, f"worst deviation {worst:.2f} sigma over the 5-point rate grid (<=3)"
 
 
-def _dmt_exactness(conv: Convention) -> tuple[bool, str]:
+def _dmt_exactness() -> tuple[bool, str]:
     coh = dmt_curve(2, 2, DmtMode.COHERENT)
     non = dmt_curve(2, 2, DmtMode.NONCOHERENT, n_c=10)
     mid = dmt_eval(coh, 2.5)
@@ -194,7 +194,7 @@ def _dmt_exactness(conv: Convention) -> tuple[bool, str]:
     return ok, f"coherent/noncoherent breakpoints exact; r(d=2.5)={mid:.12g} (want 0.5)"
 
 
-ROWS: tuple[tuple[str, Callable[[Convention], tuple[bool, str]]], ...] = (
+ROWS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
     ("tdd-operating-point", _tdd_operating_point),
     ("two-way-min-n", _two_way_min_n),
     ("two-way-fixed-n", _two_way_fixed_n),

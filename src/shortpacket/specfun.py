@@ -105,9 +105,7 @@ def _q_inv_lower(p: float) -> float:
         from statistics import NormalDist
         _inv_cdf = NormalDist().inv_cdf
     x = -_inv_cdf(p)
+    # x <= 38.5 for p >= 5e-324, so the density exp(-x^2/2) never underflows
     for _ in range(2):
-        density = math.exp(-0.5 * x * x) / _SQRT_2PI
-        if density <= 0.0:
-            break
-        x += (_q(x) - p) / density
+        x += (_q(x) - p) / (math.exp(-0.5 * x * x) / _SQRT_2PI)
     return x

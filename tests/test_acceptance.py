@@ -1,13 +1,12 @@
 """Release checklist: every row of the reproduction table in
-shortpacket.repro, checked at the real channel-use convention and printing
-the same [PASS]/[FAIL] line as `shortpacket reproduce-paper`, so a full run
-reads as a report (the suite runs with -s for that reason).
+shortpacket.repro, printing the same [PASS]/[FAIL] line as `shortpacket
+reproduce-paper`, so a full run reads as a report (the suite runs with -s
+for that reason).
 
 The test names predate the table and are kept so each check's history
 stays continuous; test_every_row_has_a_test ties them to the table.
 """
 
-from shortpacket.awgn import Convention
 from shortpacket.repro import ROWS
 
 
@@ -15,7 +14,7 @@ def row_test(name):
     fn = dict(ROWS)[name]
 
     def test():
-        ok, detail = fn(Convention.REAL_CU)
+        ok, detail = fn()
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         assert ok, f"{name}: {detail}"
 

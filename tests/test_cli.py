@@ -461,12 +461,14 @@ def test_reproduce_fast_rows_pass_under_real_convention():
     assert all(line.startswith("[PASS]") for line in lines)
 
 
-def test_reproduce_row_fails_under_complex_convention():
+def test_reproduce_takes_no_convention():
+    # the reference values hold under real channel uses only; the
+    # convention-sensitivity row checks the complex collapse
     code, out, err = run_cli(
         "reproduce-paper", "--rows", "tdd-operating-point", "--convention", "complex"
     )
-    assert code == 1
-    assert out.startswith("[FAIL] tdd-operating-point:")
+    assert code == 2
+    assert out == ""
 
 
 def test_reproduce_unknown_row_exits_2():

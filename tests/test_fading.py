@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from shortpacket import fading
 from shortpacket.fading import (
     DmtCurve,
     DmtMode,
@@ -249,10 +250,32 @@ def test_quasistatic_pinned_values():
         # Monte-Carlo gives 4.552e-4 +- 0.003e-4 for the first point
         (245.04932902595522, 0.1651641106381746, 207.0, 4.55925272711e-4),
         (71.64, 0.1067, 1330.0, 1.04086416364e-3),
+        # g* = 6.9e-15: quad gives 2.1e-10
+        (1e5, 1e-9, 1.0, 7.97366367445e-6),
     ],
 )
 def test_quasistatic_small_transition_gain(snr, rate, n, oracle):
     assert eps_quasistatic(snr, rate, n) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_quasistatic_integrand_ends_are_reached(monkeypatch):
+    # a breakpoint exp(-g*) next to 1 makes quad evaluate u = 1 (zero gain);
+    # a subnormal one, here exp(-744), makes it evaluate u = 0, where ln u
+    # would raise
+    integrand = fading._qs_integrand
+    nodes = []
+
+    def spy(u, *args):
+        nodes.append(u)
+        return integrand(u, *args)
+
+    monkeypatch.setattr(fading, "_qs_integrand", spy)
+    assert 0.0 <= eps_quasistatic(1e5, 1e-9, 1.0) <= 1.0
+    assert 1.0 in nodes
+    nodes.clear()
+    n = 1e6
+    assert eps_quasistatic(1.0, math.log2(745.0) + math.log2(n) / (2.0 * n), n) == 1.0
+    assert 0.0 in nodes
 
 
 def test_quasistatic_rejects_bad_inputs():

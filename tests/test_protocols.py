@@ -75,7 +75,8 @@ def test_twoway_reliability_saturates():
 
 def test_twoway_optimize_matches_exhaustive_scan():
     cfg_base = TwoWayConfig(193.0, 97.0, CH)
-    for n in (10, 47, 100, 203):
+    # 257 and 258 need all of the first 256-entry grid and one entry past it
+    for n in (10, 47, 100, 203, 257, 258):
         res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, n_total=n), 96.0)
         n1_ref, rel_ref = scan_best_split(cfg_base, n)
         assert res.n1 == n1_ref

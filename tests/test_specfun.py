@@ -148,8 +148,11 @@ def test_q_strictly_decreasing():
 
 
 def test_q_inv_strictly_decreasing_in_p():
-    ps = np.logspace(-12, math.log10(1.0 - 1e-12), 101)
+    # down to the smallest subnormal, where x stays below 38.5 and the
+    # Newton density exp(-x^2/2) does not underflow
+    ps = [5e-324, 1e-320, 1e-300, *np.logspace(-12, math.log10(1.0 - 1e-12), 101)]
     vals = [q_inv(float(p)) for p in ps]
+    assert all(math.isfinite(x) for x in vals) and vals[0] < 38.5
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
