@@ -15,7 +15,9 @@ import importlib
 __version__ = "0.1.0"
 _MODULES = ("specfun", "awgn", "fading", "protocols", "mcsim")  # their __all__ in order is the package's
 # submodules outside the library: `from shortpacket import cli` asks for the
-# name first, and the import system loads them once it is refused
+# name first, and the import system loads them once it is refused.  Private
+# names (`_check`, or `__wrapped__` from inspect) are refused at once too:
+# no public name starts with an underscore
 _FRONT_ENDS = ("cli", "repro")
 
 
@@ -25,7 +27,7 @@ def __getattr__(name: str) -> object:
     if name == "__all__":
         value = ["__version__", *(n for m in _MODULES for n in __getattr__(m).__all__)]
     else:
-        homes = () if name in _FRONT_ENDS else map(__getattr__, _MODULES)
+        homes = () if name in _FRONT_ENDS or name.startswith("_") else map(__getattr__, _MODULES)
         home = next((m for m in homes if name in m.__all__), None)
         if home is None:
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,18 +13,18 @@ global setting.
 
 The public functions take floats and evaluate in stdlib math, so they
 never load numpy or scipy.  The protocol optimizers take 1 - eps_star over
-numpy arrays of k and n through _success, which evaluates Q by scipy.special
-(loaded on its first call) only where 1 - Q is not already 0 or 1;
-_tail_formula writes the tail argument once for both paths.
+numpy arrays of k and n through _success_grid, which evaluates Q by
+scipy.special (loaded on its first call) only where 1 - Q is not already 0
+or 1; _tail_formula writes the tail argument once for both paths.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from ._check import probability, real
 from .specfun import _log_q, _q, q_array, q_inv
@@ -188,31 +188,37 @@ def _success(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def _checked_tail_args(ch: Channel, k, n, n_min: float, n_max: float) -> np.ndarray:
-    # _tail_args for a float k or a column of them over n_min <= n <= n_max,
-    # refused where eps_star refuses it: where n_min*V underflows to 0 the
-    # argument divides by 0, and past _N_NO_OVERFLOW nC and nV may both
-    # overflow and the argument be inf/inf = nan.  Below it the numerator
-    # stays in the float range, so the quotient can overflow to +-inf, as in
-    # eps_star, only where sqrt(nV) < 1.  Elsewhere each check is one comparison
+def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
+    """1 - eps_star(ch, (k, m)) for each m in n, a monotone float array, with
+    k a float or a column of them.
+
+    The range is checked at n's two ends, its least and greatest entries,
+    and the grid is refused where eps_star refuses a point: where n_min*V underflows to 0
+    the tail argument divides by 0, and past _N_NO_OVERFLOW nC and nV may
+    both overflow and the argument be inf/inf = nan.  Below it the
+    numerator stays in the float range, so the quotient can overflow to
+    +-inf, as in eps_star, only where sqrt(nV) < 1.  Elsewhere each check
+    is one comparison.
+    """
     import numpy as np
     c, v = _cv(ch)
+    n_min, n_max = sorted((float(n[0]), float(n[-1])))
     if n_min * v == 0.0:
         k_first = float(np.ravel(k)[0])
         raise ValueError(f"eps_star is undefined at k={k_first!r}, n={n_min!r}: nV underflows to 0")
-    n = np.asarray(n, dtype=float)
-    if n_max < _N_NO_OVERFLOW:
-        if n_min * v >= 1.0:
-            return _tail_formula(np, c, v, k, n)
-        with np.errstate(over="ignore"):
-            return _tail_formula(np, c, v, k, n)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if n_max >= _N_NO_OVERFLOW:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = _tail_formula(np, c, v, k, n)
+        nan = np.isnan(t)
+        if nan.any():
+            k_bad, n_bad = (float(np.broadcast_to(x, t.shape)[nan][0]) for x in (k, n))
+            raise ValueError(f"eps_star is undefined at k={k_bad!r}, n={n_bad!r}: nC and nV overflow")
+    elif n_min * v >= 1.0:
         t = _tail_formula(np, c, v, k, n)
-    nan = np.isnan(t)
-    if nan.any():
-        k_bad, n_bad = (float(np.broadcast_to(x, t.shape)[nan][0]) for x in (k, n))
-        raise ValueError(f"eps_star is undefined at k={k_bad!r}, n={n_bad!r}: nC and nV overflow")
-    return t
+    else:
+        with np.errstate(over="ignore"):
+            t = _tail_formula(np, c, v, k, n)
+    return _success(t)
 
 
 def _float_tail_arg(ch: Channel, code: CodeSpec) -> float:
@@ -248,29 +254,6 @@ def eps_star_log(ch: Channel, code: CodeSpec) -> float:
     """Natural log of eps_star, finite even where eps_star underflows to 0.
     Raises ValueError where eps_star does."""
     return _log_q(_float_tail_arg(ch, code))
-
-
-def _first_true(holds: Callable[[int], bool], below: int, n: int) -> int:
-    """Smallest m in (below, n] where holds(m), given holds(n) and not
-    holds(below); holds must stay true once true.  Bisects."""
-    while n - below > 1:
-        mid = (below + n) // 2
-        if holds(mid):
-            n = mid
-        else:
-            below = mid
-    return n
-
-
-def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | None:
-    """Smallest n in [lo, ceiling] where holds(n), or None; holds must stay
-    true once true.  Brackets by doubling from lo, then bisects."""
-    below, n = lo - 1, lo
-    while not holds(n):
-        if n >= ceiling:
-            return None
-        below, n = n, min(2 * n, ceiling)
-    return _first_true(holds, below, n)
 
 
 def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
@@ -334,4 +317,5 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
                     top += 1
         if top == _MAX_BLOCKLENGTH and not meets(top):
             raise ValueError(f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}")
-    return _first_true(meets, 1, top)
+    # meets(1) is false and meets(top) true, so the answer is in [2, top]
+    return bisect.bisect_left(range(2, top), True, key=meets) + 2

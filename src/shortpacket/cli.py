@@ -71,8 +71,6 @@ def _channel(args: argparse.Namespace) -> sp.Channel:
 
 def _cell(v: Any, real: Callable[[float], str]) -> str:
     """One output cell; real formats the floats."""
-    if isinstance(v, bool):
-        return str(int(v))
     return real(v) if isinstance(v, float) else str(v)
 
 
@@ -111,7 +109,7 @@ def _render_csv(out: _Output) -> str:
 def _render_json(out: _Output) -> str:
     payload: dict[str, Any] = dict(out.scalars)
     if out.rows is not None:
-        payload[out.rows_name or "rows"] = out.rows
+        payload[out.rows_name] = out.rows
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -455,7 +453,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code is None else int(exc.code)
+        return exc.code  # argparse exits with an int status
     try:
         return _run_reproduce(args) if args.command == "reproduce-paper" else _run_command(args)
     except (_ArgError, OSError) as exc:  # OSError: --output cannot be written

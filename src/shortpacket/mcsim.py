@@ -298,9 +298,14 @@ class _GramLogDets:
     """log det(I + b*Z^H Z) for batches of m_t x m_r complex matrices Z, given
     as normals of shape (n, m_t, m_r, 2): the real and imaginary parts.
 
-    The normals are copied once into a contiguous batch-last complex layout
-    (m_t, m_r, n), and the Gram matrix is accumulated over the m_t rows.  An
-    unpivoted LDL^H then runs over the m_r pivots, vectorized across the
+    The Gram matrix is p x p with p = min(m_t, m_r): when m_t < m_r the
+    normals are copied transposed, since det(I + b*Z^H Z) = det(I + b*Z Z^H)
+    (Sylvester's identity) and the transposed Gram, the conjugate of Z Z^H,
+    has the same pivots.  The m_r x m_r Gram would lose digits there: its
+    pivots near 1 come from subtracting entries of size b*|z|^2.  The
+    normals are copied once into a contiguous batch-last complex layout
+    (max(m_t, m_r), p, n), and the Gram is accumulated over its rows.  An
+    unpivoted LDL^H then runs over the p pivots, vectorized across the
     batch: the matrix is Hermitian with every eigenvalue >= 1, so no pivot
     is below 1 and the log-det is the sum of log d_k.  The scratch arrays
     are sized for n <= size and allocated once: fresh ones for every chunk
@@ -309,31 +314,35 @@ class _GramLogDets:
 
     def __init__(self, m_t: int, m_r: int, size: int) -> None:
         import numpy as np
-        self._z = np.empty((m_t, m_r, size), dtype=np.complex128)
-        self._z_parts = self._z.view(np.float64).reshape(m_t, m_r, size, 2)
+        rows, p = max(m_t, m_r), min(m_t, m_r)
+        # the normals' axes (batch, m_t, m_r, part) in the order of _z_parts
+        self._axes = (1, 2, 0, 3) if m_t >= m_r else (2, 1, 0, 3)
+        self._z = np.empty((rows, p, size), dtype=np.complex128)
+        self._z_parts = self._z.view(np.float64).reshape(rows, p, size, 2)
         self._z_conj = np.empty_like(self._z)
-        self._gram = np.empty((m_r, m_r, size), dtype=np.complex128)
+        self._gram = np.empty((p, p, size), dtype=np.complex128)
         self._term = np.empty_like(self._gram)
-        self._col = np.empty((m_r, size), dtype=np.complex128)
-        self._pivots = np.empty((m_r, size))
+        self._col = np.empty((p, size), dtype=np.complex128)
+        self._pivots = np.empty((p, size))
 
     def __call__(self, normals: np.ndarray, b: float) -> np.ndarray:
         import numpy as np
-        n, m_t, m_r = normals.shape[:3]
+        n = normals.shape[0]
+        rows, p = self._z.shape[:2]
         z, z_conj, g, term, col, d = (
             a[..., :n] for a in (self._z, self._z_conj, self._gram, self._term, self._col, self._pivots)
         )
-        np.copyto(self._z_parts[:, :, :n], np.moveaxis(normals, 0, 2))
+        np.copyto(self._z_parts[:, :, :n], normals.transpose(self._axes))
         np.conjugate(z, out=z_conj)
         np.multiply(z_conj[0][:, None], z[0], out=g)
-        for t in range(1, m_t):
+        for t in range(1, rows):
             g += np.multiply(z_conj[t][:, None], z[t], out=term)
         g *= b
-        for k in range(m_r):
+        for k in range(p):
             g[k, k] += 1.0
-        for k in range(m_r):
+        for k in range(p):
             d[k] = g[k, k].real
-            r = m_r - 1 - k
+            r = p - 1 - k
             if r:  # Schur complement: G[k+1:, k+1:] -= G[k+1:, k] G[k+1:, k]^H / d_k
                 np.divide(np.conjugate(g[k + 1 :, k], out=col[:r]), d[k], out=col[:r])
                 g[k + 1 :, k + 1 :] -= np.multiply(g[k + 1 :, k, None], col[:r], out=term[:r, :r])
@@ -359,10 +368,11 @@ def outage_prob_mimo_mc(
     # the fading law: i.i.d. unit-variance complex-Gaussian entries (Rayleigh),
     # H = (X + iY)/sqrt(2) for standard normals X, Y, so snr/m_t H^H H = b Z^H Z
     b = 0.5 * cfg.snr / cfg.m_t
-    # a chunk's rows are sized by its normals (m_t x m_r per matrix) or its
-    # Gram buffer (m_r x m_r), whichever is larger; either way the draws
-    # follow one another in the block's stream, so they do not change
-    width = 2 * l * cfg.m_r * max(cfg.m_t, cfg.m_r)
+    # a chunk's rows are sized by its normals, 2*m_t*m_r floats per matrix,
+    # which the min(m_t, m_r)-square Gram buffers never exceed; the draws
+    # follow one another in the block's stream, so the chunking does not
+    # change them
+    width = 2 * l * cfg.m_t * cfg.m_r
     log_dets = _GramLogDets(cfg.m_t, cfg.m_r, next(_chunks(min(trials, _MIMO_BLOCK), width)) * l)
     count = 0
     for start, stop, rng in trial_blocks(seed, trials, _MIMO_BLOCK):

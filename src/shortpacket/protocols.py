@@ -11,21 +11,14 @@ local optima.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from ._check import integer, probability, real
-from .awgn import (
-    Channel,
-    CodeSpec,
-    _checked_tail_args,
-    _smallest_n,
-    _success,
-    eps_star,
-    eps_star_log,
-)
+from .awgn import Channel, CodeSpec, _success_grid, eps_star, eps_star_log
 
 __all__ = [
     "TwoWayConfig",
@@ -243,10 +236,10 @@ def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[in
 
     Every split n1 = 1..n-1 is read from two success grids,
     s[m-1] = 1 - eps*(k, m), one per leg: the same floats a from-scratch
-    scan at n multiplies.  One _success call builds both, over k as a (2, 1)
-    column, so m*C, log2(m)/2 and sqrt(mV) are shared.  A probe that needs a
-    longer prefix rebuilds the pair x4 longer (from _GRID_FLOOR, capped at
-    size_cap entries); no other probe evaluates eps*.
+    scan at n multiplies.  One _success_grid call builds both, over k as a
+    (2, 1) column, so m*C, log2(m)/2 and sqrt(mV) are shared.  A probe that
+    needs a longer prefix rebuilds the pair x4 longer (from _GRID_FLOOR,
+    capped at size_cap entries); no other probe evaluates eps*.
     """
     import numpy as np
     s1 = s2 = np.empty(0)
@@ -258,8 +251,7 @@ def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[in
             size = max(_GRID_FLOOR, len(s1))
             while size < n - 1:
                 size *= 4
-            m = np.arange(1, min(size, size_cap) + 1, dtype=float)
-            s1, s2 = _success(_checked_tail_args(cfg.ch, k, m, 1.0, float(len(m))))
+            s1, s2 = _success_grid(cfg.ch, k, np.arange(1, min(size, size_cap) + 1, dtype=float))
         # n1 = 1..n-1 against n2 = n-1..1; first argmax, so ties land on
         # the smaller n1 (and on n/2 when the objective is symmetric)
         rel = s1[: n - 1] * s2[n - 2 :: -1]
@@ -267,6 +259,17 @@ def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[in
         return i + 1, float(rel[i])
 
     return best_split
+
+
+def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | None:
+    """Smallest n in [lo, ceiling] where holds(n), or None; holds must stay
+    true once true.  Brackets by doubling from lo, then bisects."""
+    below, n = lo - 1, lo
+    while not holds(n):
+        if n >= ceiling:
+            return None
+        below, n = n, min(2 * n, ceiling)
+    return bisect.bisect_left(range(below + 1, n), True, key=holds) + below + 1
 
 
 def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) -> TwoWayResult:
@@ -336,14 +339,13 @@ def downlink_compare(cfg: DownlinkConfig) -> DownlinkResult:
 
 def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarray:
     """p_success(K) = (M/K)(1 - 1/K)^(M-1) * (1 - eps*(D, n/K)) for K in ks,
-    the per-slot throughput, with 1 - eps* from _success (dropped if perfect)."""
+    the per-slot throughput, with 1 - eps* from _success_grid (dropped if
+    perfect); ks ascend, so the slots n/K descend."""
     ks = ks.astype(float)
     collision = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
     if perfect:
         return collision
-    # ks ascend, so the slots n/K lie between n/ks[-1] and the frame n
-    t = _checked_tail_args(cfg.ch, cfg.D, cfg.n / ks, cfg.n / float(ks[-1]), cfg.n)
-    return collision * _success(t)
+    return collision * _success_grid(cfg.ch, cfg.D, cfg.n / ks)
 
 
 def aloha_success(cfg: AlohaConfig, assume_perfect_decoding: bool = False) -> float:

@@ -145,38 +145,22 @@ def _sim_analytic_agreement() -> tuple[bool, str]:
         AlohaConfig(10, 192.0, float(k_slots * n_slot), _CH, K=k_slots)
     )
     cfg = AlohaConfig(10, 192.0, 800.0, _CH, K=k_slots)
-    worst = 0.0
-    ok = True
-    for seed in (0, 1):
-        rep = sim_aloha(cfg, 1_000_000, seed).per_slot_throughput
-        dev = abs(rep.estimate - analytic_aloha) / rep.std_error
-        worst = max(worst, dev)
-        ok = ok and dev <= 3.0
     two = TwoWayConfig(193.0, 97.0, _CH)
     rel = twoway_reliability(two, 132, 71)
-    for seed in (0, 1):
-        rep = sim_twoway(two, 132, 71, 10_000_000, seed)
-        if rep.std_error == 0.0:
-            agree = rep.estimate == rel
-        else:
-            dev = abs(rep.estimate - rel) / rep.std_error
-            worst = max(worst, dev)
-            agree = dev <= 3.0
-        ok = ok and agree
-    return ok, f"worst deviation {worst:.2f} sigma across both simulators, two seeds each (<=3)"
+    runs = [(sim_aloha(cfg, 1_000_000, seed).per_slot_throughput, analytic_aloha) for seed in (0, 1)]
+    runs += [(sim_twoway(two, 132, 71, 10_000_000, seed), rel) for seed in (0, 1)]
+    worst = max(abs(rep.estimate - truth) / rep.std_error for rep, truth in runs)
+    return worst <= 3.0, f"worst deviation {worst:.2f} sigma across both simulators, two seeds each (<=3)"
 
 
 def _mimo_outage_calibration() -> tuple[bool, str]:
     cfg = QuasiStaticConfig(_SNR10, 1, 1)
-    worst = 0.0
-    ok = True
-    for e in (0.02, 0.05, 0.1, 0.2, 0.4):
-        rate = outage_capacity_siso(_SNR10, e)
-        rep = outage_prob_mimo_mc(cfg, 1, rate, 1_000_000, seed=0)
-        dev = abs(rep.estimate - e) / rep.std_error
-        worst = max(worst, dev)
-        ok = ok and dev <= 3.0
-    return ok, f"worst deviation {worst:.2f} sigma over the 5-point rate grid (<=3)"
+    runs = [
+        (outage_prob_mimo_mc(cfg, 1, outage_capacity_siso(_SNR10, e), 1_000_000, seed=0), e)
+        for e in (0.02, 0.05, 0.1, 0.2, 0.4)
+    ]
+    worst = max(abs(rep.estimate - truth) / rep.std_error for rep, truth in runs)
+    return worst <= 3.0, f"worst deviation {worst:.2f} sigma over the 5-point rate grid (<=3)"
 
 
 def _dmt_exactness() -> tuple[bool, str]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import log_ndtr, ndtr
 
-from shortpacket import awgn
+from shortpacket import awgn, protocols
 from shortpacket.awgn import (
     Channel,
     CodeSpec,
@@ -230,9 +230,9 @@ def test_array_tail_errors_name_one_leg_of_a_k_column():
     # the two-way optimizer passes both legs' k as one (2, 1) column
     k = np.array([[2.0], [1.0]])
     with pytest.raises(ValueError, match=r"^eps_star is undefined at k=2.0, n=0.1: nV underflows to 0$"):
-        awgn._checked_tail_args(Channel(5e-324), k, np.array([0.1, 1.0]), 0.1, 1.0)
+        awgn._success_grid(Channel(5e-324), k, np.array([0.1, 1.0]))
     with pytest.raises(ValueError, match=r"^eps_star is undefined at k=2.0, n=1e\+308: nC and nV overflow$"):
-        awgn._checked_tail_args(CH10_CPLX, k, np.array([1.0, 1e308]), 1.0, 1e308)
+        awgn._success_grid(CH10_CPLX, k, np.array([1.0, 1e308]))
 
 
 def test_one_minus_q_saturates_past_the_success_cut():
@@ -356,7 +356,7 @@ def test_min_blocklength_is_tight_over_the_whole_range(log_snr, conv, log_k, log
     assert eps_star(ch, CodeSpec(k, float(n))) <= eps
     assert n == 1 or eps_star(ch, CodeSpec(k, n - 1.0)) > eps
     if _eps_falls_with_n(ch, k):
-        assert n == awgn._smallest_n(
+        assert n == protocols._smallest_n(
             lambda m: eps_star(ch, CodeSpec(k, float(m))) <= eps, 1, awgn._MAX_BLOCKLENGTH
         )
 
@@ -440,6 +440,12 @@ def test_min_blocklength_refuses_targets_past_its_ceiling():
 def test_channel_rejects_bad_snr(snr):
     with pytest.raises(ValueError):
         Channel(snr)
+
+
+def test_channel_rejects_a_convention_given_by_its_value():
+    # "real" is Convention.REAL_CU's value, not the member
+    with pytest.raises(ValueError, match="convention must be a Convention member"):
+        Channel(10.0, "real")
 
 
 def test_codespec_rejects_bad_values():

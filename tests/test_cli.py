@@ -110,6 +110,46 @@ def test_sweep_rejects_misuse():
         assert "error" in err.lower() or "sweep" in err
 
 
+def test_sweep_takes_one_point_and_fractional_steps(monkeypatch):
+    base = ["outage", "--rate", "1", "--snr-db", "10", "--format", "csv"]
+    for sweep, rates in (("rate:1.5:1.5:1", ["1.5"]), ("rate:1:2:0.5", ["1.0", "1.5", "2.0"])):
+        code, out, err = run_cli(*base, "--sweep", sweep)
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()] == ["rate", *rates]
+    # 100,001 rows, one past _SWEEP_MAX_ROWS: refused before any value is computed
+    calls = []
+    commands = tuple(
+        c._replace(compute=lambda a: calls.append(a.rate) or {"p_out": 0.5}) if c.name == "outage" else c
+        for c in cli._COMMANDS
+    )
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    code, out, err = run_cli(*base, "--sweep", "rate:0:100000:1")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: --sweep 'rate:0:100000:1' asks for more than 100000 rows\n"
+
+
+def test_sweep_errors_name_the_problem():
+    base = ["eps", "--k", "194", "--n", "125", "--snr-db", "10"]
+    for sweep, message in (
+        ("bogus:1:2:1", "cannot sweep 'bogus'; sweepable here: k, n, snr_db"),
+        ("n:1:inf:1", "--sweep bounds must be finite, got 'n:1:inf:1'"),
+    ):
+        code, out, err = run_cli(*base, "--sweep", sweep)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_table_layout():
+    # scalars padded two past the longest name, a blank line, then the rows
+    # in columns; a sweep of one point is a table of one row
+    code, out, err = run_cli(
+        "aloha-opt", "--devices", "3", "--bits", "192", "--frame", "800", "--k-max", "2",
+        "--snr-db", "10", "--convention", "real",
+    )
+    assert (code, out) == (0, "k_opt  2\n\nslots  p_success\n1      0\n2      0.375\n")
+    code, out, err = run_cli("eps", "--k", "194", "--n", "125", "--snr-db", "10", "--sweep", "n:125:125:1")
+    assert (code, out) == (0, "n    eps         log_eps\n125  1.4803e-51  -117.04\n")
+
+
 def test_output_file(tmp_path):
     path = tmp_path / "out.json"
     code, out, err = run_cli(
@@ -193,6 +233,16 @@ def test_aloha_json():
     assert 0.0 < data["eps"] < 1.0
 
 
+def test_aloha_perfect_decoding_json():
+    # the decoding factor is dropped, so eps is 0 and only collisions remain
+    data = run_json(
+        "aloha", "--devices", "10", "--bits", "192", "--frame", "800", "--slots", "6",
+        "--perfect-decoding", "--snr-db", "10", "--convention", "real",
+    )
+    assert data["eps"] == 0.0
+    assert data["p_success"] == pytest.approx(10 / 6 * (5 / 6) ** 9, rel=1e-12)
+
+
 def test_aloha_opt_json():
     data = run_json(
         "aloha-opt", "--devices", "10", "--bits", "192", "--frame", "800",
@@ -243,6 +293,11 @@ def test_sim_aloha_json():
     assert data["slot_length"] == 133
     assert data["per_slot_throughput"] * 6 == pytest.approx(data["per_device_success"] * 10, rel=1e-12)
     assert data["per_slot_std_error"] > 0.0
+
+
+def test_monte_carlo_defaults():
+    data = run_json("sim-twoway", "--k1", "193", "--k2", "97", "--n1", "132", "--n2", "71", "--snr-db", "10")
+    assert (data["trials"], data["seed"]) == (100_000, 0)
 
 
 def test_sim_twoway_json():
@@ -321,6 +376,17 @@ def test_arithmetic_errors_exit_3_without_traceback(monkeypatch, error):
     monkeypatch.setattr(cli, "_COMMANDS", commands)
     code, out, err = run_cli("eps", "--k", "100", "--n", "100", "--snr-db", "10")
     assert (code, out, err) == (3, "", "error: math range error\n")
+
+
+@pytest.mark.parametrize("error, message", [(MemoryError(), "out of memory"), (MemoryError("no room"), "no room")])
+def test_memory_errors_exit_3_with_a_message(monkeypatch, error, message):
+    def compute(args):
+        raise error
+
+    commands = tuple(c._replace(compute=compute) if c.name == "eps" else c for c in cli._COMMANDS)
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    code, out, err = run_cli("eps", "--k", "100", "--n", "100", "--snr-db", "10")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_unwritable_output_exits_2(tmp_path):
@@ -469,6 +535,15 @@ def test_reproduce_takes_no_convention():
     )
     assert code == 2
     assert out == ""
+
+
+def test_reproduce_failing_row_prints_fail_and_exits_1(monkeypatch):
+    from shortpacket import repro
+
+    rows = (("holds", lambda: (True, "as expected")), ("breaks", lambda: (False, "off by one")))
+    monkeypatch.setattr(repro, "ROWS", rows)
+    code, out, err = run_cli("reproduce-paper")
+    assert (code, out, err) == (1, "[PASS] holds: as expected\n[FAIL] breaks: off by one\n", "")
 
 
 def test_reproduce_unknown_row_exits_2():

@@ -65,7 +65,7 @@ PRIVATE_IMPORTS = {
     ("awgn", "specfun"): {"_log_q", "_q"},
     ("cli", "fading"): {"_m_star"},
     ("fading", "awgn"): {"_cv_complex"},
-    ("protocols", "awgn"): {"_checked_tail_args", "_smallest_n", "_success"},
+    ("protocols", "awgn"): {"_success_grid"},
 }
 
 
@@ -200,6 +200,18 @@ def test_package_loads_a_module_on_first_use():
     ]
 
 
+def test_package_refuses_private_names_at_once():
+    # no public name starts with an underscore, so the probes of the import
+    # system (for _check) and of inspect.unwrap (for __wrapped__) search no
+    # library module
+    for probe, loaded in (
+        ("from shortpacket import _check", ["shortpacket", "shortpacket._check"]),
+        ("import shortpacket; hasattr(shortpacket, '__wrapped__')", ["shortpacket"]),
+        ("import inspect, shortpacket; inspect.unwrap(shortpacket)", ["shortpacket"]),
+    ):
+        assert run_then_list("shortpacket", probe) == [str(loaded)], probe
+
+
 SCIPY_FREE_COMMANDS = [
     ["eps", "--k", "194", "--n", "125", "--snr-db", "10"],
     ["rate", "--n", "125", "--eps", "1e-3", "--snr-db", "10"],
@@ -265,6 +277,18 @@ def test_input_policy_reads_numpy_types_only_once_loaded():
         "        print('refused')\n"
     )
     assert run_then_list("numpy", code)[:-1] == ["False", "1.5 3.0 4", *["refused"] * 4]
+
+
+def test_input_policy_refuses_a_str_before_numpy_is_loaded():
+    # the policy looks numpy's types up only once numpy is in sys.modules
+    code = (
+        "from shortpacket import q_func\n"
+        "try:\n"
+        "    q_func('1.0')\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    assert run_then_list("numpy", code) == ["ValueError", "[]"]
 
 
 def test_package_names_are_the_modules_names():

@@ -162,16 +162,16 @@ def test_twoway_optimize_target_is_tight(k1, k2, snr_db, conv, log_miss):
 
 def test_twoway_target_search_builds_grids_only_to_grow(monkeypatch):
     grids, probes = [], []
-    tail_args, search = protocols._checked_tail_args, protocols._smallest_n
+    success_grid, search = protocols._success_grid, protocols._smallest_n
 
-    def spy_tail_args(ch, k, n, n_min, n_max):
+    def spy_success_grid(ch, k, n):
         grids.append((np.ravel(k).tolist(), len(n)))
-        return tail_args(ch, k, n, n_min, n_max)
+        return success_grid(ch, k, n)
 
     def spy_search(holds, lo, ceiling):
         return search(lambda m: probes.append(m) or holds(m), lo, ceiling)
 
-    monkeypatch.setattr(protocols, "_checked_tail_args", spy_tail_args)
+    monkeypatch.setattr(protocols, "_success_grid", spy_success_grid)
     monkeypatch.setattr(protocols, "_smallest_n", spy_search)
     # n = 203: every probe (2..256) reads the first grid pair, both legs
     # built in one call
