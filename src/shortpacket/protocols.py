@@ -4,14 +4,14 @@ broadcast strategies, and framed slotted ALOHA.
 
 Every protocol here trades the same quantity: at fixed total resources,
 longer packets decode more reliably but carry fewer per-link channel uses
-(or collide more often).  The optimizers do exhaustive or monotone searches
-over small integer spaces, so results are exact for the model rather than
-local optima.
+(or collide more often).  The optimizers scan small integer spaces
+exhaustively, or, for a two-way reliability target, every split that can
+meet it, so results are exact for the model rather than local optima.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 import operator
 from collections.abc import Callable, Sequence
@@ -37,9 +37,13 @@ __all__ = [
 ]
 
 # success-grid entries of a two-way search before its first regrowth: a
-# search whose answer is at most 256 uses (two thirds of the bench/
-# design-scan targets) builds one grid pair
+# search whose floors and first window fit in 256 uses (four fifths of the
+# bench/ design-scan targets) builds one grid pair
 _GRID_FLOOR = 256
+
+# anti-diagonals in the first pass of a reliability-target search: on the
+# bench/ design-scan targets the answer lies 0..16 uses above the floors
+_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -231,45 +235,131 @@ def twoway_reliability(cfg: TwoWayConfig, n1: int, n2: int) -> float:
     return (1.0 - e1) * (1.0 - e2)
 
 
-def _split_scanner(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], tuple[int, float]]:
-    """best_split(n) -> (n1, reliability) for 2 <= n <= size_cap + 1.
+def _split_grids(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], np.ndarray]:
+    """grids(size) -> s, where s[0, m-1] = 1 - eps*(k1, m) and
+    s[1, m-1] = 1 - eps*(k2, m) for m = 1..L, L >= min(size, size_cap).
 
-    Every split n1 = 1..n-1 is read from two success grids,
-    s[m-1] = 1 - eps*(k, m), one per leg: the same floats a from-scratch
-    scan at n multiplies.  One _success_grid call builds both, over k as a
-    (2, 1) column, so m*C, log2(m)/2 and sqrt(mV) are shared.  A probe that
-    needs a longer prefix rebuilds the pair x4 longer (from _GRID_FLOOR,
-    capped at size_cap entries); no other probe evaluates eps*.
+    One _success_grid call builds both legs, over k as a (2, 1) column, so
+    m*C, log2(m)/2 and sqrt(mV) are shared.  A call that needs more
+    entries rebuilds the pair x4 longer (from _GRID_FLOOR, capped at
+    size_cap entries); every other call returns the cached pair.
     """
     import numpy as np
-    s1 = s2 = np.empty(0)
+    s = np.empty((2, 0))
     k = np.array([[cfg.k1], [cfg.k2]])
 
-    def best_split(n: int) -> tuple[int, float]:
-        nonlocal s1, s2
-        if n - 1 > len(s1):
-            size = max(_GRID_FLOOR, len(s1))
-            while size < n - 1:
-                size *= 4
-            s1, s2 = _success_grid(cfg.ch, k, np.arange(1, min(size, size_cap) + 1, dtype=float))
-        # n1 = 1..n-1 against n2 = n-1..1; first argmax, so ties land on
-        # the smaller n1 (and on n/2 when the objective is symmetric)
-        rel = s1[: n - 1] * s2[n - 2 :: -1]
-        i = int(np.argmax(rel))
-        return i + 1, float(rel[i])
+    def grids(size: int) -> np.ndarray:
+        nonlocal s
+        size = min(size, size_cap)
+        if size > s.shape[1]:
+            grown = max(_GRID_FLOOR, s.shape[1])
+            while grown < size:
+                grown *= 4
+            s = _success_grid(cfg.ch, k, np.arange(1, min(grown, size_cap) + 1, dtype=float))
+        return s
 
-    return best_split
+    return grids
 
 
-def _smallest_n(holds: Callable[[int], bool], lo: int, ceiling: int) -> int | None:
-    """Smallest n in [lo, ceiling] where holds(n), or None; holds must stay
-    true once true.  Brackets by doubling from lo, then bisects."""
-    below, n = lo - 1, lo
-    while not holds(n):
-        if n >= ceiling:
+def _best_split(s: np.ndarray, n: int) -> tuple[int, float]:
+    """(n1, reliability) of the best split of n uses over the grid pair s."""
+    # n1 = 1..n-1 against n2 = n-1..1; first argmax, so ties land on the
+    # smaller n1 (and on n/2 when the objective is symmetric)
+    rel = s[0, : n - 1] * s[1, n - 2 :: -1]
+    i = int(rel.argmax())
+    return i + 1, float(rel[i])
+
+
+@functools.cache
+def _window_pairs() -> tuple[np.ndarray, np.ndarray]:
+    # every (i, j) with i + j < _WINDOW, ordered by d = i + j and then by i,
+    # so the pairs with d < w are the first w(w + 1)/2; cached, since
+    # tril_indices takes longer than the pass, and shared, so read-only
+    import numpy as np
+    d, i = np.tril_indices(_WINDOW)
+    j = d - i
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _first_diagonal(x: np.ndarray, y: np.ndarray, target: float) -> tuple[int, int, float] | None:
+    """(d, i, x[i]*y[d-i]) for the first d < w = len(x) = len(y) on which a
+    product x[i]*y[d-i] beats target, i the first argmax on it; None if no
+    such d.
+
+    Up to _WINDOW it multiplies every pair with i + j < w at once.  A wider
+    window takes, for each i, the first j where x[i] times the running
+    maximum of y[:j+1] beats target (the same j as for y itself, since the
+    product rises with either factor) by a bisection over all i together:
+    O(w log w) products, not w^2/2.
+    """
+    import numpy as np
+    w = len(x)
+    if w <= _WINDOW:
+        i, j = _window_pairs()
+        m = w * (w + 1) // 2
+        rel = x[i[:m]] * y[j[:m]]
+        first = int((rel > target).argmax())
+        if not rel[first] > target:
             return None
-        below, n = n, min(2 * n, ceiling)
-    return bisect.bisect_left(range(below + 1, n), True, key=holds) + below + 1
+        d = int(i[first] + j[first])
+    else:
+        ymax = np.maximum.accumulate(y)
+        lo, hi = np.zeros(w, dtype=np.intp), np.full(w, w)
+        for _ in range(w.bit_length()):
+            mid = (lo + hi) // 2
+            ok = x * ymax[np.minimum(mid, w - 1)] > target
+            lo, hi = np.where(ok, lo, np.minimum(mid + 1, hi)), np.where(ok, mid, hi)
+        d = int((lo + np.arange(w)).min())
+        if d >= w:
+            return None
+    rel = x[: d + 1] * y[d::-1]
+    i = int(rel.argmax())
+    return d, i, float(rel[i])
+
+
+def _smallest_total(
+    grids: Callable[[int], np.ndarray], target: float, n_ceiling: int
+) -> tuple[int, int, float] | None:
+    """(n, n1, reliability) for the smallest n <= n_ceiling whose best split
+    beats target, at that split's first argmax n1; None if no n does.
+
+    Both success probabilities are at most 1 and rounding is monotone, so
+    a product is at most each factor and a split beats the target only if
+    each leg does: n1 >= a1 and n2 >= b2, the legs' floors, where a1 is the
+    first m with s[0, m-1] > target (b2 likewise).  The grid pair grows x4
+    until both floors are in it.  Split (a1 + i, b2 + j) then lies on
+    anti-diagonal d = i + j, which holds every split of n = a1 + b2 + d
+    that can meet the target, so the first d whose best product beats the
+    target gives n.  Every other split of that n is at most the target, so
+    the first argmax on the diagonal is the first argmax of a full scan,
+    and it multiplies the same two grid floats.  The pass covers
+    _WINDOW diagonals first and widens x4 up to the ceiling.  Nothing here
+    assumes that the best reliability rises with n.
+    """
+    s = grids(_GRID_FLOOR)
+    while True:
+        above = s > target
+        a, b = above.argmax(axis=1).tolist()  # floors a1 - 1 and b2 - 1
+        if above[0, a] and above[1, b]:
+            break
+        if s.shape[1] >= n_ceiling - 1:
+            return None
+        s = grids(4 * s.shape[1])
+    last = n_ceiling - a - b - 2  # the largest diagonal at or below the ceiling
+    if last < 0:
+        return None
+    w = _WINDOW
+    while True:
+        width = min(w, last + 1)
+        s = grids(max(a, b) + width)
+        hit = _first_diagonal(s[0, a : a + width], s[1, b : b + width], target)
+        if hit is not None:
+            d, i, rel = hit
+            return a + b + 2 + d, a + 1 + i, rel
+        if width > last:
+            return None
+        w *= 4
 
 
 def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) -> TwoWayResult:
@@ -281,9 +371,13 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     meets the target; if no n <= n_ceiling does, the result has
     feasible=False and reports the best split at the ceiling.
 
-    Every split probe reads two cached grids of per-leg success
-    probabilities, 1 - eps*(k1, m) and 1 - eps*(k2, m), which grow
-    geometrically as the search needs longer blocklengths.
+    Both read two cached grids of per-leg success probabilities,
+    1 - eps*(k1, m) and 1 - eps*(k2, m).  A fixed n scans every split of
+    it.  A target search finds each leg's floor, the first m whose success
+    beats the target, and then reads the splits above both floors one
+    anti-diagonal (one total n) at a time in a single vectorized pass; no
+    split below a floor can meet the target, so the answer is the exact
+    smallest n and the same split a full scan picks.
 
     Args:
         cfg: exchange description carrying exactly one objective.
@@ -296,20 +390,17 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     if (cfg.n_total is None) == (cfg.target_reliability is None):
         raise ValueError("exactly one of n_total and target_reliability must be set")
 
-    best_split = _split_scanner(cfg, (n_ceiling if cfg.n_total is None else cfg.n_total) - 1)
-
-    def result(n: int, feasible: bool) -> TwoWayResult:
-        n1, rel = best_split(n)
+    def result(feasible: bool, n: int, n1: int, rel: float) -> TwoWayResult:
         return TwoWayResult(feasible, n, n1, n - n1, reliability=rel, throughput=rel * k_i1 / n)
 
     if cfg.n_total is not None:
-        return result(cfg.n_total, True)
-
-    # the best achievable reliability is nondecreasing in n (any split at n
-    # is available at n+1 with one spare use added where it cannot hurt)
-    target = cfg.target_reliability
-    n = _smallest_n(lambda m: best_split(m)[1] > target, 2, n_ceiling)
-    return result(n_ceiling, False) if n is None else result(n, True)
+        n = cfg.n_total
+        return result(True, n, *_best_split(_split_grids(cfg, n - 1)(n - 1), n))
+    grids = _split_grids(cfg, n_ceiling - 1)
+    found = _smallest_total(grids, cfg.target_reliability, n_ceiling)
+    if found is not None:
+        return result(True, *found)
+    return result(False, n_ceiling, *_best_split(grids(n_ceiling - 1), n_ceiling))
 
 
 def twoway_tdd_eval(k: float, k_i: float, n_slot: float, ch: Channel) -> TddResult:
@@ -337,12 +428,18 @@ def downlink_compare(cfg: DownlinkConfig) -> DownlinkResult:
     )
 
 
+def _collision(M: int, K):
+    """(M/K)(1 - 1/K)^(M-1): the chance that a given one of K slots holds
+    exactly one of the M packets, for a float K or an array of them."""
+    return (M / K) * (1.0 - 1.0 / K) ** (M - 1)
+
+
 def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarray:
-    """p_success(K) = (M/K)(1 - 1/K)^(M-1) * (1 - eps*(D, n/K)) for K in ks,
-    the per-slot throughput, with 1 - eps* from _success_grid (dropped if
+    """p_success(K) = _collision(M, K) * (1 - eps*(D, n/K)) for K in ks, the
+    per-slot throughput, with 1 - eps* from _success_grid (dropped if
     perfect); ks ascend, so the slots n/K descend."""
     ks = ks.astype(float)
-    collision = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
+    collision = _collision(cfg.M, ks)
     if perfect:
         return collision
     return collision * _success_grid(cfg.ch, cfg.D, cfg.n / ks)
@@ -350,15 +447,18 @@ def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarra
 
 def aloha_success(cfg: AlohaConfig, assume_perfect_decoding: bool = False) -> float:
     """Per-slot success probability of framed slotted ALOHA at the
-    configured slot count K.
+    configured slot count K: _collision(M, K) * (1 - eps*(D, n/K)), in
+    floats.
 
     assume_perfect_decoding drops the finite-blocklength decoding factor,
     leaving only the collision term.
     """
     if cfg.K is None:
         raise ValueError("aloha_success requires cfg.K to be set")
-    import numpy as np
-    return float(_aloha_profile(cfg, np.array([cfg.K]), assume_perfect_decoding)[0])
+    collision = _collision(cfg.M, float(cfg.K))
+    if assume_perfect_decoding:
+        return collision
+    return collision * (1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, cfg.slot_length)))
 
 
 def aloha_optimize(

@@ -1,6 +1,7 @@
 """Capacity, dispersion, the finite-blocklength rate approximation, and its
 error-probability / blocklength inversions."""
 
+import bisect
 import math
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import log_ndtr, ndtr
 
-from shortpacket import awgn, protocols
+from shortpacket import awgn
 from shortpacket.awgn import (
     Channel,
     CodeSpec,
@@ -310,6 +311,17 @@ def _first_n(ch, k, eps, last):
     return next((n for n in range(1, last + 1) if eps_star(ch, CodeSpec(k, float(n))) <= eps), None)
 
 
+def _smallest_n(holds, lo, ceiling):
+    # doubling from lo, then bisection: the smallest n in [lo, ceiling]
+    # where holds(n), or None; right only if holds stays true once true
+    below, n = lo - 1, lo
+    while not holds(n):
+        if n >= ceiling:
+            return None
+        below, n = n, min(2 * n, ceiling)
+    return bisect.bisect_left(range(below + 1, n), True, key=holds) + below + 1
+
+
 def _eps_falls_with_n(ch, k):
     # d/dn of the tail argument has the sign of nC + k + 1/ln 2 - log2(n)/2,
     # positive for every n > 0 when its minimum, at n = 1/(2C ln 2), is
@@ -356,7 +368,7 @@ def test_min_blocklength_is_tight_over_the_whole_range(log_snr, conv, log_k, log
     assert eps_star(ch, CodeSpec(k, float(n))) <= eps
     assert n == 1 or eps_star(ch, CodeSpec(k, n - 1.0)) > eps
     if _eps_falls_with_n(ch, k):
-        assert n == protocols._smallest_n(
+        assert n == _smallest_n(
             lambda m: eps_star(ch, CodeSpec(k, float(m))) <= eps, 1, awgn._MAX_BLOCKLENGTH
         )
 

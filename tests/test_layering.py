@@ -259,6 +259,13 @@ def test_commands_run_without_numpy():
     assert run_commands_then_list("numpy", NUMPY_FREE_COMMANDS) == [str([0] * len(NUMPY_FREE_COMMANDS)), "[]"]
 
 
+def test_aloha_runs_without_numpy():
+    # aloha_success evaluates its one slot count in floats, not through the
+    # optimizer's array profile
+    aloha = ["aloha", "--devices", "10", "--bits", "192", "--frame", "800", "--slots", "6", "--snr-db", "10"]
+    assert run_commands_then_list("numpy", [aloha, [*aloha, "--perfect-decoding"]]) == ["[0, 0]", "[]"]
+
+
 def test_input_policy_reads_numpy_types_only_once_loaded():
     # Python numbers never load numpy; numpy scalars, which exist only once
     # numpy is loaded, keep the policy: real and integer scalars pass,

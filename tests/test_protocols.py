@@ -130,7 +130,7 @@ def test_twoway_optimize_infeasible_below_ceiling():
 
 # At snr >= -5 dB and k >= 1, k + 3/(2 ln 2) > log2(1/(2C ln 2))/2 holds with
 # room (C >= 0.198 bits, so 3.16 > 0.93): eps_star falls strictly in n on
-# both legs, and the best reliability rises with n, as the search assumes
+# both legs, and the best reliability rises with n
 TWOWAY_LINKS = dict(
     k1=st.floats(1.0, 300.0),
     k2=st.floats(1.0, 300.0),
@@ -160,27 +160,108 @@ def test_twoway_optimize_target_is_tight(k1, k2, snr_db, conv, log_miss):
     assert res.n == 2 or scan_best_split(cfg, res.n - 1)[1] <= target
 
 
+def reference_legs(cfg, top):
+    """1 - eps*(k1, m) and 1 - eps*(k2, m) for m = 1..top-1, evaluated anew
+    with Q at every entry."""
+    m = np.arange(1, top, dtype=float)
+    return tuple(1.0 - q_array(awgn._tail_args(cfg.ch, k, m)) for k in (cfg.k1, cfg.k2))
+
+
+def from_scratch_target_search(cfg, n_ceiling):
+    """Reference target search: every n = 2..n_ceiling in turn, each over
+    every split, with no floor, window or monotonicity assumed.  Returns
+    (n, n1, reliability) for the first n whose best split (first argmax)
+    beats the target, or None."""
+    s1, s2 = reference_legs(cfg, n_ceiling)
+    for n in range(2, n_ceiling + 1):
+        rel = s1[: n - 1] * s2[n - 2 :: -1]
+        i = int(np.argmax(rel))
+        if rel[i] > cfg.target_reliability:
+            return n, i + 1, float(rel[i])
+    return None
+
+
+def assert_target_search_matches(cfg, n_ceiling, found):
+    # found: the reference answer at any ceiling >= n_ceiling
+    res = twoway_optimize(cfg, 1.0, n_ceiling=n_ceiling)
+    if found is not None and found[0] <= n_ceiling:
+        assert res.feasible and (res.n, res.n1, res.reliability) == found
+    else:
+        assert not res.feasible and res.n == n_ceiling
+        assert (res.n1, res.reliability) == from_scratch_best_split(cfg, n_ceiling)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_k1=st.floats(-1.0, 3.5),
+    log_k2=st.floats(-1.0, 3.5),
+    snr_db=st.floats(-20.0, 30.0),
+    conv=st.sampled_from(list(Convention)),
+    log_miss=st.floats(1.0, 8.0),
+    data=st.data(),
+)
+def test_twoway_target_search_matches_from_scratch_search(log_k1, log_k2, snr_db, conv, log_miss, data):
+    target = 1.0 - 10.0**-log_miss  # in [0.9, 1 - 1e-8]
+    ch = Channel(10.0 ** (snr_db / 10.0), conv)
+    cfg = TwoWayConfig(10.0**log_k1, 10.0**log_k2, ch, target_reliability=target)
+    found = from_scratch_target_search(cfg, 3000)
+    # any ceiling, or the answer's own: met at the ceiling, missed one below
+    edges = [found[0], found[0] - 1] if found is not None and found[0] > 2 else [3000]
+    n_ceiling = data.draw(st.one_of(st.integers(2, 3000), st.sampled_from(edges)))
+    assert_target_search_matches(cfg, n_ceiling, found)
+
+
+# (snr dB, convention, k1, k2, 1 - target, answer n, n - a1 - b2), where the
+# floor a1 (b2) is the first m whose 1 - eps*(k1, m) beats the target
+TARGET_EDGES = [
+    # both floors in the first 256-entry grid, the 32-diagonal window past it
+    (6.9, Convention.REAL_CU, 12.5, 288.8, 1e-2, 271, 3),
+    # an answer just past 256, read from the first grid
+    (-3.1, Convention.REAL_CU, 0.6, 5.0, 1e-5, 260, 18),
+    # a floor past 256, so the floors regrow the grid to 1024
+    (-3.2, Convention.REAL_CU, 2.9, 140.2, 1e-6, 1026, 21),
+    # floors in the 1024-entry grid, the window past it
+    (4.0, Convention.COMPLEX_CU, 20.8, 1636.1, 1e-6, 1049, 3),
+    # the answer on diagonal 32, one past the first window: at the ceiling
+    # n it is the last diagonal, which the widened pass must still read
+    (-5.7, Convention.REAL_CU, 1.0, 0.5, 1e-3, 224, 32),
+    # low snr: the answer lies more than 128 diagonals above the floors, so
+    # the pass widens twice (32, 128, 512)
+    (-15.2, Convention.REAL_CU, 1.3, 1.9, 1e-1, 227, 133),
+    (-12.0, Convention.REAL_CU, 0.1, 32.6, 1e-3, 2123, 165),
+]
+
+
+@pytest.mark.parametrize("snr_db, conv, k1, k2, miss, n, above_floors", TARGET_EDGES)
+def test_twoway_target_search_edges(snr_db, conv, k1, k2, miss, n, above_floors):
+    cfg = TwoWayConfig(k1, k2, Channel(10.0 ** (snr_db / 10.0), conv), target_reliability=1.0 - miss)
+    found = from_scratch_target_search(cfg, 3000)
+    s1, s2 = reference_legs(cfg, 3000)
+    a1, b2 = (int(np.argmax(s > cfg.target_reliability)) + 1 for s in (s1, s2))
+    assert found[0] == n and n - a1 - b2 == above_floors
+    # met at the ceiling; one below it, where the floors still fit; below
+    # the floors' sum; and with a floor past the ceiling's grid
+    for n_ceiling in (3000, n, n - 1, a1 + b2 - 1, max(a1, b2)):
+        assert_target_search_matches(cfg, n_ceiling, found)
+
+
 def test_twoway_target_search_builds_grids_only_to_grow(monkeypatch):
-    grids, probes = [], []
-    success_grid, search = protocols._success_grid, protocols._smallest_n
+    grids = []
+    success_grid = protocols._success_grid
 
     def spy_success_grid(ch, k, n):
         grids.append((np.ravel(k).tolist(), len(n)))
         return success_grid(ch, k, n)
 
-    def spy_search(holds, lo, ceiling):
-        return search(lambda m: probes.append(m) or holds(m), lo, ceiling)
-
     monkeypatch.setattr(protocols, "_success_grid", spy_success_grid)
-    monkeypatch.setattr(protocols, "_smallest_n", spy_search)
-    # n = 203: every probe (2..256) reads the first grid pair, both legs
-    # built in one call
+    # n = 203: both floors and the diagonal pass read the first grid pair,
+    # both legs built in one call
     res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, target_reliability=0.999), 96.0)
     assert (res.n, res.n1) == (203, 132)
-    assert len(probes) > 10
     assert grids == [([193.0, 97.0], 256)]
-    # a long exchange regrows x4 as the doubling probes pass each size, and
-    # the final split at the ceiling caps the last grid at n_ceiling - 1
+    # a long exchange regrows x4 until both floors are in the grid, and the
+    # floors add up past the ceiling, so the final split at the ceiling
+    # caps the last grid at n_ceiling - 1
     grids.clear()
     cfg = TwoWayConfig(6000.0, 3000.0, CH, target_reliability=1.0 - 1e-6)
     res = twoway_optimize(cfg, 1.0, n_ceiling=5000)
