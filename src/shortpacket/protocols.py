@@ -11,7 +11,7 @@ meet it, so results are exact for the model rather than local optima.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 import operator
 from collections.abc import Callable, Sequence
@@ -36,14 +36,8 @@ __all__ = [
     "aloha_optimize",
 ]
 
-# success-grid entries of a two-way search before its first regrowth: a
-# search whose floors and first window fit in 256 uses (four fifths of the
-# bench/ design-scan targets) builds one grid pair
+# success-grid entries of a two-way search before its first regrowth
 _GRID_FLOOR = 256
-
-# anti-diagonals in the first pass of a reliability-target search: on the
-# bench/ design-scan targets the answer lies 0..16 uses above the floors
-_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -270,54 +264,6 @@ def _best_split(s: np.ndarray, n: int) -> tuple[int, float]:
     return i + 1, float(rel[i])
 
 
-@functools.cache
-def _window_pairs() -> tuple[np.ndarray, np.ndarray]:
-    # every (i, j) with i + j < _WINDOW, ordered by d = i + j and then by i,
-    # so the pairs with d < w are the first w(w + 1)/2; cached, since
-    # tril_indices takes longer than the pass, and shared, so read-only
-    import numpy as np
-    d, i = np.tril_indices(_WINDOW)
-    j = d - i
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-def _first_diagonal(x: np.ndarray, y: np.ndarray, target: float) -> tuple[int, int, float] | None:
-    """(d, i, x[i]*y[d-i]) for the first d < w = len(x) = len(y) on which a
-    product x[i]*y[d-i] beats target, i the first argmax on it; None if no
-    such d.
-
-    Up to _WINDOW it multiplies every pair with i + j < w at once.  A wider
-    window takes, for each i, the first j where x[i] times the running
-    maximum of y[:j+1] beats target (the same j as for y itself, since the
-    product rises with either factor) by a bisection over all i together:
-    O(w log w) products, not w^2/2.
-    """
-    import numpy as np
-    w = len(x)
-    if w <= _WINDOW:
-        i, j = _window_pairs()
-        m = w * (w + 1) // 2
-        rel = x[i[:m]] * y[j[:m]]
-        first = int((rel > target).argmax())
-        if not rel[first] > target:
-            return None
-        d = int(i[first] + j[first])
-    else:
-        ymax = np.maximum.accumulate(y)
-        lo, hi = np.zeros(w, dtype=np.intp), np.full(w, w)
-        for _ in range(w.bit_length()):
-            mid = (lo + hi) // 2
-            ok = x * ymax[np.minimum(mid, w - 1)] > target
-            lo, hi = np.where(ok, lo, np.minimum(mid + 1, hi)), np.where(ok, mid, hi)
-        d = int((lo + np.arange(w)).min())
-        if d >= w:
-            return None
-    rel = x[: d + 1] * y[d::-1]
-    i = int(rel.argmax())
-    return d, i, float(rel[i])
-
-
 def _smallest_total(
     grids: Callable[[int], np.ndarray], target: float, n_ceiling: int
 ) -> tuple[int, int, float] | None:
@@ -330,13 +276,19 @@ def _smallest_total(
     first m with s[0, m-1] > target (b2 likewise).  The grid pair grows x4
     until both floors are in it.  Split (a1 + i, b2 + j) then lies on
     anti-diagonal d = i + j, which holds every split of n = a1 + b2 + d
-    that can meet the target, so the first d whose best product beats the
-    target gives n.  Every other split of that n is at most the target, so
-    the first argmax on the diagonal is the first argmax of a full scan,
-    and it multiplies the same two grid floats.  The pass covers
-    _WINDOW diagonals first and widens x4 up to the ceiling.  Nothing here
-    assumes that the best reliability rises with n.
+    that can meet the target.  Every other split of that n is at most the
+    target, so the first argmax on the first diagonal that beats it is the
+    first argmax of a full scan, and it multiplies the same two grid
+    floats.
+
+    That diagonal is found through the legs' running maxima: some split
+    with i + j <= d beats the target exactly when the maxima's diagonal d
+    does, and that test rises with d.  The test runs at d = 0, 1, 3, 7, ...
+    until it passes (or reaches the ceiling), then bisects the last gap:
+    O(d log d) products.  Nothing here assumes that the best reliability
+    rises with n.
     """
+    import numpy as np
     s = grids(_GRID_FLOOR)
     while True:
         above = s > target
@@ -349,17 +301,25 @@ def _smallest_total(
     last = n_ceiling - a - b - 2  # the largest diagonal at or below the ceiling
     if last < 0:
         return None
-    w = _WINDOW
-    while True:
-        width = min(w, last + 1)
-        s = grids(max(a, b) + width)
-        hit = _first_diagonal(s[0, a : a + width], s[1, b : b + width], target)
-        if hit is not None:
-            d, i, rel = hit
-            return a + b + 2 + d, a + 1 + i, rel
-        if width > last:
+    # below a floor every entry is at most the target, so the maxima from
+    # m = 1 equal those from the floor on the floor and past it
+    top = np.maximum.accumulate(s, axis=1)
+
+    def beats(d: int) -> bool:
+        return (top[0, a : a + d + 1] * top[1, b : b + d + 1][::-1]).max() > target
+
+    lo = hi = 0
+    while not beats(hi):
+        if hi == last:
             return None
-        w *= 4
+        lo, hi = hi + 1, min(2 * hi + 1, last)
+        if max(a, b) + hi >= s.shape[1]:
+            s = grids(max(a, b) + hi + 1)
+            top = np.maximum.accumulate(s, axis=1)
+    d = bisect.bisect_left(range(lo, hi), True, key=beats) + lo
+    rel = s[0, a : a + d + 1] * s[1, b : b + d + 1][::-1]
+    i = int(rel.argmax())
+    return a + b + 2 + d, a + 1 + i, float(rel[i])
 
 
 def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) -> TwoWayResult:
@@ -374,10 +334,11 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     Both read two cached grids of per-leg success probabilities,
     1 - eps*(k1, m) and 1 - eps*(k2, m).  A fixed n scans every split of
     it.  A target search finds each leg's floor, the first m whose success
-    beats the target, and then reads the splits above both floors one
-    anti-diagonal (one total n) at a time in a single vectorized pass; no
-    split below a floor can meet the target, so the answer is the exact
-    smallest n and the same split a full scan picks.
+    beats the target, and then the first anti-diagonal of splits above both
+    floors (one total n) that holds a split beating it, by a doubling
+    search and a bisection over the legs' running maxima; no split below a
+    floor can meet the target, so the answer is the exact smallest n and
+    the same split a full scan picks.
 
     Args:
         cfg: exchange description carrying exactly one objective.

@@ -211,30 +211,47 @@ def test_twoway_target_search_matches_from_scratch_search(log_k1, log_k2, snr_db
     assert_target_search_matches(cfg, n_ceiling, found)
 
 
-# (snr dB, convention, k1, k2, 1 - target, answer n, n - a1 - b2), where the
+# (snr dB, convention, k1, k2, target, answer n, n - a1 - b2), where the
 # floor a1 (b2) is the first m whose 1 - eps*(k1, m) beats the target
 TARGET_EDGES = [
-    # both floors in the first 256-entry grid, the 32-diagonal window past it
-    (6.9, Convention.REAL_CU, 12.5, 288.8, 1e-2, 271, 3),
-    # an answer just past 256, read from the first grid
-    (-3.1, Convention.REAL_CU, 0.6, 5.0, 1e-5, 260, 18),
+    # an answer past 256 whose splits above the floors lie in the first
+    # 256-entry grid
+    (6.9, Convention.REAL_CU, 12.5, 288.8, 1.0 - 1e-2, 271, 3),
+    # an answer just past 256, 18 diagonals up: the probes at 15 and 31
+    # bracket it, and the bisection between them finds it
+    (-3.1, Convention.REAL_CU, 0.6, 5.0, 1.0 - 1e-5, 260, 18),
     # a floor past 256, so the floors regrow the grid to 1024
-    (-3.2, Convention.REAL_CU, 2.9, 140.2, 1e-6, 1026, 21),
-    # floors in the 1024-entry grid, the window past it
-    (4.0, Convention.COMPLEX_CU, 20.8, 1636.1, 1e-6, 1049, 3),
-    # the answer on diagonal 32, one past the first window: at the ceiling
-    # n it is the last diagonal, which the widened pass must still read
-    (-5.7, Convention.REAL_CU, 1.0, 0.5, 1e-3, 224, 32),
+    (-3.2, Convention.REAL_CU, 2.9, 140.2, 1.0 - 1e-6, 1026, 21),
+    # floors in the 1024-entry grid
+    (4.0, Convention.COMPLEX_CU, 20.8, 1636.1, 1.0 - 1e-6, 1049, 3),
+    # the answer on diagonal 32, past the probe at 31: at the ceiling n it
+    # is the last diagonal, where the next probe stops, and it must still
+    # be read
+    (-5.7, Convention.REAL_CU, 1.0, 0.5, 1.0 - 1e-3, 224, 32),
     # low snr: the answer lies more than 128 diagonals above the floors, so
-    # the pass widens twice (32, 128, 512)
-    (-15.2, Convention.REAL_CU, 1.3, 1.9, 1e-1, 227, 133),
-    (-12.0, Convention.REAL_CU, 0.1, 32.6, 1e-3, 2123, 165),
+    # the probe at 255 regrows the grid (to 1024, and to the ceiling's 2999
+    # entries) and the bisection reads 128..254
+    (-15.2, Convention.REAL_CU, 1.3, 1.9, 1.0 - 1e-1, 227, 133),
+    (-12.0, Convention.REAL_CU, 0.1, 32.6, 1.0 - 1e-3, 2123, 165),
+    # the rest are one float below the best reliability at n, so n is the
+    # first total that beats them.  Low snr and k below 1: each leg's
+    # success peaks and falls again within a few uses, so the totals just
+    # past n miss the target again, and only the legs' running maxima make
+    # the probes rise with d
+    (-27.8, Convention.COMPLEX_CU, 0.12, 0.32, 0.9999999094119407, 20, 4),
+    (-22.4, Convention.REAL_CU, 0.3, 0.22, 0.9999695793308011, 23, 8),
+    # a probe whose last split reads the entry just past the grid pair:
+    # max(a1, b2) - 1 + d = 256 at the probe d = 127, and at d = 3
+    (-9.7, Convention.REAL_CU, 0.57, 2.42, 0.9831872814940965, 279, 73),
+    (-13.7, Convention.COMPLEX_CU, 0.57, 0.1, 0.9979756097372028, 598, 109),
+    # the best reliability at n - 1 equals the target, which it does not beat
+    (3.8, Convention.REAL_CU, 0.17, 2.31, 0.9999999999999991, 150, 3),
 ]
 
 
-@pytest.mark.parametrize("snr_db, conv, k1, k2, miss, n, above_floors", TARGET_EDGES)
-def test_twoway_target_search_edges(snr_db, conv, k1, k2, miss, n, above_floors):
-    cfg = TwoWayConfig(k1, k2, Channel(10.0 ** (snr_db / 10.0), conv), target_reliability=1.0 - miss)
+@pytest.mark.parametrize("snr_db, conv, k1, k2, target, n, above_floors", TARGET_EDGES)
+def test_twoway_target_search_edges(snr_db, conv, k1, k2, target, n, above_floors):
+    cfg = TwoWayConfig(k1, k2, Channel(10.0 ** (snr_db / 10.0), conv), target_reliability=target)
     found = from_scratch_target_search(cfg, 3000)
     s1, s2 = reference_legs(cfg, 3000)
     a1, b2 = (int(np.argmax(s > cfg.target_reliability)) + 1 for s in (s1, s2))
@@ -254,8 +271,8 @@ def test_twoway_target_search_builds_grids_only_to_grow(monkeypatch):
         return success_grid(ch, k, n)
 
     monkeypatch.setattr(protocols, "_success_grid", spy_success_grid)
-    # n = 203: both floors and the diagonal pass read the first grid pair,
-    # both legs built in one call
+    # n = 203: both floors and the diagonal search read the first grid
+    # pair, both legs built in one call
     res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, target_reliability=0.999), 96.0)
     assert (res.n, res.n1) == (203, 132)
     assert grids == [([193.0, 97.0], 256)]

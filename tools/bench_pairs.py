@@ -18,7 +18,8 @@ sides, the pairs in which the change is better, and a verdict against the
 metric's bound in BENCHMARK.json.  A claimed metric is met when the change
 is better in at least 9 of 10 pairs and the medians differ, in the better
 direction, by more than the parent's interquartile range.  --out writes the
-runs and the summaries as JSON.  Standard library only.
+command line, the runs, the summaries and the verdicts as JSON.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 
@@ -75,9 +78,16 @@ def host() -> str:
         names = [ln.split(":", 1)[1].strip() for ln in cpuinfo.read_text().splitlines()
                  if ln.startswith("model name")]
         cpu = names[0] if names else cpu
+    libs = []
+    for lib in ("numpy", "scipy"):
+        try:
+            libs.append(f"{lib} {metadata.version(lib)}")
+        except metadata.PackageNotFoundError:
+            libs.append(f"no {lib}")
     bytecode = "PYTHONDONTWRITEBYTECODE=1" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "bytecode written"
     return (f"{os.cpu_count()} CPUs, {cpu}, {platform.system()} {platform.release()}, "
-            f"Python {platform.python_version()}; {bytecode}; src/**/__pycache__ deleted before every run")
+            f"Python {platform.python_version()}, {', '.join(libs)}; {bytecode}; "
+            "src/**/__pycache__ deleted before every run")
 
 
 def pairs(args: argparse.Namespace, workload: str, metrics: dict[str, dict]) -> dict:
@@ -112,7 +122,8 @@ def pairs(args: argparse.Namespace, workload: str, metrics: dict[str, dict]) -> 
 
 
 def verdicts(workload: str, result: dict, metrics: dict[str, dict], claim: str | None) -> dict | None:
-    """Print one line per metric; return the claim's verdict if claimed here."""
+    """Print one line per metric and store its verdict in result; return
+    the claim's verdict if claimed here."""
     print(f"{workload}: correct {result['correct']}, failed {result['failed']}")
     claimed = None
     for name, entry in result["metrics"].items():
@@ -136,6 +147,7 @@ def verdicts(workload: str, result: dict, metrics: dict[str, dict], claim: str |
                        f"change_{spec['better']}_in": wins, "median_gap": round(gap, 6),
                        "parent_iqr": round(iqr, 6), "relative_change": entry["relative_change"]}
             verdict += f"; claim {'MET' if met else 'NOT MET'} (gap {gap:.4g} vs IQR {iqr:.4g})"
+        entry["verdict"] = verdict
         print(f"  {name:16s} parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}]  "
               f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}]  "
               f"{entry['relative_change']:+.1%}  better in {wins}  {verdict}")
@@ -152,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--claim", help="the end-to-end metric the change claims to improve (first workload)")
     p.add_argument("--describe", default="", help="what the change does, for --out")
     p.add_argument("--out", help="write the runs and summaries here as JSON")
+    argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
     workloads = args.workload or ["design-scan"]
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
@@ -159,8 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "change": args.describe,
         "parent": git_head(Path(args.parent)),
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
-                   "parent and change alternating which runs first (tools/bench_pairs.py)",
+        "command": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
+        "each_run": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
+                    "in each checkout, parent and change alternating which runs first",
         "host": host(),
         "workloads": {},
     }
