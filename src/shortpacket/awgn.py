@@ -14,8 +14,8 @@ global setting.
 The public functions take floats and evaluate in stdlib math, so they
 never load numpy or scipy.  The protocol optimizers take 1 - eps_star over
 numpy arrays of k and n through _success_grid, which evaluates Q by
-scipy.special (loaded on its first call) only where 1 - Q is not already 0
-or 1; _tail_formula writes the tail argument once for both paths.
+scipy.special (loaded on its first call) only inside a closed-form window
+of n; _tail_formula writes the tail argument once for both paths.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LOG2_E_SQ = math.log2(math.e) ** 2
 
-_SATURATED = 8.5  # 1 - Q(t) is exactly 1.0 or 0.0 in float64 from |t| = 8.2924 on
+_LIVE_T = 9.0  # |t| outside _success_grid's window; 1 - Q(t) is exactly 0 or 1 from |t| = 8.2924
 
 # min_blocklength looks for its answer up to this blocklength
 _MAX_BLOCKLENGTH = 1 << 50
@@ -178,34 +178,47 @@ def _tail_args(ch: Channel, k, n) -> np.ndarray:
     return _tail_formula(np, c, v, np.asarray(k, dtype=float), np.asarray(n, dtype=float))
 
 
-def _success(t: np.ndarray) -> np.ndarray:
-    """1.0 - q_array(t), bit for bit, with Q evaluated only where |t| < _SATURATED
-    or t is nan; every other entry is 1.0 where t > 0 and 0.0 otherwise."""
-    import numpy as np
-    s = (t > 0.0).astype(float)
-    live = ~(np.abs(t) >= _SATURATED)
-    s[live] = 1.0 - q_array(t[live])
-    return s
+def _live_window(c: float, v: float, k_min: float, k_max: float, n_max: float) -> tuple[float, float]:
+    """(n_lo, n_top): for k in [k_min, k_max], t <= -T = -_LIVE_T at 0 < n <= n_lo and t >= T at
+    n >= n_top >= 1.  For n >= 1, t >= (nC - k)/sqrt(nV), which rises: n_top solves Cn - T sqrt(Vn) = k.
+    Up to n_top t's numerator is at most nC - k', k' = k - log2(n_top)/2, and it and sqrt(nV) rise,
+    so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Every n is live where C = 0, or where k or n
+    pass 2**53 and the rounding of t might near 9 - 8.2924."""
+    if c == 0.0 or max(k_max, n_max) > 2.0**53:
+        return 0.0, math.inf
+    b = _LIVE_T * math.sqrt(v)
+    r = (b + math.sqrt(b * b + 4.0 * c * k_max)) / (2.0 * c)
+    n_top = max(r * r, 1.0)
+    k_min = max(k_min - 0.5 * math.log2(n_top), 0.0)
+    r = 2.0 * k_min / (b + math.sqrt(b * b + 4.0 * c * k_min))
+    return r * r, n_top
 
 
 def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
     """1 - eps_star(ch, (k, m)) for each m in n, a monotone float array, with
-    k a float or a column of them.
+    k a float or a column of them.  Entries at or below _live_window's n_lo
+    are +0.0 and those past n_top 1.0, as 1 - Q gives them bit for bit; one
+    searchsorted finds the slice between, the only one to evaluate t and Q.
 
-    The range is checked at n's two ends, its least and greatest entries,
-    and the grid is refused where eps_star refuses a point: where n_min*V underflows to 0
-    the tail argument divides by 0, and past _N_NO_OVERFLOW nC and nV may
-    both overflow and the argument be inf/inf = nan.  Below it the
-    numerator stays in the float range, so the quotient can overflow to
-    +-inf, as in eps_star, only where sqrt(nV) < 1.  Elsewhere each check
-    is one comparison.
+    Checked at n's least and greatest entries, the grid is refused where
+    eps_star refuses a point: where n_min*V underflows to 0, and past
+    _N_NO_OVERFLOW, where nC and nV may both overflow and t be inf/inf.
+    Below it t can overflow to +-inf, as in eps_star, only where sqrt(nV) < 1.
     """
     import numpy as np
     c, v = _cv(ch)
     n_min, n_max = sorted((float(n[0]), float(n[-1])))
+    k = np.asarray(k)
+    ks = k.ravel().tolist()
     if n_min * v == 0.0:
-        k_first = float(np.ravel(k)[0])
-        raise ValueError(f"eps_star is undefined at k={k_first!r}, n={n_min!r}: nV underflows to 0")
+        raise ValueError(f"eps_star is undefined at k={ks[0]!r}, n={n_min!r}: nV underflows to 0")
+    m = len(n)
+    lo, hi = (n[::-1] if n[0] > n[-1] else n).searchsorted(
+        _live_window(c, v, min(ks), max(ks), n_max), side="right").tolist()
+    live, ones = (slice(m - hi, m - lo), slice(0, m - hi)) if n[0] > n[-1] else (slice(lo, hi), slice(hi, m))
+    s = np.zeros((*k.shape[:-1], m))
+    s[..., ones] = 1.0
+    n = n[live]
     if n_max >= _N_NO_OVERFLOW:
         with np.errstate(over="ignore", invalid="ignore"):
             t = _tail_formula(np, c, v, k, n)
@@ -218,7 +231,8 @@ def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
     else:
         with np.errstate(over="ignore"):
             t = _tail_formula(np, c, v, k, n)
-    return _success(t)
+    s[..., live] = 1.0 - q_array(t)
+    return s
 
 
 def _float_tail_arg(ch: Channel, code: CodeSpec) -> float:
@@ -252,7 +266,7 @@ def eps_star(ch: Channel, code: CodeSpec) -> float:
 
 def eps_star_log(ch: Channel, code: CodeSpec) -> float:
     """Natural log of eps_star, finite even where eps_star underflows to 0.
-    Raises ValueError where eps_star does."""
+    Raises ValueError where eps_star does and where the log is below -1.8e308."""
     return _log_q(_float_tail_arg(ch, code))
 
 

@@ -36,9 +36,9 @@ from ._check import SimConfigError
 
 __all__ = ["run", "main"]
 
-# A --sweep yields at most this many rows; past it the command exits 2
-# before building any value.  That is about 100 times the 1001-row sweeps
-# used in practice, and the row list always fits in memory.
+# A --sweep or a dmt table yields at most this many rows; past it the
+# command exits 2 before building any value.  That is about 100 times the
+# 1001-row sweeps used in practice, and the row list always fits in memory.
 _SWEEP_MAX_ROWS = 100_000
 
 
@@ -110,7 +110,7 @@ def _render_json(out: _Output) -> str:
     payload: dict[str, Any] = dict(out.scalars)
     if out.rows is not None:
         payload[out.rows_name] = out.rows
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write(args: argparse.Namespace, out: _Output) -> None:
@@ -214,6 +214,8 @@ def _compute_aloha(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _compute_dmt(args: argparse.Namespace) -> _Output:
+    if min(args.mt, args.mr) >= _SWEEP_MAX_ROWS:  # the table has min + 1 rows
+        raise _ArgError(f"dmt asks for more than {_SWEEP_MAX_ROWS} breakpoints")
     curve = sp.dmt_curve(args.mt, args.mr, sp.DmtMode(args.mode), n_c=args.nc)
     scalars: dict[str, Any] = {"scaling": curve.scaling}
     if args.at is not None:

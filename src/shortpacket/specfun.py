@@ -41,20 +41,23 @@ def _q(x: float) -> float:
 
 
 def _log_q(x: float) -> float:
-    # ln Q for any float x, inf included
+    # ln Q for any float x; ValueError past x = 1.8962e154, inf included
     if x < -1.0:
         return math.log1p(-_q(-x))
     if x < _LOG_Q_SERIES:
         return math.log(_q(x))
     # Q(x) = phi(x)/x * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...), Abramowitz and
-    # Stegun 26.2.12; x*x may overflow to inf, which gives -inf
+    # Stegun 26.2.12; -x*x/2 is -inf only where ln Q is past the float range
     r = 1.0 / (x * x)
     term = 1.0
     tail = 0.0
     for j in range(1, _SERIES_TERMS + 1):
         term *= -(2 * j - 1) * r
         tail += term
-    return -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(tail)
+    y = -0.5 * x * x - math.log(x) - _LOG_SQRT_2PI + math.log1p(tail)
+    if y == -math.inf:
+        raise ValueError(f"ln Q({x!r}) is below the float range")
+    return y
 
 
 def q_array(x):
@@ -79,7 +82,8 @@ def q_func(x: float) -> float:
 
 
 def log_q_func(x: float) -> float:
-    """Natural logarithm of Q(x), finite even where Q(x) underflows."""
+    """Natural logarithm of Q(x), finite even where Q(x) underflows.  Raises
+    ValueError past x = 1.8962e154, where it is below the float range."""
     return _log_q(real("x", x))
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.special import log_ndtr, ndtr
 
 from shortpacket import awgn
@@ -212,8 +211,13 @@ def test_eps_star_past_overflow_guard_matches_array_path():
         for k, n in [(1.0, 1e306), (1e307, 1e306), (1e306, 1e305), (194.0, 125.0)]:
             with np.errstate(over="ignore"):  # nC overflows at snr 1e300, n 1e306
                 t = awgn._tail_args(ch, k, n)
-            eps, log_eps = eps_star(ch, CodeSpec(k, n)), eps_star_log(ch, CodeSpec(k, n))
+            eps = eps_star(ch, CodeSpec(k, n))
             assert eps == pytest.approx(float(ndtr(-t)), rel=5e-13, abs=0.0)
+            if log_ndtr(-t) == -np.inf:  # t past 1.9e154: ln Q is below the float range
+                with pytest.raises(ValueError, match=r"^ln Q\(.+\) is below the float range$"):
+                    eps_star_log(ch, CodeSpec(k, n))
+                continue
+            log_eps = eps_star_log(ch, CodeSpec(k, n))
             assert log_eps == pytest.approx(float(log_ndtr(-t)), rel=5e-13, abs=0.0)
             if math.isfinite(t):
                 eps_mp, log_eps_mp = _eps_star_oracle(ch, k, n)
@@ -238,38 +242,85 @@ def test_array_tail_errors_name_one_leg_of_a_k_column():
 
 def test_one_minus_q_saturates_past_the_success_cut():
     # 1 - Q(t) is exactly 1.0 for t >= 8.5 and exactly +0.0 for t <= -8.5,
-    # so _success may skip Q there
+    # so _success_grid may fill in every entry whose exact |t| is at least
+    # _LIVE_T = 9: the rounding of t stays far inside the 0.5 between
     t = np.concatenate([np.linspace(8.5, 1e3, 1_000_001), np.geomspace(8.5, 1e3, 1_000_001), [1e300, np.inf]])
-    assert awgn._SATURATED == 8.5
+    assert awgn._LIVE_T - 0.5 == 8.5
     assert np.all(1.0 - q_array(t) == 1.0)
     lower = 1.0 - q_array(-t)
     assert np.all(lower == 0.0) and not np.signbit(lower).any()
 
 
-_CUT_NEIGHBOURS = [x for c in (8.5, -8.5) for x in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
-_TAIL_SPECIALS = [np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 0.0, -0.0, *_CUT_NEIGHBOURS]
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-@settings(max_examples=300)
-@given(
-    hnp.arrays(
-        np.float64,
-        hnp.array_shapes(max_dims=2, max_side=40),
-        elements=st.one_of(
-            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-            st.floats(-12.0, 12.0),
-            st.floats(-1e-300, 1e-300),
-            st.sampled_from(_TAIL_SPECIALS),
-        ),
-    )
-)
-def test_success_is_one_minus_q_bit_for_bit(t):
-    # nan positions and payloads and the sign of zero included; a signalling
-    # nan sets the invalid flag on both sides alike
-    with np.errstate(invalid="ignore"):
-        got, want = awgn._success(t), 1.0 - q_array(t)
-    assert got.shape == want.shape
+# snr from 1e-17, where C = log2(1 + snr) is 0 and every entry is live, to 1e8
+_GRID_SNR = _decades(-17.0, 8.0) | st.sampled_from([1e-17, 1e-16, 1.2e-16, 2.3e-16])
+_GRID_K = _decades(-3.0, 6.0)
+_CONVENTION = st.sampled_from(list(Convention))
+
+
+def _grid_reference(ch, k, n):
+    with np.errstate(over="ignore"):
+        return 1.0 - q_array(awgn._tail_args(ch, k, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRID_SNR, _CONVENTION, _GRID_K, _GRID_K, st.integers(1, 6000))
+def test_success_grid_on_split_grids_is_one_minus_q_bit_for_bit(snr, convention, k1, k2, size):
+    # the two-way optimizer's call: n = 1..size against a (2, 1) column of k
+    ch = Channel(snr, convention)
+    k, n = np.array([[k1], [k2]]), np.arange(1, size + 1, dtype=float)
+    got, want = awgn._success_grid(ch, k, n), _grid_reference(ch, k, n)
+    assert got.shape == want.shape == (2, size)
+    assert got.tobytes() == want.tobytes()  # the sign of zero included
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRID_SNR, _CONVENTION, _GRID_K, _decades(-2.0, 7.0), st.integers(1, 6000))
+def test_success_grid_on_slot_grids_is_one_minus_q_bit_for_bit(snr, convention, k, frame, slots):
+    # the ALOHA optimizer's call: descending slot lengths frame/K for
+    # K = 1..slots, below 1 use wherever K > frame
+    ch = Channel(snr, convention)
+    n = frame / np.arange(1, slots + 1).astype(float)
+    got, want = awgn._success_grid(ch, k, n), _grid_reference(ch, k, n)
+    assert got.shape == want.shape == (slots,)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("snr", [1e-12, 1e-3, 0.5, 10.0, 1e4, 1e8])
+@pytest.mark.parametrize("convention", list(Convention))
+def test_tail_argument_is_past_the_margin_outside_the_live_window(snr, convention):
+    # t from scratch in 40-digit arithmetic, at the grid entries just
+    # outside the window and further out, for both ends of the k range
+    ch = Channel(snr, convention)
+    c, v = awgn._cv(ch)
+    for k_min, k_max in [(1e-3, 1e-3), (0.5, 3.0), (20.0, 400.0), (97.0, 193.0), (1e4, 1e6)]:
+        n = np.geomspace(1e-3, 1e15, 20_001)
+        n_lo, n_top = awgn._live_window(c, v, k_min, k_max, float(n[-1]))
+        assert 0.0 <= n_lo <= n_top and n_top >= 1.0
+        lo, hi = n.searchsorted((n_lo, n_top), side="right")
+        below, above = n[max(lo - 40, 0) : lo], n[hi : hi + 40]
+        below = np.concatenate([below, n[: lo : max(lo // 40, 1)]])
+        above = np.concatenate([above, n[hi :: max((n.size - hi) // 40, 1)]])
+        with mpmath.workdps(40):
+            for k in (k_min, k_max):
+                def t(m):
+                    m = mpmath.mpf(float(m))
+                    return (m * c - k + mpmath.log(m, 2) / 2) / mpmath.sqrt(m * v)
+                assert all(t(m) <= -awgn._LIVE_T for m in below)
+                assert all(t(m) >= awgn._LIVE_T for m in above)
+
+
+def test_live_window_is_every_n_where_it_cannot_bound_t():
+    # C = 0 below snr 1.1e-16; past 2**53 the rounding of t is not bounded
+    c, v = awgn._cv(Channel(1e-17))
+    assert c == 0.0 and awgn._live_window(c, v, 1.0, 1.0, 10.0) == (0.0, math.inf)
+    c, v = awgn._cv(CH10_CPLX)
+    assert awgn._live_window(c, v, 1.0, 2.0**53 + 2.0, 10.0) == (0.0, math.inf)
+    assert awgn._live_window(c, v, 1.0, 1.0, 2.0**53 + 2.0) == (0.0, math.inf)
+    assert awgn._live_window(c, v, 1.0, 2.0**53, 2.0**53)[1] < math.inf
 
 
 def test_rate_and_eps_are_consistent_inversions():

@@ -269,6 +269,21 @@ def test_dmt_table():
     assert "scaling" in out
 
 
+def test_dmt_refuses_a_table_past_the_row_cap(monkeypatch):
+    # min(m_t, m_r) + 1 = 100,001 breakpoints, one past _SWEEP_MAX_ROWS: refused
+    # before the curve is built, as --sweep is; 100,000 is the largest table
+    def dmt_curve(*args, **kwargs):
+        raise AssertionError("the curve was built")
+
+    monkeypatch.setattr(shortpacket, "dmt_curve", dmt_curve)
+    for mt, mr in [("100000", "100000"), ("1000000", "1000000"), ("100000", "10000000")]:
+        code, out, err = run_cli("dmt", "--mt", mt, "--mr", mr)
+        assert (code, out) == (2, "")
+        assert err == "error: dmt asks for more than 100000 breakpoints\n"
+    with pytest.raises(AssertionError, match="the curve was built"):
+        run_cli("dmt", "--mt", "99999", "--mr", "100000")
+
+
 def test_prelog_json():
     data = run_json("prelog", "--mt", "4", "--mr", "2", "--nc", "14")
     assert data["m_star"] == 2
@@ -361,6 +376,26 @@ def test_domain_error_exits_3():
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_log_eps_below_the_float_range_exits_3():
+    # nC overflows, so t = inf and ln Q(t) is -inf: the json printed -Infinity
+    argv = ("eps", "--k", "1025", "--n", "1.7e308", "--snr-db", "10", "--convention", "real")
+    for fmt in ("json", "csv", "table"):
+        code, out, err = run_cli(*argv, "--format", fmt)
+        assert (code, out, err) == (3, "", "error: ln Q(inf) is below the float range\n")
+
+
+def test_json_refuses_values_outside_its_grammar(monkeypatch):
+    # json has no inf or nan; a value past the float range is an error, not
+    # the non-standard Infinity or NaN
+    for bad in (math.inf, -math.inf, math.nan):
+        commands = tuple(c._replace(compute=lambda a, bad=bad: {"eps": bad}) if c.name == "eps" else c
+                         for c in cli._COMMANDS)
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        code, out, err = run_cli("eps", "--k", "100", "--n", "100", "--snr-db", "10", "--format", "json")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, FloatingPointError])

@@ -385,6 +385,13 @@ def test_downlink_concatenation_dominates():
                     assert res.eps_concat < res.eps_tdma
 
 
+def test_downlink_refuses_a_log_eps_below_the_float_range():
+    # the concatenated packet's M*n*C overflows, so its tail argument is inf
+    # and ln eps* is -inf; it was returned as log_eps_concat
+    with pytest.raises(ValueError, match=r"^ln Q\(inf\) is below the float range$"):
+        downlink_compare(DownlinkConfig(10, 1.0, 1.2e307, Channel(10.0, Convention.REAL_CU)))
+
+
 def test_downlink_frame_properties():
     cfg = DownlinkConfig(10, 192.0, 125.0, CH)
     assert cfg.frame_length == 1250.0

@@ -101,6 +101,14 @@ def test_log_q_accurate_past_underflow():
         assert abs(log_q_func(float(x)) - expected) <= 1e-9
 
 
+def test_log_q_refuses_where_it_is_below_the_float_range():
+    # ln Q(x) is about -x*x/2, past -1.8e308 from x = 1.8962e154 on
+    assert log_q_func(1.8961e154) == pytest.approx(-0.5 * 1.8961e154 * 1.8961e154, rel=1e-15)
+    for x in (1.8963e154, 1e200, 1.7976931348623157e308):
+        with pytest.raises(ValueError, match=r"^ln Q\(.+\) is below the float range$"):
+            log_q_func(x)
+
+
 def test_log_q_consistent_with_q_where_both_work():
     for x in np.linspace(-5.0, 30.0, 71):
         q = q_func(float(x))

@@ -17,9 +17,10 @@ For each end-to-end metric it prints the medians and quartiles of both
 sides, the pairs in which the change is better, and a verdict against the
 metric's bound in BENCHMARK.json.  A claimed metric is met when the change
 is better in at least 9 of 10 pairs and the medians differ, in the better
-direction, by more than the parent's interquartile range.  --out writes the
-command line, the runs, the summaries and the verdicts as JSON.  Standard
-library only.
+direction, by more than the parent's interquartile range.  Any other metric
+that the same rule finds worse is marked "worse in N/10", so a regression
+inside the bound still shows.  --out writes the command line, the runs, the
+summaries and the verdicts as JSON.  Standard library only.
 """
 
 from __future__ import annotations
@@ -113,8 +114,10 @@ def pairs(args: argparse.Namespace, workload: str, metrics: dict[str, dict]) -> 
         runs = {s: [r["metrics"][name]["value"] for r in got[s]] for s in got}
         sign = 1.0 if spec["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0.0 for p, c in zip(runs["parent"], runs["change"]))
+        losses = sum(sign * (c - p) > 0.0 for p, c in zip(runs["parent"], runs["change"]))
         entry = {"unit": spec["unit"], "parent": summary(runs["parent"]), "change": summary(runs["change"]),
-                 f"change_{spec['better']}_in": f"{wins}/{len(args.seeds)}"}
+                 f"change_{spec['better']}_in": f"{wins}/{len(args.seeds)}",
+                 "change_worse_in": f"{losses}/{len(args.seeds)}"}
         par, chg = entry["parent"]["median"], entry["change"]["median"]
         entry["relative_change"] = round((chg - par) / par, 4)
         result["metrics"][name] = entry
@@ -134,6 +137,7 @@ def verdicts(workload: str, result: dict, metrics: dict[str, dict], claim: str |
         gap = sign * (par["median"] - chg["median"])  # > 0 when the change is better
         wins = entry[f"change_{spec['better']}_in"]
         won, n = (int(x) for x in wins.split("/"))
+        lost = int(entry["change_worse_in"].split("/")[0])
         if iqr / par["median"] > spec["bound"]:
             verdict = f"unresolved: parent IQR {iqr / par['median']:.0%} exceeds the bound {spec['bound']:.0%}"
         elif -gap > spec["bound"] * par["median"]:
@@ -147,6 +151,9 @@ def verdicts(workload: str, result: dict, metrics: dict[str, dict], claim: str |
                        f"change_{spec['better']}_in": wins, "median_gap": round(gap, 6),
                        "parent_iqr": round(iqr, 6), "relative_change": entry["relative_change"]}
             verdict += f"; claim {'MET' if met else 'NOT MET'} (gap {gap:.4g} vs IQR {iqr:.4g})"
+        elif lost >= 0.9 * n and -gap > iqr:
+            # the claim rule turned round: a regression inside the bound still shows
+            verdict += f"; worse in {lost}/{n} (gap {-gap:.4g} vs IQR {iqr:.4g})"
         entry["verdict"] = verdict
         print(f"  {name:16s} parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}]  "
               f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}]  "
