@@ -13,16 +13,15 @@ global setting.
 
 The public functions take floats and evaluate in stdlib math, so they
 never load numpy or scipy.  The protocol optimizers take 1 - eps_star over
-numpy arrays of k and n through _success_grid, which evaluates Q by
-scipy.special (loaded on its first call) only inside a closed-form window
-of n; _tail_formula writes the tail argument once for both paths.
+numpy arrays of k and ascending n through _success_grid, which evaluates Q
+by scipy.special (loaded on its first call) inside a closed-form window of
+n, or at every n past 2**53; _tail_formula writes the tail argument once.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,10 +50,9 @@ _LIVE_T = 9.0  # |t| outside _success_grid's window; 1 - Q(t) is exactly 0 or 1 
 _MAX_BLOCKLENGTH = 1 << 50
 _LOG_MAX_BLOCKLENGTH = math.log(_MAX_BLOCKLENGTH)
 
-# C <= 1024 and V < 2.1 for every finite snr, so nC and nV stay finite for
-# n below this; the array path pays for its overflow checks (an np.errstate
-# of about 2 us) only past it, or where sqrt(nV) < 1
-_N_NO_OVERFLOW = sys.float_info.max / 1024.0
+# k and n up to this keep t finite, as |nC - k + log2(n)/2| < 2**64 (C <= 1024) and
+# sqrt(nV) >= 2.2e-162 where nV > 0, and keep its rounding far inside _LIVE_T's margin
+_EXACT = 2.0**53
 
 
 class Convention(Enum):
@@ -171,67 +169,58 @@ def _tail_formula(xp, c: float, v: float, k, n):
     return (n * c - k + 0.5 * xp.log2(n)) / xp.sqrt(n * v)
 
 
-def _tail_args(ch: Channel, k, n) -> np.ndarray:
-    # unchecked, over arrays of k and n: the tests' from-scratch reference
-    import numpy as np
-    c, v = _cv(ch)
-    return _tail_formula(np, c, v, np.asarray(k, dtype=float), np.asarray(n, dtype=float))
+def _sqrt_n_root(c: float, b: float, k: float) -> float:
+    # the root r = sqrt(n) > 0 of c r^2 - b r - k = 0 (c > 0, k >= 0), in the form without cancellation
+    d = math.sqrt(b * b + 4.0 * c * k)
+    return (b + d) / (2.0 * c) if b >= 0.0 else 2.0 * k / (d - b)
 
 
-def _live_window(c: float, v: float, k_min: float, k_max: float, n_max: float) -> tuple[float, float]:
+def _live_window(c: float, v: float, k_min: float, k_max: float) -> tuple[float, float]:
     """(n_lo, n_top): for k in [k_min, k_max], t <= -T = -_LIVE_T at 0 < n <= n_lo and t >= T at
     n >= n_top >= 1.  For n >= 1, t >= (nC - k)/sqrt(nV), which rises: n_top solves Cn - T sqrt(Vn) = k.
     Up to n_top t's numerator is at most nC - k', k' = k - log2(n_top)/2, and it and sqrt(nV) rise,
-    so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Every n is live where C = 0, or where k or n
-    pass 2**53 and the rounding of t might near 9 - 8.2924."""
-    if c == 0.0 or max(k_max, n_max) > 2.0**53:
+    so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Every n is live where C = 0.  The caller
+    keeps k and n within _EXACT, where the rounding of t stays far inside 9 - 8.2924."""
+    if c == 0.0:
         return 0.0, math.inf
     b = _LIVE_T * math.sqrt(v)
-    r = (b + math.sqrt(b * b + 4.0 * c * k_max)) / (2.0 * c)
+    r = _sqrt_n_root(c, b, k_max)
     n_top = max(r * r, 1.0)
-    k_min = max(k_min - 0.5 * math.log2(n_top), 0.0)
-    r = 2.0 * k_min / (b + math.sqrt(b * b + 4.0 * c * k_min))
+    r = _sqrt_n_root(c, -b, max(k_min - 0.5 * math.log2(n_top), 0.0))
     return r * r, n_top
 
 
 def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
-    """1 - eps_star(ch, (k, m)) for each m in n, a monotone float array, with
+    """1 - eps_star(ch, (k, m)) for each m in n, an ascending float array, with
     k a float or a column of them.  Entries at or below _live_window's n_lo
     are +0.0 and those past n_top 1.0, as 1 - Q gives them bit for bit; one
     searchsorted finds the slice between, the only one to evaluate t and Q.
+    Past _EXACT in k or n every entry is live, and t may overflow to +-inf.
 
-    Checked at n's least and greatest entries, the grid is refused where
-    eps_star refuses a point: where n_min*V underflows to 0, and past
-    _N_NO_OVERFLOW, where nC and nV may both overflow and t be inf/inf.
-    Below it t can overflow to +-inf, as in eps_star, only where sqrt(nV) < 1.
+    The grid is refused where eps_star refuses a point: where n[0]*V
+    underflows to 0, and where nC and nV both overflow, so t is inf/inf.
     """
     import numpy as np
     c, v = _cv(ch)
-    n_min, n_max = sorted((float(n[0]), float(n[-1])))
     k = np.asarray(k)
     ks = k.ravel().tolist()
+    n_min, n_max = float(n[0]), float(n[-1])
     if n_min * v == 0.0:
         raise ValueError(f"eps_star is undefined at k={ks[0]!r}, n={n_min!r}: nV underflows to 0")
-    m = len(n)
-    lo, hi = (n[::-1] if n[0] > n[-1] else n).searchsorted(
-        _live_window(c, v, min(ks), max(ks), n_max), side="right").tolist()
-    live, ones = (slice(m - hi, m - lo), slice(0, m - hi)) if n[0] > n[-1] else (slice(lo, hi), slice(hi, m))
-    s = np.zeros((*k.shape[:-1], m))
-    s[..., ones] = 1.0
-    n = n[live]
-    if n_max >= _N_NO_OVERFLOW:
+    if max(*ks, n_max) <= _EXACT:
+        lo, hi = n.searchsorted(_live_window(c, v, min(ks), max(ks)), side="right").tolist()
+        t = _tail_formula(np, c, v, k, n[lo:hi])
+    else:
+        lo, hi = 0, len(n)
         with np.errstate(over="ignore", invalid="ignore"):
             t = _tail_formula(np, c, v, k, n)
         nan = np.isnan(t)
         if nan.any():
             k_bad, n_bad = (float(np.broadcast_to(x, t.shape)[nan][0]) for x in (k, n))
             raise ValueError(f"eps_star is undefined at k={k_bad!r}, n={n_bad!r}: nC and nV overflow")
-    elif n_min * v >= 1.0:
-        t = _tail_formula(np, c, v, k, n)
-    else:
-        with np.errstate(over="ignore"):
-            t = _tail_formula(np, c, v, k, n)
-    s[..., live] = 1.0 - q_array(t)
+    s = np.zeros((*k.shape[:-1], len(n)))
+    s[..., hi:] = 1.0
+    s[..., lo:hi] = 1.0 - q_array(t)
     return s
 
 
@@ -322,9 +311,7 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
         # is at most its root, which lies past n_b
         top = _MAX_BLOCKLENGTH
         if c > 0.0:
-            b = q_inv(eps_target) * math.sqrt(v)
-            d = math.sqrt(b * b + 4.0 * c * k)
-            s = (b + d) / (2.0 * c) if b >= 0.0 else 2.0 * k / (d - b)
+            s = _sqrt_n_root(c, q_inv(eps_target) * math.sqrt(v), k)
             if s * s < top:  # false for inf, where 4Ck overflows
                 top = max(math.ceil(s * s), 2)
                 while not meets(top):  # rounding can leave the root a use short

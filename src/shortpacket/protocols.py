@@ -398,12 +398,13 @@ def _collision(M: int, K):
 def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarray:
     """p_success(K) = _collision(M, K) * (1 - eps*(D, n/K)) for K in ks, the
     per-slot throughput, with 1 - eps* from _success_grid (dropped if
-    perfect); ks ascend, so the slots n/K descend."""
+    perfect).  ks ascend, so n / ks[::-1] ascends: a new array, not a view,
+    as numpy's log2 may round an entry of a strided view differently."""
     ks = ks.astype(float)
     collision = _collision(cfg.M, ks)
     if perfect:
         return collision
-    return collision * _success_grid(cfg.ch, cfg.D, cfg.n / ks)
+    return collision * _success_grid(cfg.ch, cfg.D, cfg.n / ks[::-1])[::-1]
 
 
 def aloha_success(cfg: AlohaConfig, assume_perfect_decoding: bool = False) -> float:

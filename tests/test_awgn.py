@@ -2,6 +2,7 @@
 error-probability / blocklength inversions."""
 
 import bisect
+import itertools
 import math
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr
 
+from from_scratch import tail_args
 from shortpacket import awgn
 from shortpacket.awgn import (
     Channel,
@@ -210,7 +212,7 @@ def test_eps_star_past_overflow_guard_matches_array_path():
     for ch in (CH10_REAL, CH10_CPLX, Channel(1e300)):
         for k, n in [(1.0, 1e306), (1e307, 1e306), (1e306, 1e305), (194.0, 125.0)]:
             with np.errstate(over="ignore"):  # nC overflows at snr 1e300, n 1e306
-                t = awgn._tail_args(ch, k, n)
+                t = tail_args(ch, k, n)
             eps = eps_star(ch, CodeSpec(k, n))
             assert eps == pytest.approx(float(ndtr(-t)), rel=5e-13, abs=0.0)
             if log_ndtr(-t) == -np.inf:  # t past 1.9e154: ln Q is below the float range
@@ -255,38 +257,43 @@ def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-# snr from 1e-17, where C = log2(1 + snr) is 0 and every entry is live, to 1e8
-_GRID_SNR = _decades(-17.0, 8.0) | st.sampled_from([1e-17, 1e-16, 1.2e-16, 2.3e-16])
-_GRID_K = _decades(-3.0, 6.0)
+# snr from 5e-324, where C = log2(1 + snr) is 0 and every entry is live,
+# to 1.7e308; k past 2**53, where every entry is live and t may overflow.
+# The suite turns a RuntimeWarning into an error, so these also show that
+# no overflow warning escapes _success_grid
+_GRID_SNR = _decades(-17.0, 8.0) | st.sampled_from([5e-324, 1e-17, 1e-16, 1.2e-16, 2.3e-16, 1.7e308])
+_GRID_K = _decades(-3.0, 6.0) | st.sampled_from([2.0**53, 2.0**53 + 2.0, 1e300])
 _CONVENTION = st.sampled_from(list(Convention))
 
 
 def _grid_reference(ch, k, n):
     with np.errstate(over="ignore"):
-        return 1.0 - q_array(awgn._tail_args(ch, k, n))
+        return 1.0 - q_array(tail_args(ch, k, n))
+
+
+def _assert_grid_is_reference(ch, k, n):
+    got, want = awgn._success_grid(ch, k, n), _grid_reference(ch, k, n)
+    assert got.shape == want.shape == np.broadcast_shapes(np.shape(k), n.shape)
+    assert got.tobytes() == want.tobytes()  # the sign of zero included
 
 
 @settings(max_examples=300, deadline=None)
 @given(_GRID_SNR, _CONVENTION, _GRID_K, _GRID_K, st.integers(1, 6000))
 def test_success_grid_on_split_grids_is_one_minus_q_bit_for_bit(snr, convention, k1, k2, size):
     # the two-way optimizer's call: n = 1..size against a (2, 1) column of k
-    ch = Channel(snr, convention)
     k, n = np.array([[k1], [k2]]), np.arange(1, size + 1, dtype=float)
-    got, want = awgn._success_grid(ch, k, n), _grid_reference(ch, k, n)
-    assert got.shape == want.shape == (2, size)
-    assert got.tobytes() == want.tobytes()  # the sign of zero included
+    _assert_grid_is_reference(Channel(snr, convention), k, n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_GRID_SNR, _CONVENTION, _GRID_K, _decades(-2.0, 7.0), st.integers(1, 6000))
 def test_success_grid_on_slot_grids_is_one_minus_q_bit_for_bit(snr, convention, k, frame, slots):
-    # the ALOHA optimizer's call: descending slot lengths frame/K for
-    # K = 1..slots, below 1 use wherever K > frame
+    # the ALOHA optimizer's call: slot lengths frame/K for K = slots..1,
+    # below 1 use wherever K > frame
     ch = Channel(snr, convention)
-    n = frame / np.arange(1, slots + 1).astype(float)
-    got, want = awgn._success_grid(ch, k, n), _grid_reference(ch, k, n)
-    assert got.shape == want.shape == (slots,)
-    assert got.tobytes() == want.tobytes()
+    n = frame / np.arange(slots, 0, -1)
+    assume(n[0] * awgn._cv(ch)[1] > 0.0)  # else the grid is refused, as eps_star refuses
+    _assert_grid_is_reference(ch, k, n)
 
 
 @pytest.mark.parametrize("snr", [1e-12, 1e-3, 0.5, 10.0, 1e4, 1e8])
@@ -298,7 +305,7 @@ def test_tail_argument_is_past_the_margin_outside_the_live_window(snr, conventio
     c, v = awgn._cv(ch)
     for k_min, k_max in [(1e-3, 1e-3), (0.5, 3.0), (20.0, 400.0), (97.0, 193.0), (1e4, 1e6)]:
         n = np.geomspace(1e-3, 1e15, 20_001)
-        n_lo, n_top = awgn._live_window(c, v, k_min, k_max, float(n[-1]))
+        n_lo, n_top = awgn._live_window(c, v, k_min, k_max)
         assert 0.0 <= n_lo <= n_top and n_top >= 1.0
         lo, hi = n.searchsorted((n_lo, n_top), side="right")
         below, above = n[max(lo - 40, 0) : lo], n[hi : hi + 40]
@@ -313,14 +320,16 @@ def test_tail_argument_is_past_the_margin_outside_the_live_window(snr, conventio
                 assert all(t(m) >= awgn._LIVE_T for m in above)
 
 
-def test_live_window_is_every_n_where_it_cannot_bound_t():
-    # C = 0 below snr 1.1e-16; past 2**53 the rounding of t is not bounded
-    c, v = awgn._cv(Channel(1e-17))
-    assert c == 0.0 and awgn._live_window(c, v, 1.0, 1.0, 10.0) == (0.0, math.inf)
-    c, v = awgn._cv(CH10_CPLX)
-    assert awgn._live_window(c, v, 1.0, 2.0**53 + 2.0, 10.0) == (0.0, math.inf)
-    assert awgn._live_window(c, v, 1.0, 1.0, 2.0**53 + 2.0) == (0.0, math.inf)
-    assert awgn._live_window(c, v, 1.0, 2.0**53, 2.0**53)[1] < math.inf
+def test_success_grid_is_one_minus_q_on_both_sides_of_2_53():
+    # C = 0 below snr 1.1e-16, and every n is live; up to 2**53 in k and n
+    # the window holds, and past it every entry is live and t may overflow
+    assert awgn._EXACT == 2.0**53
+    for snr, convention in itertools.product([1e-17, 1e-300, 10.0], Convention):
+        ch = Channel(snr, convention)
+        for top in (2.0**53, 2.0**53 + 2.0, 1e300):
+            n = np.concatenate([np.arange(1.0, 4097.0), np.geomspace(4097.0, top, 64)])
+            for k in (1.0, 300.0, 2.0**53, 2.0**53 + 2.0, 1e300, np.array([[2.0], [2.0**53 + 2.0]])):
+                _assert_grid_is_reference(ch, k, n)
 
 
 def test_rate_and_eps_are_consistent_inversions():

@@ -7,11 +7,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shortpacket
 from shortpacket import cli
@@ -515,6 +518,60 @@ def test_run_builds_the_parser_once():
     for _ in range(2):
         assert run_cli("min-n", "--k", "193", "--eps", "1e-3", "--snr-db", "10")[0] == 0
     assert build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract as a property, over argv drawn from _COMMANDS
+
+# every value is an ordinary one or an edge one with even odds, so that a
+# fair share of draws runs to exit 0
+_FLOATS = st.sampled_from(["0.5", "1", "3", "10", "100", "200"]) | st.sampled_from(
+    ["0", "-0", "-1", "5e-324", "1e-320", "1e-3", "1e308", "1.7e308", "inf", "-inf", "nan", "x"])
+_INTS = st.sampled_from(["1", "2", "3", "4", "12"]) | st.sampled_from(["-1", "0", "1.5", "x"])
+# the simulators run at most MIN_TRIALS, and antennas, slots and dmt's
+# sizes stay small, so each draw costs milliseconds
+_FLAG_VALUES = {
+    "--trials": st.sampled_from([str(shortpacket.MIN_TRIALS), str(shortpacket.MIN_TRIALS - 1), "0"]),
+    "--seed": st.sampled_from(["0", "-1", str(2**64 - 1), str(2**64)]),
+}
+_SWEEP_ENDS = st.sampled_from(["-1", "0", "1", "2", "1e308", "inf", "nan"])
+_NON_FINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(cli._COMMANDS))
+    argv = [cmd.name]
+    for arg in cmd.args:
+        # one member of a required group; trials always, as the default is 10 * MIN_TRIALS
+        flag, kw = draw(st.sampled_from(arg)) if isinstance(arg, list) else arg
+        if not (isinstance(arg, list) or kw.get("required") or flag == "--trials" or draw(st.booleans())):
+            continue
+        if kw.get("action") == "store_true":
+            argv.append(flag)
+        elif "choices" in kw:
+            argv += [flag, draw(st.sampled_from(kw["choices"]))]
+        else:
+            argv += [flag, draw(_FLAG_VALUES.get(flag, _INTS if kw["type"] is int else _FLOATS))]
+    if cmd.sweeps and draw(st.booleans()):
+        param = draw(st.sampled_from(list(cmd.sweep_params())))
+        argv += ["--sweep", ":".join([param, *(draw(_SWEEP_ENDS) for _ in range(3))])]
+    return argv + ["--format", draw(st.sampled_from(["table", "json", "csv"]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_every_command_keeps_the_exit_code_contract(argv):
+    code, out, err = run_cli(*argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err, argv
+    if code:
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [err.splitlines()[-1]], (argv, err)
+        assert out == ""
+        return
+    assert err == "" and out and not _NON_FINITE.search(out), (argv, out)
+    if argv[-1] == "json":
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {argv}"))
 
 
 # ---------------------------------------------------------------------------

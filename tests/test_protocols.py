@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortpacket import awgn, protocols
+from from_scratch import tail_args
+from shortpacket import protocols
 from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
 from shortpacket.protocols import (
     AlohaConfig,
@@ -44,8 +45,8 @@ def from_scratch_best_split(cfg, n):
     """Reference optimizer: every split's eps* evaluated anew for this n, as
     one array per leg with Q at every entry; first argmax wins."""
     n1 = np.arange(1, n, dtype=float)
-    e1 = q_array(awgn._tail_args(cfg.ch, cfg.k1, n1))
-    e2 = q_array(awgn._tail_args(cfg.ch, cfg.k2, float(n) - n1))
+    e1 = q_array(tail_args(cfg.ch, cfg.k1, n1))
+    e2 = q_array(tail_args(cfg.ch, cfg.k2, float(n) - n1))
     rel = (1.0 - e1) * (1.0 - e2)
     i = int(np.argmax(rel))
     return int(n1[i]), float(rel[i])
@@ -164,7 +165,7 @@ def reference_legs(cfg, top):
     """1 - eps*(k1, m) and 1 - eps*(k2, m) for m = 1..top-1, evaluated anew
     with Q at every entry."""
     m = np.arange(1, top, dtype=float)
-    return tuple(1.0 - q_array(awgn._tail_args(cfg.ch, k, m)) for k in (cfg.k1, cfg.k2))
+    return tuple(1.0 - q_array(tail_args(cfg.ch, k, m)) for k in (cfg.k1, cfg.k2))
 
 
 def from_scratch_target_search(cfg, n_ceiling):
@@ -565,6 +566,18 @@ def test_aloha_profile_acts_as_tuple(M, conv, perfect):
     as_tuple = AlohaOptResult(res.k_opt, want)
     assert res == as_tuple and as_tuple == res and hash(res) == hash(as_tuple)
     assert repr(res) == repr(as_tuple)
+
+
+def test_aloha_profile_is_the_formula_over_contiguous_slots_bit_for_bit():
+    # numpy's log2 may round an entry of a strided view differently from a
+    # contiguous array; here K = 21,977 is such an entry, inside the live
+    # window, so a reversed view of the slot grid moves its profile by an ulp
+    cfg = AlohaConfig(10_000, 125.54928637028534, 781929.649289362, Channel(13.777644359039146))
+    ks = np.arange(1, 4 * cfg.M + 1, dtype=float)
+    collision = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
+    want = collision * (1.0 - q_array(tail_args(cfg.ch, cfg.D, cfg.n / ks)))
+    got = np.array([p for _, p in aloha_optimize(cfg).profile])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_aloha_profile_holds_only_its_array():

@@ -15,12 +15,14 @@ the time of one that compiles src/.
 
 For each end-to-end metric it prints the medians and quartiles of both
 sides, the pairs in which the change is better, and a verdict against the
-metric's bound in BENCHMARK.json.  A claimed metric is met when the change
-is better in at least 9 of 10 pairs and the medians differ, in the better
-direction, by more than the parent's interquartile range.  Any other metric
-that the same rule finds worse is marked "worse in N/10", so a regression
-inside the bound still shows.  --out writes the command line, the runs, the
-summaries and the verdicts as JSON.  Standard library only.
+metric's bound in BENCHMARK.json.  A metric whose parent interquartile
+range exceeds the bound is unresolved, unless every run of the change is
+better than every run of the parent.  A claimed metric is met when the
+change is better in at least 9 of 10 pairs and the medians differ, in the
+better direction, by more than the parent's interquartile range.  Any
+other metric that the same rule finds worse is marked "worse in N/10", so
+a regression inside the bound still shows.  --out writes the command line,
+the runs, the summaries and the verdicts as JSON.  Standard library only.
 """
 
 from __future__ import annotations
@@ -112,16 +114,22 @@ def pairs(args: argparse.Namespace, workload: str, metrics: dict[str, dict]) -> 
     }
     for name, spec in metrics.items():
         runs = {s: [r["metrics"][name]["value"] for r in got[s]] for s in got}
-        sign = 1.0 if spec["better"] == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0.0 for p, c in zip(runs["parent"], runs["change"]))
-        losses = sum(sign * (c - p) > 0.0 for p, c in zip(runs["parent"], runs["change"]))
-        entry = {"unit": spec["unit"], "parent": summary(runs["parent"]), "change": summary(runs["change"]),
-                 f"change_{spec['better']}_in": f"{wins}/{len(args.seeds)}",
-                 "change_worse_in": f"{losses}/{len(args.seeds)}"}
-        par, chg = entry["parent"]["median"], entry["change"]["median"]
-        entry["relative_change"] = round((chg - par) / par, 4)
-        result["metrics"][name] = entry
+        result["metrics"][name] = compare(spec, runs["parent"], runs["change"])
     return result
+
+
+def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
+    """One metric's runs, paired in order: both sides' summaries and the
+    pairs in which the change is better and worse."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    entry = {"unit": spec["unit"], "parent": summary(parent), "change": summary(change),
+             f"change_{spec['better']}_in": f"{wins}/{len(parent)}",
+             "change_worse_in": f"{losses}/{len(parent)}"}
+    par, chg = entry["parent"]["median"], entry["change"]["median"]
+    entry["relative_change"] = round((chg - par) / par, 4)
+    return entry
 
 
 def verdicts(workload: str, result: dict, metrics: dict[str, dict], claim: str | None) -> dict | None:
@@ -138,7 +146,9 @@ def verdicts(workload: str, result: dict, metrics: dict[str, dict], claim: str |
         wins = entry[f"change_{spec['better']}_in"]
         won, n = (int(x) for x in wins.split("/"))
         lost = int(entry["change_worse_in"].split("/")[0])
-        if iqr / par["median"] > spec["bound"]:
+        # every change run better than every parent run settles a spread wider than the bound
+        apart = max(sign * x for x in chg["runs"]) < min(sign * x for x in par["runs"])
+        if iqr / par["median"] > spec["bound"] and not apart:
             verdict = f"unresolved: parent IQR {iqr / par['median']:.0%} exceeds the bound {spec['bound']:.0%}"
         elif -gap > spec["bound"] * par["median"]:
             verdict = f"WORSE than the bound {spec['bound']:.0%}"
