@@ -11,10 +11,21 @@ layout, so trial i depends only on the seed, i and that layout -- never on
 execution order, parallelism or the trial count.  Philox fills arrays in
 stream order, so a kernel reads a block in chunks of about _CHUNK draws with
 the same values: it never makes draws past the last one it keeps, and memory
-stays O(_CHUNK) whatever the trials or width.  _Integers reads the values of
-Generator.integers(0, K) straight from the raw words, so a kernel can count
-past bounded draws it does not keep.  Counts accumulate as exact integers,
-so aggregation is order-independent too.
+stays O(_CHUNK) whatever the trials or width.  Philox is counter-based, so
+a second cursor with the block's key can jump to any word with advance():
+sim_aloha starts its uniforms at the word where they begin if no slot
+choice is rejected, checks that start by walking the block's unread slot
+choices, and reads the block again from the walked cursor on a miss.
+Counts accumulate as exact integers, so aggregation is order-independent
+too.
+
+Draws read as raw words: the ALOHA slot choices for K < 2**32, through
+_Integers (Generator.integers(0, K) by Lemire's method on 32-bit halves),
+and the ALOHA and two-way uniforms, compared as integers (random() is
+(raw >> 11) * 2**-53).  NumPy keeps the raw stream stable across versions
+(NEP 19), not the Generator methods' algorithms; those still go through
+Generator methods: the ALOHA slot choices at K >= 2**32 (integers) and the
+MIMO normals (standard_normal).
 """
 
 from __future__ import annotations
@@ -88,7 +99,10 @@ def trial_blocks(
 
     The generator for block b is Philox keyed by (seed, b); callers draw in
     their full-block layout, in _chunks, up to the last draw they keep.
-    They pass a seed from check_seed and at least one trial and block.
+    A caller may read one block through several cursors: a second Philox
+    with the same key, moved by advance(), reads the same words further on
+    (sim_aloha starts its uniforms that way and then checks the start).
+    Callers pass a seed from check_seed and at least one trial and block.
     """
     import numpy as np
     for b in range((trials + block - 1) // block):
@@ -114,7 +128,10 @@ class _Integers:
     is below 2**32 mod K, when it is rejected and the next half is tried.  A
     call that ends on a low half leaves the high half pending for the next
     call, and Generator.random() starts at the next whole word.  K = 1 draws
-    nothing, and K >= 2**32 takes numpy's 64-bit path through integers().
+    nothing, and K >= 2**32 takes numpy's path through integers().  A
+    reader that has walked a whole block's slot choices leaves its bit
+    generator where the block's uniforms begin, which is how sim_aloha
+    checks a guessed start (_word_index) and finds the true one on a miss.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, K: int) -> None:
@@ -173,6 +190,31 @@ class _Integers:
             yield halves
 
 
+def _unrejected_words(K: int, count: int) -> int | None:
+    """The raw words that `count` integers(0, K) draws take from a fresh
+    stream when none is rejected, or None when a rejection is more likely.
+
+    Up to K = 2**32 a draw takes a 32-bit half (numpy passes K = 2**32 the
+    half itself), past it a 64-bit word; the word is rejected with
+    probability (2**bits mod K) / 2**bits, so `count` draws expect at most
+    half a rejection when (2**bits mod K) * count <= 2**(bits - 1).
+    """
+    if K == 1:
+        return 0
+    bits = 32 if K <= 1 << 32 else 64
+    if (1 << bits) % K * count > 1 << (bits - 1):
+        return None
+    return -(-count * bits // 64)
+
+
+def _word_index(bits: np.random.Philox) -> int:
+    """How many raw words a Philox has given since it was keyed: it makes
+    four per counter step, increments the counter before each step, and
+    advance() empties its buffer."""
+    state = bits.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
 @dataclass(frozen=True)
 class AlohaSimReports:
     """The two metrics of one ALOHA run, from the same trials: expected
@@ -191,12 +233,24 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     1 - eps*(D, floor(n/K)) (collided packets are always lost).
 
     Draw layout per block: (_BLOCK, M) slot choices from integers(0, K),
-    then (_BLOCK, M) decoding uniforms.  The slot choices' rejection sampler
-    makes the uniforms' offset data-dependent, so two cursors read the
-    block's keyed stream through _Integers: the block generator counts past
-    all slot choices to where the uniforms begin, and a fresh Philox with
-    the same key reads the kept frames' slot choices next to their
-    uniforms; both in chunks.
+    then (_BLOCK, M) decoding uniforms from random().  The slot choices'
+    rejection sampler makes the uniforms' start data-dependent, so two
+    cursors read the block's keyed stream, in chunks:
+    - Guessed start, where a block expects at most half a rejection
+      (_unrejected_words): a second Philox with the block's key jumps by
+      advance() to the word where the uniforms begin if no slot choice is
+      rejected.  The block generator reads the kept frames' slot choices
+      through _Integers next to those uniforms, once, and then walks only
+      the block's unread rest.  If it ends on the guessed word, the block's
+      sums stand.
+    - Miss, or no guess (heavy rejection): the block generator has walked
+      every slot choice to where the uniforms begin, and the block is read
+      again with it as the uniform cursor and a fresh Philox reading the
+      slot choices.
+    A decoding draw u = (raw >> 11) * 2**-53 is below p exactly when
+    raw >> 11 is below ceil(p * 2**53), so the uniforms are compared as raw
+    words; the slot choices come from raw words too, except at K >= 2**32,
+    where they go through Generator.integers.
     """
     import numpy as np
     if cfg.K is None:
@@ -207,28 +261,61 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     if n_slot < 1:
         raise ValueError(f"slot length floor(n/K) must be >= 1, got {n_slot}")
     p_decode = 1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, float(n_slot)))
+    decodes_below = np.uint64(math.ceil(p_decode * 2.0**53))
 
-    # rows sized by max(M, K), so the count over (trial, slot) cells is chunk-sized too;
-    # the slot and uniform buffers are reused, which measured faster than fresh arrays per chunk
-    width = max(cfg.M, cfg.K)
+    # up to 2**16 slots, rows are sized by max(M, K), so the count over
+    # (frame, slot) cells is chunk-sized too; past that each row's slots are
+    # sorted instead.  The slot buffer is reused, which measured faster than
+    # a fresh array per chunk
+    width = cfg.M if cfg.K > _CHUNK else max(cfg.M, cfg.K)
     size = next(_chunks(min(trials, _BLOCK), width))
-    slots = np.empty((size, cfg.M), dtype=np.int64)
-    u = np.empty((size, cfg.M))
+    slot_buf = np.empty((size, cfg.M), dtype=np.int64)
     row_offset = cfg.K * np.arange(size)[:, None]
-    sum_s = 0
-    sum_s2 = 0
-    for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
-        kept = _Integers(np.random.Philox(key=rng.bit_generator.state["state"]["key"]), cfg.K)
-        _Integers(rng.bit_generator, cfg.K).skip(_BLOCK * cfg.M)
-        for rows in _chunks(stop - start, width):
-            cell = kept.fill(slots[:rows])
-            cell += row_offset[:rows]
-            if cfg.K > _CHUNK:  # rank the cells, so the count table stays chunk-sized
-                cell = np.unique(cell, return_inverse=True)[1].reshape(cell.shape)
-            alone = np.bincount(cell.ravel())[cell] == 1
-            s = (alone & (rng.random(out=u[:rows]) < p_decode)).sum(axis=1)
+    ones = np.ones(cfg.M)
+
+    def read(slots: _Integers, uniforms: np.random.BitGenerator, kept: int) -> tuple[int, int]:
+        """Sums of the success count s and of s**2 over a block's first
+        `kept` frames: slot choices from `slots`, decoding words from `uniforms`."""
+        sum_s = sum_s2 = 0
+        for rows in _chunks(kept, width):
+            slot = slots.fill(slot_buf[:rows])
+            if cfg.K > _CHUNK:  # a device is alone when its sorted neighbours differ
+                order = np.argsort(slot, axis=1)
+                ranked = np.take_along_axis(slot, order, axis=1)
+                lone = np.ones(slot.shape, dtype=bool)
+                same = ranked[:, 1:] == ranked[:, :-1]
+                lone[:, 1:] &= ~same
+                lone[:, :-1] &= ~same
+                alone = np.empty_like(lone)
+                np.put_along_axis(alone, order, lone, axis=1)
+            else:
+                slot += row_offset[:rows]
+                alone = np.bincount(slot.ravel())[slot] == 1
+            raw = uniforms.random_raw(rows * cfg.M).reshape(rows, cfg.M)
+            raw >>= np.uint64(11)
+            s = (alone & (raw < decodes_below)) @ ones  # exact: counts below 2**53
             sum_s += int(s.sum())
-            sum_s2 += int((s * s).sum())
+            sum_s2 += int(s @ s)
+        return sum_s, sum_s2
+
+    guess = _unrejected_words(cfg.K, _BLOCK * cfg.M)
+    sum_s = sum_s2 = 0
+    for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
+        key = rng.bit_generator.state["state"]["key"]
+        walked = _Integers(rng.bit_generator, cfg.K)
+        kept = stop - start
+        if guess is None:
+            walked.skip(_BLOCK * cfg.M)
+        else:
+            uniforms = np.random.Philox(key=key)
+            uniforms.advance(guess // 4)
+            uniforms.random_raw(guess % 4)
+            sums = read(walked, uniforms, kept)
+            walked.skip((_BLOCK - kept) * cfg.M)
+        if guess is None or _word_index(rng.bit_generator) != guess:
+            sums = read(_Integers(np.random.Philox(key=key), cfg.K), rng.bit_generator, kept)
+        sum_s += sums[0]
+        sum_s2 += sums[1]
 
     mean_s = sum_s / trials
     sd_s = math.sqrt(max((sum_s2 - sum_s * sum_s / trials) / (trials - 1), 0.0))
@@ -253,7 +340,10 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
     """Simulate the two-way exchange at a fixed split (n1, n2).
 
     Each trial draws two uniforms; leg i fails when its uniform falls below
-    eps*(ki, ni), and the exchange succeeds only if both legs decode.
+    eps*(ki, ni), and the exchange succeeds only if both legs decode.  The
+    uniforms are read as the block generator's raw words: random() gives
+    u = (raw >> 11) * 2**-53, so u >= e exactly when raw >> 11 is at least
+    ceil(e * 2**53).
     """
     import numpy as np
     n1 = integer("n1", n1, ge=1)
@@ -263,11 +353,13 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
     e1 = eps_star(cfg.ch, CodeSpec(cfg.k1, n1))
     e2 = eps_star(cfg.ch, CodeSpec(cfg.k2, n2))
 
+    floor1, floor2 = (np.uint64(math.ceil(e * 2.0**53)) for e in (e1, e2))
     successes = 0
     for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
         for rows in _chunks(stop - start, 2):
-            u = rng.random((rows, 2))
-            successes += int(np.count_nonzero((u[:, 0] >= e1) & (u[:, 1] >= e2)))
+            raw = rng.bit_generator.random_raw(2 * rows).reshape(rows, 2)
+            raw >>= np.uint64(11)
+            successes += int(np.count_nonzero((raw[:, 0] >= floor1) & (raw[:, 1] >= floor2)))
 
     config = {
         "k1": cfg.k1,

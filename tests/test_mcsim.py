@@ -1,6 +1,7 @@
 """Monte-Carlo cross-checks: determinism, the documented draw layouts,
 agreement with the analytic formulas, memory, and config validation."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -20,6 +21,8 @@ from shortpacket.mcsim import (
     SimConfigError,
     _GramLogDets,
     _Integers,
+    _unrejected_words,
+    _word_index,
     outage_prob_mimo_mc,
     sim_aloha,
     sim_twoway,
@@ -135,11 +138,12 @@ def test_integers_reader_matches_numpy(K):
         assert np.array_equal(reader.fill(np.empty((3, 5), dtype=np.int64)), want)
 
 
-# past 2**16 slots the kernel ranks its cells before counting them, and past
-# 2**32 the slot choices take numpy's 64-bit path; 20 devices in 2**16 + 1
-# slots collide in about 3 frames of a thousand
+# past 2**16 slots the kernel sorts each frame's slots to find the lone
+# devices, at 2**32 numpy passes each 32-bit half through, and past it the
+# slot choices take numpy's 64-bit path; 20 devices in 2**16 + 1 slots
+# collide in about 3 frames of a thousand
 @pytest.mark.parametrize("devices, slots", [
-    (1, (1 << 31) + 1), (3, (1 << 31) + 1), (3, (1 << 32) + 1), (20, (1 << 16) + 1),
+    (1, (1 << 31) + 1), (3, (1 << 31) + 1), (3, (1 << 32) + 1), (20, (1 << 16) + 1), (3, 1 << 32),
 ])
 def test_sim_aloha_follows_full_block_layout_at_large_k(devices, slots):
     cfg = AlohaConfig(devices, 104.0, 60.0 * slots, CH, K=slots)
@@ -147,6 +151,89 @@ def test_sim_aloha_follows_full_block_layout_at_large_k(devices, slots):
     rep = sim_aloha(cfg, MIN_TRIALS, 17).per_device_success
     assert rep.estimate == int(s.sum()) / MIN_TRIALS / devices
     assert rep.std_error == pytest.approx(s.std(ddof=1) / (devices * math.sqrt(MIN_TRIALS)), rel=1e-9)
+
+
+# K where the slot choices reject a quarter (3 * 2**30) or about half
+# (2**31 + 1) of all halves, where the kernel walks each block first, and
+# one on numpy's 64-bit path (2**32 + 1), where it guesses the uniforms'
+# start; on a full block and on a partial one
+@pytest.mark.parametrize("trials", [_BLOCK, MIN_TRIALS])
+@pytest.mark.parametrize("slots", [3 << 30, (1 << 31) + 1, (1 << 32) + 1])
+def test_sim_aloha_follows_full_block_layout_under_heavy_rejection(slots, trials):
+    cfg = AlohaConfig(3, 104.0, 60.0 * slots, CH, K=slots)
+    s = aloha_successes(cfg, trials, 29)
+    rep = sim_aloha(cfg, trials, 29).per_device_success
+    assert rep.estimate == int(s.sum()) / trials / 3
+    assert rep.std_error == pytest.approx(s.std(ddof=1) / (3 * math.sqrt(trials)), rel=1e-9)
+
+
+def test_uniforms_are_guessed_only_where_a_block_expects_at_most_half_a_rejection():
+    draws = _BLOCK * 100
+    assert _unrejected_words(1, draws) == 0  # K = 1 draws nothing
+    # 2**32 mod 60 = 16: 16 * 100 * 2**16 halves is below 2**31
+    assert _unrejected_words(60, draws) == draws // 2
+    assert _unrejected_words(1 << 32, draws) == draws // 2  # numpy passes the half itself
+    assert _unrejected_words((1 << 32) + 1, draws) == draws  # 2**64 mod K = 1, one word a draw
+    assert _unrejected_words(3 << 30, draws) is None
+    assert _unrejected_words((1 << 31) + 1, draws) is None
+    # the edge: (2**32 mod K) * count == 2**31 still guesses, one more draw does not
+    # at K = 3 (2**32 mod 3 = 1)
+    assert _unrejected_words(3, 1 << 31) == 1 << 30
+    assert _unrejected_words(3, (1 << 31) + 1) is None
+
+
+def test_word_index_counts_raw_words_and_advance():
+    key = np.array([7, 1], dtype=np.uint64)
+    for words in (0, 1, 3, 4, 5, 4096 + 2):
+        bits = np.random.Philox(key=key)
+        bits.random_raw(words)
+        assert _word_index(bits) == words
+        jumped = np.random.Philox(key=key)
+        jumped.advance(words // 4)
+        jumped.random_raw(words % 4)
+        assert _word_index(jumped) == words
+        assert jumped.random_raw() == bits.random_raw()
+
+
+def _mc_crosscheck_seed(seed, op):
+    """The simulator seed of mc-crosscheck's operation `op` at bench seed `seed`."""
+    return int.from_bytes(hashlib.sha256(f"mc-crosscheck:{seed}:{op}".encode()).digest()[:8], "little")
+
+
+# mc-crosscheck's M=100, K=60 operation (op 1, 2**14 trials) at bench seeds
+# where a slot choice is rejected, so the guessed start of the uniforms
+# misses and the block is read again: at seed 2312 inside the kept frames
+# (half 310,852), at seed 63 in the walked rest.  Reports captured before
+# the kernel guessed the start: (per-slot estimate, std error, per-device
+# estimate, std error)
+MISS_GOLDEN = {
+    2312: (0.31373189290364584, 0.0004380005578893691, 0.1882391357421875, 0.00026280033473362145),
+    63: (0.31386922200520834, 0.0004418671059576148, 0.188321533203125, 0.0002651202635745689),
+}
+
+
+@pytest.mark.parametrize("bench_seed", sorted(MISS_GOLDEN))
+def test_sim_aloha_reports_pinned_where_the_guess_misses(bench_seed, monkeypatch):
+    reads = []
+    fill = _Integers.fill
+    monkeypatch.setattr(_Integers, "fill", lambda self, out: reads.append(out.size) or fill(self, out))
+    cfg, trials = ALOHA_SHAPES[100]
+    rep = sim_aloha(cfg, trials, _mc_crosscheck_seed(bench_seed, 1))
+    s, d = rep.per_slot_throughput, rep.per_device_success
+    assert (s.estimate, s.std_error, d.estimate, d.std_error) == MISS_GOLDEN[bench_seed]
+    assert sum(reads) == 2 * trials * cfg.M  # the kept slot choices are read twice
+
+
+@pytest.mark.parametrize("trials", [_BLOCK, MIN_TRIALS])
+def test_sim_aloha_walks_only_the_unread_rest_of_a_block(trials, monkeypatch):
+    walked, reads = [], []
+    skip, fill = _Integers.skip, _Integers.fill
+    monkeypatch.setattr(_Integers, "skip", lambda self, count: walked.append(count) or skip(self, count))
+    monkeypatch.setattr(_Integers, "fill", lambda self, out: reads.append(out.size) or fill(self, out))
+    cfg = AlohaConfig(10, 192.0, 800.0, CH, K=6)
+    sim_aloha(cfg, trials, 0)
+    assert sum(walked) == (_BLOCK - trials) * 10
+    assert sum(reads) == trials * 10  # each kept slot choice is read once
 
 
 @pytest.mark.parametrize("m_t, m_r", [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4), (1, 8)])
@@ -385,6 +472,55 @@ MIMO_RATES = {1: 1.0, 4: 10.0}
 def test_sim_twoway_reports_pinned(seed):
     rep = sim_twoway(TwoWayConfig(193.0, 97.0, CH), 115, 62, _BLOCK + 12_345, seed)
     assert (rep.estimate, rep.std_error) == TWOWAY_GOLDEN[seed]
+
+
+# The goldens rebuilt from Philox.random_raw words alone, so a report
+# depends on the raw stream, which NumPy keeps stable (NEP 19), and on no
+# Generator method.  integers(0, K) for K < 2**32 is Lemire's method on the
+# words' 32-bit halves, low half first: half h is rejected when
+# (h*K) mod 2**32 < 2**32 mod K and otherwise gives (h*K) >> 32; random()
+# is (raw >> 11) * 2**-53 and starts at the whole word after the last half.
+
+def _raw_block(seed, b, words):
+    return np.random.Philox(key=np.array([seed, b], dtype=np.uint64)).random_raw(words)
+
+
+def _raw_aloha_counts(cfg, seed, b, kept):
+    draws = _BLOCK * cfg.M
+    raw = _raw_block(seed, b, draws // 2 + 1024 + draws)  # room for 2048 rejections
+    halves = raw[: draws // 2 + 1024].view("<u4").astype(np.uint64)
+    product = halves * np.uint64(cfg.K)
+    accepted = np.flatnonzero(product % (1 << 32) >= (1 << 32) % cfg.K)[:draws]
+    slots = (product[accepted] >> np.uint64(32)).astype(np.int64).reshape(_BLOCK, cfg.M)[:kept]
+    start = (int(accepted[-1]) + 2) // 2  # the whole word after the last half read
+    u = (raw[start : start + kept * cfg.M] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    p = 1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, float(cfg.n // cfg.K)))
+    cells = slots + cfg.K * np.arange(kept)[:, None]
+    alone = np.bincount(cells.ravel())[cells] == 1
+    return (alone & (u.reshape(kept, cfg.M) < p)).sum(axis=1)
+
+
+def test_aloha_golden_rebuilt_from_raw_words():
+    cfg, trials = ALOHA_SHAPES[10]
+    s = np.concatenate([_raw_aloha_counts(cfg, 0, b, min(_BLOCK, trials - b * _BLOCK))
+                        for b in range(-(-trials // _BLOCK))])
+    sum_s, sum_s2 = int(s.sum()), int((s * s).sum())
+    sd = math.sqrt(max((sum_s2 - sum_s * sum_s / trials) / (trials - 1), 0.0))
+    per_slot = (sum_s / trials / cfg.K, sd / (cfg.K * math.sqrt(trials)))
+    per_device = (sum_s / trials / cfg.M, sd / (cfg.M * math.sqrt(trials)))
+    assert per_slot + per_device == ALOHA_GOLDEN[10, 0]
+
+
+def test_twoway_golden_rebuilt_from_raw_words():
+    cfg, trials = TwoWayConfig(193.0, 97.0, CH), _BLOCK + 12_345
+    e1, e2 = eps_star(CH, CodeSpec(cfg.k1, 115)), eps_star(CH, CodeSpec(cfg.k2, 62))
+    ok = 0
+    for b in range(2):
+        kept = min(_BLOCK, trials - b * _BLOCK)
+        u = (_raw_block(0, b, 2 * kept) >> np.uint64(11)).astype(np.float64).reshape(kept, 2) * 2.0**-53
+        ok += int(np.count_nonzero((u[:, 0] >= e1) & (u[:, 1] >= e2)))
+    p = ok / trials
+    assert (p, math.sqrt(p * (1.0 - p) / trials)) == TWOWAY_GOLDEN[0]
 
 
 @pytest.mark.parametrize("antennas, seed", sorted(MIMO_GOLDEN))
