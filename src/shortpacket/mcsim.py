@@ -265,11 +265,14 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
 
     # up to 2**16 slots, rows are sized by max(M, K), so the count over
     # (frame, slot) cells is chunk-sized too; past that each row's slots are
-    # sorted instead.  The slot buffer is reused, which measured faster than
-    # a fresh array per chunk
+    # sorted instead.  The chunk-sized arrays are reused buffers or die
+    # within their statement: fresh ones that outlive it made the allocator
+    # return memory to the system and fault it back in, chunk after chunk
     width = cfg.M if cfg.K > _CHUNK else max(cfg.M, cfg.K)
     size = next(_chunks(min(trials, _BLOCK), width))
     slot_buf = np.empty((size, cfg.M), dtype=np.int64)
+    alone_buf = np.empty((size, cfg.M), dtype=bool)
+    success_buf = np.empty((size, cfg.M))
     row_offset = cfg.K * np.arange(size)[:, None]
     ones = np.ones(cfg.M)
 
@@ -279,6 +282,7 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
         sum_s = sum_s2 = 0
         for rows in _chunks(kept, width):
             slot = slots.fill(slot_buf[:rows])
+            alone = alone_buf[:rows]
             if cfg.K > _CHUNK:  # a device is alone when its sorted neighbours differ
                 order = np.argsort(slot, axis=1)
                 ranked = np.take_along_axis(slot, order, axis=1)
@@ -286,14 +290,12 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
                 same = ranked[:, 1:] == ranked[:, :-1]
                 lone[:, 1:] &= ~same
                 lone[:, :-1] &= ~same
-                alone = np.empty_like(lone)
                 np.put_along_axis(alone, order, lone, axis=1)
             else:
                 slot += row_offset[:rows]
-                alone = np.bincount(slot.ravel())[slot] == 1
-            raw = uniforms.random_raw(rows * cfg.M).reshape(rows, cfg.M)
-            raw >>= np.uint64(11)
-            s = (alone & (raw < decodes_below)) @ ones  # exact: counts below 2**53
+                np.take(np.bincount(slot.ravel()) == 1, slot, out=alone)
+            decoded = ((uniforms.random_raw(rows * cfg.M) >> np.uint64(11)) < decodes_below).reshape(rows, cfg.M)
+            s = np.logical_and(alone, decoded, out=success_buf[:rows]) @ ones  # exact: counts below 2**53
             sum_s += int(s.sum())
             sum_s2 += int(s @ s)
         return sum_s, sum_s2
