@@ -272,7 +272,6 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     size = next(_chunks(min(trials, _BLOCK), width))
     slot_buf = np.empty((size, cfg.M), dtype=np.int64)
     alone_buf = np.empty((size, cfg.M), dtype=bool)
-    success_buf = np.empty((size, cfg.M))
     row_offset = cfg.K * np.arange(size)[:, None]
     ones = np.ones(cfg.M)
 
@@ -295,7 +294,7 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
                 slot += row_offset[:rows]
                 np.take(np.bincount(slot.ravel()) == 1, slot, out=alone)
             decoded = ((uniforms.random_raw(rows * cfg.M) >> np.uint64(11)) < decodes_below).reshape(rows, cfg.M)
-            s = np.logical_and(alone, decoded, out=success_buf[:rows]) @ ones  # exact: counts below 2**53
+            s = np.logical_and(alone, decoded, out=alone) @ ones  # exact: counts below 2**53
             sum_s += int(s.sum())
             sum_s2 += int(s @ s)
         return sum_s, sum_s2

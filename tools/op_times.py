@@ -8,9 +8,8 @@ operation `--repeats` times in turn (one untimed pass first, as the bench
 does), and prints each operation's fastest repeat in milliseconds, fastest
 first.  The operations at the workload's p50 and at its tail percentile
 are marked: those are the ones `latency_p50_ms` and `latency_tail_ms` are
-interpolated between, which bench/run.py does not print.  Standard library
-plus the package's own dependencies; the BLAS thread variables are set to
-1 as the bench sets them.
+interpolated between, which bench/run.py does not print.  The BLAS thread
+variables are set to 1, as bench/run.py sets them.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def marks(count: int, pct: float) -> set[int]:
@@ -34,12 +32,17 @@ def marks(count: int, pct: float) -> set[int]:
 
 def op_times(workload: str, seed: int, repeats: int) -> tuple[list[tuple[float, int, str]], float]:
     """(fastest ms, index, label) for every operation, and the workload's tail percentile."""
-    for var in THREAD_VARS:
+    sys.path.insert(0, str(BENCH))
+    import run  # bench/run.py, which loads no numpy when imported
+
+    for var in run.THREAD_VARS:
         os.environ[var] = "1"
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.path.insert(0, str(run.SRC))
     import workloads as wl
 
-    w = wl.WORKLOADS[workload](seed, str(ROOT / "src"))
+    if workload not in wl.WORKLOADS:
+        raise SystemExit(f"unknown workload {workload!r}; known: {', '.join(wl.WORKLOADS)}")
+    w = wl.WORKLOADS[workload](seed, str(run.SRC))
     for op in w.ops:
         op.run(wl.direct)
     best = [float("inf")] * len(w.ops)
