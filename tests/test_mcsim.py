@@ -167,19 +167,21 @@ def test_sim_aloha_follows_full_block_layout_under_heavy_rejection(slots, trials
     assert rep.std_error == pytest.approx(s.std(ddof=1) / (3 * math.sqrt(trials)), rel=1e-9)
 
 
-def test_uniforms_are_guessed_only_where_a_block_expects_at_most_half_a_rejection():
+def test_uniforms_are_guessed_only_where_a_block_expects_at_most_a_sixteenth_of_a_rejection():
     draws = _BLOCK * 100
     assert _unrejected_words(1, draws) == 0  # K = 1 draws nothing
-    # 2**32 mod 60 = 16: 16 * 100 * 2**16 halves is below 2**31
+    # 2**32 mod 60 = 16: 16 * 100 * 2**16 halves is below 2**28
     assert _unrejected_words(60, draws) == draws // 2
     assert _unrejected_words(1 << 32, draws) == draws // 2  # numpy passes the half itself
     assert _unrejected_words((1 << 32) + 1, draws) == draws  # 2**64 mod K = 1, one word a draw
+    # 2**32 mod 1000 = 296: 0.45 expected rejections, where a guess was slower
+    assert _unrejected_words(1000, draws) is None
     assert _unrejected_words(3 << 30, draws) is None
     assert _unrejected_words((1 << 31) + 1, draws) is None
-    # the edge: (2**32 mod K) * count == 2**31 still guesses, one more draw does not
+    # the edge: (2**32 mod K) * count == 2**28 still guesses, one more draw does not
     # at K = 3 (2**32 mod 3 = 1)
-    assert _unrejected_words(3, 1 << 31) == 1 << 30
-    assert _unrejected_words(3, (1 << 31) + 1) is None
+    assert _unrejected_words(3, 1 << 28) == 1 << 27
+    assert _unrejected_words(3, (1 << 28) + 1) is None
 
 
 def test_word_index_counts_raw_words_and_advance():

@@ -1,4 +1,4 @@
-"""tools/op_times.py on the smallest workload pass: one timed repeat of
+"""tools/op_times.py on the smallest workload pass: one timed pass of
 design-scan, every operation listed once, fastest first, with the p50 and
 tail operations marked."""
 
@@ -21,7 +21,7 @@ def test_marks_are_the_positions_a_percentile_interpolates_between():
 
 def test_op_times_lists_every_design_scan_operation_sorted():
     out = subprocess.run(
-        [sys.executable, "tools/op_times.py", "--workload", "design-scan", "--seed", "0", "--repeats", "1"],
+        [sys.executable, "tools/op_times.py", "--workload", "design-scan", "--seed", "0", "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
     ).stdout.splitlines()
     assert out[0].startswith("# design-scan seed 0:")

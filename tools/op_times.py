@@ -1,40 +1,39 @@
 """Per-operation times of one benchmark workload, sorted, in one process.
 
-    python3 tools/op_times.py --workload mc-crosscheck --seed 0 [--repeats 5]
+    python3 tools/op_times.py --workload mc-crosscheck --seed 0 [--seconds 10]
 
 Run from the root of a source checkout.  It builds the workload from
-bench/workloads.py with the same seed as `bench/run.py`, runs every
-operation `--repeats` times in turn (one untimed pass first, as the bench
-does), and prints each operation's fastest repeat in milliseconds, fastest
-first.  The operations at the workload's p50 and at its tail percentile
-are marked: those are the ones `latency_p50_ms` and `latency_tail_ms` are
-interpolated between, which bench/run.py does not print.  The BLAS thread
-variables are set to 1, as bench/run.py sets them.
+bench/workloads.py with the same seed as `bench/run.py` and runs it through
+the bench's own pass loop (`run.run_passes`: one untimed pass, then whole
+passes for `--seconds`, taking the CPUs in turn; at least one timed pass).
+It prints each operation's fastest pass in milliseconds, fastest first, and
+marks the operations at p50 and at the tail percentile: those are the ones
+`latency_p50_ms` and `latency_tail_ms` are interpolated between, which
+bench/run.py does not print.  The BLAS thread variables are set to 1, as
+bench/run.py sets them.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-import time
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+import run  # noqa: E402  (bench/run.py, which loads no numpy when imported)
 
 
 def marks(count: int, pct: float) -> set[int]:
-    """Sorted positions that a linear-interpolation percentile of `count` values reads."""
-    pos = (count - 1) * pct / 100.0
-    lo = int(pos)
-    return {lo, min(lo + 1, count - 1)} if pos > lo else {lo}
+    """Sorted positions that run.percentile interpolates between for `count` values."""
+    pos = run.percentile(list(range(count)), pct)
+    return {int(pos), math.ceil(pos)}
 
 
-def op_times(workload: str, seed: int, repeats: int) -> tuple[list[tuple[float, int, str]], float]:
+def op_times(workload: str, seed: int, seconds: float) -> tuple[list[tuple[float, int, str]], float]:
     """(fastest ms, index, label) for every operation, and the workload's tail percentile."""
-    sys.path.insert(0, str(BENCH))
-    import run  # bench/run.py, which loads no numpy when imported
-
     for var in run.THREAD_VARS:
         os.environ[var] = "1"
     sys.path.insert(0, str(run.SRC))
@@ -43,28 +42,19 @@ def op_times(workload: str, seed: int, repeats: int) -> tuple[list[tuple[float, 
     if workload not in wl.WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}; known: {', '.join(wl.WORKLOADS)}")
     w = wl.WORKLOADS[workload](seed, str(run.SRC))
-    for op in w.ops:
-        op.run(wl.direct)
-    best = [float("inf")] * len(w.ops)
-    for _ in range(repeats):
-        for i, op in enumerate(w.ops):
-            t0 = time.perf_counter()
-            op.run(wl.direct)
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return sorted((t * 1e3, i, op.label) for i, (t, op) in enumerate(zip(best, w.ops))), w.tail_pct
+    latencies = run.run_passes(w, seconds, None, lambda i, out: None)["latencies"]
+    return sorted((min(xs) * 1e3, i, op.label) for i, (xs, op) in enumerate(zip(latencies, w.ops))), w.tail_pct
 
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--seconds", type=float, default=10.0)
     args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be at least 1")
-    times, tail_pct = op_times(args.workload, args.seed, args.repeats)
+    times, tail_pct = op_times(args.workload, args.seed, args.seconds)
     at_p50, at_tail = marks(len(times), 50.0), marks(len(times), tail_pct)
-    print(f"# {args.workload} seed {args.seed}: {len(times)} operations, fastest of {args.repeats}; "
+    print(f"# {args.workload} seed {args.seed}: {len(times)} operations, fastest pass in {args.seconds:g} s; "
           f"p50 and p{tail_pct:g} marked")
     for rank, (ms, i, label) in enumerate(times):
         tags = [tag for tag, at in (("p50", at_p50), (f"p{tail_pct:g}", at_tail)) if rank in at]
