@@ -190,6 +190,16 @@ def _live_window(c: float, v: float, k_min: float, k_max: float) -> tuple[float,
     return r * r, n_top
 
 
+def _saturation(ch: Channel, k: float) -> int:
+    """A grid length L whose last entry, and every one after it, _success_grid
+    gives as exactly 1.0 for every k' <= k: floor(n_top) + 1, from _live_window.
+    2**53 where no closed form bounds it: C = 0, k past _EXACT, or n_top past it."""
+    c, v = _cv(ch)
+    if c == 0.0 or k > _EXACT:
+        return 1 << 53
+    return min(math.floor(_live_window(c, v, k, k)[1]) + 1, 1 << 53)
+
+
 def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
     """1 - eps_star(ch, (k, m)) for each m in n, an ascending float array, with
     k a float or a column of them.  Entries at or below _live_window's n_lo

@@ -203,8 +203,8 @@ def _unrejected_words(K: int, count: int) -> int | None:
     pays while the miss probability, 1 - e**-x at x expected rejections,
     stays below the time of that walk over the time of a read.  Timed on
     full blocks at M from 3 to 1000 and K from 6 to 2**31 + 1, that ratio
-    was 0.075-0.27 (0.003 at M=30, K=30000, where a chunk holds two frames
-    and x is 7.9), so the guess is taken up to x = 1/16.
+    was 0.075-0.27 (0.003 at M=30, K=30000, where x is 7.9, when a chunk
+    held two frames there), so the guess is taken up to x = 1/16.
     """
     if K == 1:
         return 0
@@ -270,16 +270,20 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     p_decode = 1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, float(n_slot)))
     decodes_below = np.uint64(math.ceil(p_decode * 2.0**53))
 
-    # up to 2**16 slots, rows are sized by max(M, K), so the count over
-    # (frame, slot) cells is chunk-sized too; past that each row's slots are
-    # sorted instead.  The chunk-sized arrays are reused buffers or die
+    # up to K = min(64 M, 2**16), rows are sized by max(M, K), so the count
+    # over (frame, slot) cells is chunk-sized too; past that rows are sized
+    # by M and each row's slots are sorted instead, so a chunk holds
+    # 2**16 / M frames however many slots (past 64 M sorting was no slower
+    # at every shape timed; below it counting was faster at M=3, K=100 and
+    # M=1000, K=10000).  The chunk-sized arrays are reused buffers or die
     # within their statement: fresh ones that outlive it made the allocator
-    # return memory to the system and fault it back in, chunk after chunk
-    width = cfg.M if cfg.K > _CHUNK else max(cfg.M, cfg.K)
+    # return memory to the system and fault it back in
+    sorted_rows = cfg.K > min(64 * cfg.M, _CHUNK)
+    width = cfg.M if sorted_rows else max(cfg.M, cfg.K)
     size = next(_chunks(min(trials, _BLOCK), width))
     slot_buf = np.empty((size, cfg.M), dtype=np.int64)
     alone_buf = np.empty((size, cfg.M), dtype=bool)
-    row_offset = cfg.K * np.arange(size)[:, None] if cfg.K <= _CHUNK else None
+    row_offset = None if sorted_rows else cfg.K * np.arange(size)[:, None]
     ones = np.ones(cfg.M)
 
     def read(slots: _Integers, uniforms: np.random.BitGenerator, kept: int) -> tuple[int, int]:
@@ -289,7 +293,7 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
         for rows in _chunks(kept, width):
             slot = slots.fill(slot_buf[:rows])
             alone = alone_buf[:rows]
-            if cfg.K > _CHUNK:  # a device is alone when its sorted neighbours differ
+            if sorted_rows:  # a device is alone when its sorted neighbours differ
                 order = np.argsort(slot, axis=1)
                 ranked = np.take_along_axis(slot, order, axis=1)
                 lone = np.ones(slot.shape, dtype=bool)

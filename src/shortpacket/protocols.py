@@ -14,11 +14,11 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ._check import integer, probability, real
-from .awgn import Channel, CodeSpec, _success_grid, eps_star, eps_star_log
+from .awgn import Channel, CodeSpec, _saturation, _success_grid, eps_star, eps_star_log
 
 __all__ = [
     "TwoWayConfig",
@@ -35,10 +35,6 @@ __all__ = [
     "aloha_success",
     "aloha_optimize",
 ]
-
-# success-grid entries of a two-way search before its first regrowth
-_GRID_FLOOR = 256
-
 
 @dataclass(frozen=True)
 class TwoWayConfig:
@@ -229,30 +225,13 @@ def twoway_reliability(cfg: TwoWayConfig, n1: int, n2: int) -> float:
     return (1.0 - e1) * (1.0 - e2)
 
 
-def _split_grids(cfg: TwoWayConfig, size_cap: int) -> Callable[[int], np.ndarray]:
-    """grids(size) -> s, where s[0, m-1] = 1 - eps*(k1, m) and
-    s[1, m-1] = 1 - eps*(k2, m) for m = 1..L, L >= min(size, size_cap).
-
-    One _success_grid call builds both legs, over k as a (2, 1) column, so
-    m*C, log2(m)/2 and sqrt(mV) are shared.  A call that needs more
-    entries rebuilds the pair x4 longer (from _GRID_FLOOR, capped at
-    size_cap entries); every other call returns the cached pair.
-    """
+def _leg_grids(cfg: TwoWayConfig, size: int) -> np.ndarray:
+    """s[0, m-1] = 1 - eps*(k1, m) and s[1, m-1] = 1 - eps*(k2, m) for m = 1..size,
+    both legs from one _success_grid call over k as a (2, 1) column, so
+    m*C, log2(m)/2 and sqrt(mV) are shared."""
     import numpy as np
-    s = np.empty((2, 0))
     k = np.array([[cfg.k1], [cfg.k2]])
-
-    def grids(size: int) -> np.ndarray:
-        nonlocal s
-        size = min(size, size_cap)
-        if size > s.shape[1]:
-            grown = max(_GRID_FLOOR, s.shape[1])
-            while grown < size:
-                grown *= 4
-            s = _success_grid(cfg.ch, k, np.arange(1, min(grown, size_cap) + 1, dtype=float))
-        return s
-
-    return grids
+    return _success_grid(cfg.ch, k, np.arange(1, size + 1, dtype=float))
 
 
 def _best_split(s: np.ndarray, n: int) -> tuple[int, float]:
@@ -264,41 +243,38 @@ def _best_split(s: np.ndarray, n: int) -> tuple[int, float]:
     return i + 1, float(rel[i])
 
 
-def _smallest_total(
-    grids: Callable[[int], np.ndarray], target: float, n_ceiling: int
-) -> tuple[int, int, float] | None:
+def _smallest_total(s: np.ndarray, target: float, n_ceiling: int) -> tuple[int, int, float] | None:
     """(n, n1, reliability) for the smallest n <= n_ceiling whose best split
     beats target, at that split's first argmax n1; None if no n does.
 
+    s is the grid pair of _leg_grids, L entries a leg: L = n_ceiling - 1,
+    or less where every leg's entry is exactly 1.0 from m = L on.
     Both success probabilities are at most 1 and rounding is monotone, so
     a product is at most each factor and a split beats the target only if
     each leg does: n1 >= a1 and n2 >= b2, the legs' floors, where a1 is the
-    first m with s[0, m-1] > target (b2 likewise).  The grid pair grows x4
-    until both floors are in it.  Split (a1 + i, b2 + j) then lies on
-    anti-diagonal d = i + j, which holds every split of n = a1 + b2 + d
-    that can meet the target.  Every other split of that n is at most the
-    target, so the first argmax on the first diagonal that beats it is the
-    first argmax of a full scan, and it multiplies the same two grid
-    floats.
+    first m with s[0, m-1] > target (b2 likewise).  Split (a1 + i, b2 + j)
+    then lies on anti-diagonal d = i + j, which holds every split of
+    n = a1 + b2 + d that can meet the target.  Every other split of that n
+    is at most the target, so the first argmax on the first diagonal that
+    beats it is the first argmax of a full scan, and it multiplies the
+    same two grid floats.
 
     That diagonal is found through the legs' running maxima: some split
     with i + j <= d beats the target exactly when the maxima's diagonal d
     does, and that test rises with d.  The test runs at d = 0, 1, 3, 7, ...
-    until it passes (or reaches the ceiling), then bisects the last gap:
-    O(d log d) products.  Nothing here assumes that the best reliability
-    rises with n.
+    until it passes (or reaches the last diagonal), then bisects the last gap:
+    O(d log d) products.  It never reads past the grid: on diagonal
+    L - max(a1, b2), the split that pairs one leg's entry at m = L, 1.0,
+    with the other leg's floor already beats the target.  Nothing here
+    assumes that the best reliability rises with n.
     """
     import numpy as np
-    s = grids(_GRID_FLOOR)
-    while True:
-        above = s > target
-        a, b = above.argmax(axis=1).tolist()  # floors a1 - 1 and b2 - 1
-        if above[0, a] and above[1, b]:
-            break
-        if s.shape[1] >= n_ceiling - 1:
-            return None
-        s = grids(4 * s.shape[1])
-    last = n_ceiling - a - b - 2  # the largest diagonal at or below the ceiling
+    above = s > target
+    a, b = above.argmax(axis=1).tolist()  # floors a1 - 1 and b2 - 1
+    if not (above[0, a] and above[1, b]):
+        return None
+    # the largest diagonal at or below the ceiling, and within the grid
+    last = min(n_ceiling - a - b - 2, s.shape[1] - 1 - max(a, b))
     if last < 0:
         return None
     # below a floor every entry is at most the target, so the maxima from
@@ -313,9 +289,6 @@ def _smallest_total(
         if hi == last:
             return None
         lo, hi = hi + 1, min(2 * hi + 1, last)
-        if max(a, b) + hi >= s.shape[1]:
-            s = grids(max(a, b) + hi + 1)
-            top = np.maximum.accumulate(s, axis=1)
     d = bisect.bisect_left(range(lo, hi), True, key=beats) + lo
     rel = s[0, a : a + d + 1] * s[1, b : b + d + 1][::-1]
     i = int(rel.argmax())
@@ -331,14 +304,17 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
     meets the target; if no n <= n_ceiling does, the result has
     feasible=False and reports the best split at the ceiling.
 
-    Both read two cached grids of per-leg success probabilities,
-    1 - eps*(k1, m) and 1 - eps*(k2, m).  A fixed n scans every split of
-    it.  A target search finds each leg's floor, the first m whose success
-    beats the target, and then the first anti-diagonal of splits above both
-    floors (one total n) that holds a split beating it, by a doubling
-    search and a bisection over the legs' running maxima; no split below a
-    floor can meet the target, so the answer is the exact smallest n and
-    the same split a full scan picks.
+    Both read one grid pair of per-leg success probabilities,
+    1 - eps*(k1, m) and 1 - eps*(k2, m), built once.  A fixed n scans every
+    split of it, over n - 1 entries a leg.  A target search builds its
+    grids up to the ceiling, or only up to awgn._saturation's length, past
+    which both legs are exactly 1.0.  It finds each leg's floor, the first
+    m whose success beats the target, and then the first anti-diagonal of
+    splits above both floors (one total n) that holds a split beating it,
+    by a doubling search and a bisection over the legs' running maxima; no
+    split below a floor can meet the target, so the answer is the exact
+    smallest n and the same split a full scan picks.  An infeasible search
+    on saturated grids builds them again up to the ceiling for its split.
 
     Args:
         cfg: exchange description carrying exactly one objective.
@@ -356,12 +332,15 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
 
     if cfg.n_total is not None:
         n = cfg.n_total
-        return result(True, n, *_best_split(_split_grids(cfg, n - 1)(n - 1), n))
-    grids = _split_grids(cfg, n_ceiling - 1)
-    found = _smallest_total(grids, cfg.target_reliability, n_ceiling)
+        return result(True, n, *_best_split(_leg_grids(cfg, n - 1), n))
+    size = min(n_ceiling - 1, _saturation(cfg.ch, max(cfg.k1, cfg.k2)))
+    s = _leg_grids(cfg, size)
+    found = _smallest_total(s, cfg.target_reliability, n_ceiling)
     if found is not None:
         return result(True, *found)
-    return result(False, n_ceiling, *_best_split(grids(n_ceiling - 1), n_ceiling))
+    if size < n_ceiling - 1:
+        s = _leg_grids(cfg, n_ceiling - 1)
+    return result(False, n_ceiling, *_best_split(s, n_ceiling))
 
 
 def twoway_tdd_eval(k: float, k_i: float, n_slot: float, ch: Channel) -> TddResult:

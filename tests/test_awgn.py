@@ -320,6 +320,28 @@ def test_tail_argument_is_past_the_margin_outside_the_live_window(snr, conventio
                 assert all(t(m) >= awgn._LIVE_T for m in above)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    _decades(-17.0, 308.2) | st.sampled_from([5e-324, 1e-16, 1.2e-16, 1.7e308]),
+    _CONVENTION,
+    _decades(-3.0, math.log10(2.0**53)) | st.sampled_from([2.0**53, 2.0**53 + 2.0, 1e300]),
+    st.floats(1e-6, 1.0),
+)
+def test_success_grid_is_one_from_the_saturation_length_on(snr, convention, k, share):
+    # for a k column [k', k] with k' <= k, both rows are exactly 1.0 at
+    # m = L = _saturation(ch, k) and past it, over m = 1..L + 64 (around L
+    # only, where L is long)
+    ch = Channel(snr, convention)
+    size = awgn._saturation(ch, k)
+    if awgn._cv(ch)[0] == 0.0 or k > 2.0**53:
+        assert size == 2**53
+    assume(size < 2**53)
+    m = np.arange(1, min(size, 1 << 16) + 65)
+    m = np.union1d(m, np.arange(max(size - 64, 1), min(size + 64, 2**53) + 1)).astype(float)
+    s = awgn._success_grid(ch, np.array([[k * share], [k]]), m)
+    assert np.all(s[:, m >= size] == 1.0)
+
+
 def test_success_grid_is_one_minus_q_on_both_sides_of_2_53():
     # C = 0 below snr 1.1e-16, and every n is live; up to 2**53 in k and n
     # the window holds, and past it every entry is live and t may overflow

@@ -1,7 +1,9 @@
 """tools/bench_pairs.py's verdicts on synthetic runs: a claim met or not
 met, a spread too wide to tell, the change better in every run despite it,
-and a regression inside the bound.  No benchmark is run."""
+and a regression inside the bound; and how it names a checkout, by its
+git HEAD and a digest of its src/.  No benchmark is run."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,32 @@ def test_a_regression_inside_the_bound_is_marked_worse():
     assert text.startswith("within the bound; worse in 10/10")
     text, _ = verdict("wall_s", PARENT, scaled(PARENT, 1.3))
     assert text.startswith("WORSE than the bound 25%")
+
+
+def test_src_digest_names_a_checkout_by_its_source_bytes(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_bytes(b"x = 1\n")
+    (package / "b.py").write_bytes(b"y = 2\n")
+    digest = bench_pairs.src_digest(tmp_path)
+    assert len(digest) == 64
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0" * 16)
+    assert bench_pairs.src_digest(tmp_path) == digest  # bytecode is ignored
+    (package / "a.py").write_bytes(b"x = 2\n")
+    assert bench_pairs.src_digest(tmp_path) != digest  # one byte moves it
+    (package / "a.py").write_bytes(b"x = 1\n")
+    assert bench_pairs.src_digest(tmp_path) == digest
+    (package / "b.py").rename(package / "c.py")
+    assert bench_pairs.src_digest(tmp_path) != digest  # and so does a file's name
+
+
+def test_git_head_names_only_the_top_of_a_work_tree(tmp_path):
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", "-C", str(tmp_path)]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"], check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True, text=True)
+    assert bench_pairs.git_head(tmp_path) == head.stdout.strip()
+    export = tmp_path / "export"  # an export with no HEAD of its own
+    export.mkdir()
+    assert bench_pairs.git_head(export) is None

@@ -138,12 +138,14 @@ def test_integers_reader_matches_numpy(K):
         assert np.array_equal(reader.fill(np.empty((3, 5), dtype=np.int64)), want)
 
 
-# past 2**16 slots the kernel sorts each frame's slots to find the lone
-# devices, at 2**32 numpy passes each 32-bit half through, and past it the
-# slot choices take numpy's 64-bit path; 20 devices in 2**16 + 1 slots
-# collide in about 3 frames of a thousand
+# past 64 M slots (or 2**16) the kernel sorts each frame's slots to find
+# the lone devices, at 2**32 numpy passes each 32-bit half through, and past
+# it the slot choices take numpy's 64-bit path; 20 devices in 2**16 + 1
+# slots collide in about 3 frames of a thousand.  193, 1000 and 1921 slots
+# are the first past 64 M, or well past it, for 3, 10 and 30 devices
 @pytest.mark.parametrize("devices, slots", [
     (1, (1 << 31) + 1), (3, (1 << 31) + 1), (3, (1 << 32) + 1), (20, (1 << 16) + 1), (3, 1 << 32),
+    (3, 193), (10, 1000), (30, 1921),
 ])
 def test_sim_aloha_follows_full_block_layout_at_large_k(devices, slots):
     cfg = AlohaConfig(devices, 104.0, 60.0 * slots, CH, K=slots)
@@ -236,6 +238,16 @@ def test_sim_aloha_walks_only_the_unread_rest_of_a_block(trials, monkeypatch):
     sim_aloha(cfg, trials, 0)
     assert sum(walked) == (_BLOCK - trials) * 10
     assert sum(reads) == trials * 10  # each kept slot choice is read once
+
+
+def test_sim_aloha_sizes_sorted_chunk_rows_by_devices(monkeypatch):
+    # rows sized by max(M, K) gave 30000 slots two frames a chunk: 32,768
+    # chunks a block; sized by M, a chunk holds 2**16 // 30 = 2184 frames
+    reads = []
+    fill = _Integers.fill
+    monkeypatch.setattr(_Integers, "fill", lambda self, out: reads.append(out.size) or fill(self, out))
+    sim_aloha(AlohaConfig(30, 104.0, 60.0 * 30_000, CH, K=30_000), _BLOCK, 5)
+    assert len(reads) <= 31 and sum(reads) == _BLOCK * 30  # no guess at this K: read once
 
 
 @pytest.mark.parametrize("m_t, m_r", [(1, 1), (2, 1), (1, 3), (3, 2), (4, 4), (1, 8)])

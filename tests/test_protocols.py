@@ -76,7 +76,7 @@ def test_twoway_reliability_saturates():
 
 def test_twoway_optimize_matches_exhaustive_scan():
     cfg_base = TwoWayConfig(193.0, 97.0, CH)
-    # 257 and 258 need all of the first 256-entry grid and one entry past it
+    # a fixed n reads a grid pair of n - 1 entries, 256 and 257 here
     for n in (10, 47, 100, 203, 257, 258):
         res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, n_total=n), 96.0)
         n1_ref, rel_ref = scan_best_split(cfg_base, n)
@@ -215,23 +215,23 @@ def test_twoway_target_search_matches_from_scratch_search(log_k1, log_k2, snr_db
 # (snr dB, convention, k1, k2, target, answer n, n - a1 - b2), where the
 # floor a1 (b2) is the first m whose 1 - eps*(k1, m) beats the target
 TARGET_EDGES = [
-    # an answer past 256 whose splits above the floors lie in the first
-    # 256-entry grid
+    # a far floor, 252 of a 360-entry saturated grid pair, and the answer
+    # three diagonals above the floors
     (6.9, Convention.REAL_CU, 12.5, 288.8, 1.0 - 1e-2, 271, 3),
-    # an answer just past 256, 18 diagonals up: the probes at 15 and 31
-    # bracket it, and the bisection between them finds it
+    # an answer 18 diagonals up: the probes at 15 and 31 bracket it, and
+    # the bisection between them finds it
     (-3.1, Convention.REAL_CU, 0.6, 5.0, 1.0 - 1e-5, 260, 18),
-    # a floor past 256, so the floors regrow the grid to 1024
+    # a floor at 849 of a 1391-entry saturated grid pair
     (-3.2, Convention.REAL_CU, 2.9, 140.2, 1.0 - 1e-6, 1026, 21),
-    # floors in the 1024-entry grid
+    # floors 30 and 1016 of a 1135-entry saturated grid pair
     (4.0, Convention.COMPLEX_CU, 20.8, 1636.1, 1.0 - 1e-6, 1049, 3),
     # the answer on diagonal 32, past the probe at 31: at the ceiling n it
     # is the last diagonal, where the next probe stops, and it must still
     # be read
     (-5.7, Convention.REAL_CU, 1.0, 0.5, 1.0 - 1e-3, 224, 32),
-    # low snr: the answer lies more than 128 diagonals above the floors, so
-    # the probe at 255 regrows the grid (to 1024, and to the ceiling's 2999
-    # entries) and the bisection reads 128..254
+    # low snr: the answer lies more than 128 diagonals above the floors,
+    # past the probe at 127, and the bisection reads 128..254; the legs
+    # saturate past the ceiling, so the grid pair has its 2999 entries
     (-15.2, Convention.REAL_CU, 1.3, 1.9, 1.0 - 1e-1, 227, 133),
     (-12.0, Convention.REAL_CU, 0.1, 32.6, 1.0 - 1e-3, 2123, 165),
     # the rest are one float below the best reliability at n, so n is the
@@ -241,8 +241,8 @@ TARGET_EDGES = [
     # the probes rise with d
     (-27.8, Convention.COMPLEX_CU, 0.12, 0.32, 0.9999999094119407, 20, 4),
     (-22.4, Convention.REAL_CU, 0.3, 0.22, 0.9999695793308011, 23, 8),
-    # a probe whose last split reads the entry just past the grid pair:
-    # max(a1, b2) - 1 + d = 256 at the probe d = 127, and at d = 3
+    # answers 73 and 109 diagonals up, where the probe at 127 reads far
+    # past both floors
     (-9.7, Convention.REAL_CU, 0.57, 2.42, 0.9831872814940965, 279, 73),
     (-13.7, Convention.COMPLEX_CU, 0.57, 0.1, 0.9979756097372028, 598, 109),
     # the best reliability at n - 1 equals the target, which it does not beat
@@ -263,7 +263,7 @@ def test_twoway_target_search_edges(snr_db, conv, k1, k2, target, n, above_floor
         assert_target_search_matches(cfg, n_ceiling, found)
 
 
-def test_twoway_target_search_builds_grids_only_to_grow(monkeypatch):
+def test_twoway_target_search_builds_its_grids_once(monkeypatch):
     grids = []
     success_grid = protocols._success_grid
 
@@ -272,19 +272,18 @@ def test_twoway_target_search_builds_grids_only_to_grow(monkeypatch):
         return success_grid(ch, k, n)
 
     monkeypatch.setattr(protocols, "_success_grid", spy_success_grid)
-    # n = 203: both floors and the diagonal search read the first grid
-    # pair, both legs built in one call
+    # n = 203: one grid pair, both legs in one call, up to the length where
+    # both legs are exactly 1.0
     res = twoway_optimize(TwoWayConfig(193.0, 97.0, CH, target_reliability=0.999), 96.0)
     assert (res.n, res.n1) == (203, 132)
-    assert grids == [([193.0, 97.0], 256)]
-    # a long exchange regrows x4 until both floors are in the grid, and the
-    # floors add up past the ceiling, so the final split at the ceiling
-    # caps the last grid at n_ceiling - 1
+    assert grids == [([193.0, 97.0], 184)] and protocols._saturation(CH, 193.0) == 184
+    # the floors add up past the ceiling, so the search on the saturated
+    # grid fails and the final split at the ceiling builds n_ceiling - 1
     grids.clear()
     cfg = TwoWayConfig(6000.0, 3000.0, CH, target_reliability=1.0 - 1e-6)
     res = twoway_optimize(cfg, 1.0, n_ceiling=5000)
     assert not res.feasible and res.n == 5000
-    assert grids == [([6000.0, 3000.0], size) for size in (256, 1024, 4096, 4999)]
+    assert grids == [([6000.0, 3000.0], size) for size in (3795, 4999)]
     assert (res.n1, res.reliability) == from_scratch_best_split(cfg, 5000)
     # fixed n: one grid pair of n - 1 entries
     grids.clear()

@@ -22,12 +22,15 @@ change is better in at least 9 of 10 pairs and the medians differ, in the
 better direction, by more than the parent's interquartile range.  Any
 other metric that the same rule finds worse is marked "worse in N/10", so
 a regression inside the bound still shows.  --out writes the command line,
-the runs, the summaries and the verdicts as JSON.  Standard library only.
+each checkout's git HEAD and a sha256 of its src/ files (so an export made
+with `git archive`, which has no HEAD, is still named), the runs, the
+summaries and the verdicts as JSON.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -70,8 +73,28 @@ def summary(runs: list[float]) -> dict:
 
 
 def git_head(root: Path) -> str | None:
-    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else None
+    """The commit checked out at root, or None where root is not the top of
+    a git work tree: an export inside another repository is not that
+    repository's HEAD."""
+    out = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=root,
+                         capture_output=True, text=True)
+    if out.returncode != 0:
+        return None
+    top, head = out.stdout.split()
+    return head if Path(top).resolve() == root.resolve() else None
+
+
+def src_digest(root: Path) -> str:
+    """sha256 over the files under root/src, __pycache__ excluded: for each
+    in sorted order its path relative to src/, its size and its bytes."""
+    src = root / "src"
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(src).as_posix() for p in src.rglob("*")
+                      if p.is_file() and "__pycache__" not in p.parts):
+        data = (src / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def host() -> str:
@@ -189,6 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "change": args.describe,
         "parent": git_head(Path(args.parent)),
+        "sides": {side: {"head": git_head(Path(root)), "src_sha256": src_digest(Path(root))}
+                  for side, root in (("parent", args.parent), ("change", args.change))},
         "command": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
         "each_run": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
                     "in each checkout, parent and change alternating which runs first",
