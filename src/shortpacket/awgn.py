@@ -15,7 +15,9 @@ The public functions take floats and evaluate in stdlib math, so they
 never load numpy or scipy.  The protocol optimizers take 1 - eps_star over
 numpy arrays of k and ascending n through _success_grid, which evaluates Q
 by scipy.special (loaded on its first call) inside a closed-form window of
-n, or at every n past 2**53; _tail_formula writes the tail argument once.
+n, or at every n past 2**53; _slot_success builds ALOHA's grid over slot
+lengths n/K only for the slot counts K inside that window.  _tail_formula
+writes the tail argument once.
 """
 
 from __future__ import annotations
@@ -165,8 +167,12 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
 
 def _tail_formula(xp, c: float, v: float, k, n):
     # (nC - k + log2(n)/2) / sqrt(nV), the argument of Q in eps_star; xp is
-    # math for floats and np for arrays, so the formula is written once
-    return (n * c - k + 0.5 * xp.log2(n)) / xp.sqrt(n * v)
+    # math for floats and np for arrays, so the formula is written once, and
+    # an array t is summed and divided in place
+    t = n * c - k
+    t += 0.5 * xp.log2(n)
+    t /= xp.sqrt(n * v)
+    return t
 
 
 def _sqrt_n_root(c: float, b: float, k: float) -> float:
@@ -228,10 +234,40 @@ def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
         if nan.any():
             k_bad, n_bad = (float(np.broadcast_to(x, t.shape)[nan][0]) for x in (k, n))
             raise ValueError(f"eps_star is undefined at k={k_bad!r}, n={n_bad!r}: nC and nV overflow")
+    q = q_array(t)
+    del t  # before s is made, so three arrays of the live width are alive at most
     s = np.zeros((*k.shape[:-1], len(n)))
     s[..., hi:] = 1.0
-    s[..., lo:hi] = 1.0 - q_array(t)
+    np.subtract(1.0, q, out=s[..., lo:hi])
     return s
+
+
+def _slot_success(ch: Channel, k: float, frame: float, k_max: int) -> tuple[int, np.ndarray]:
+    """(j, s) with s[i] = 1 - eps_star(ch, (k, frame/K)) at K = j + 1 + i, as
+    _success_grid gives it over every slot length frame/K, K = 1..k_max; there
+    each K <= j gives exactly 1.0 and each K past j + len(s) +0.0.  s is a
+    reversed view of one grid over an ascending contiguous array of slot
+    lengths, as a strided log2 may round differently.
+
+    Below _EXACT the slot counts of s hold _live_window's, with one to spare
+    at each end for the rounding of frame/n_top and frame/n_lo.  Past it,
+    where C = 0, or where nV underflows at the shortest slot, s is every
+    K, so _success_grid refuses as it does for the whole grid.
+    """
+    import numpy as np
+    c, v = _cv(ch)
+    j, top = 0, k_max
+    if c > 0.0 and max(k, frame) <= _EXACT and frame / k_max * v > 0.0:
+        n_lo, n_top = _live_window(c, v, k, k)
+        # K <= j has frame/K > n_top, and K > top has frame/K < n_lo
+        j = min(max(math.floor(frame / n_top) - 1, 0), k_max)
+        below = frame / n_lo if n_lo > 0.0 else math.inf
+        if below < k_max:
+            top = max(min(math.ceil(below) + 1, k_max), j)
+    m = np.arange(float(top), float(j), -1.0)  # K = top..j+1
+    if len(m):
+        m = _success_grid(ch, k, np.divide(frame, m, out=m))
+    return j, m[::-1]
 
 
 def _float_tail_arg(ch: Channel, code: CodeSpec) -> float:

@@ -255,8 +255,10 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
       again with it as the uniform cursor and a fresh Philox reading the
       slot choices.
     A decoding draw u = (raw >> 11) * 2**-53 is below p exactly when
-    raw >> 11 is below ceil(p * 2**53), so the uniforms are compared as raw
-    words; the slot choices come from raw words too, except at K >= 2**32,
+    raw >> 11 is below ceil(p * 2**53), that is when raw is below
+    ceil(p * 2**53) * 2**11, so the uniforms are compared as raw words in
+    one pass; at p = 1 that bound is 2**64, every word decodes and none is
+    read.  The slot choices come from raw words too, except at K >= 2**32,
     where they go through Generator.integers.
     """
     import numpy as np
@@ -268,7 +270,8 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     if n_slot < 1:
         raise ValueError(f"slot length floor(n/K) must be >= 1, got {n_slot}")
     p_decode = 1.0 - eps_star(cfg.ch, CodeSpec(cfg.D, float(n_slot)))
-    decodes_below = np.uint64(math.ceil(p_decode * 2.0**53))
+    bound = math.ceil(p_decode * 2.0**53) << 11  # 0 at p_decode = 0, where no word is below it
+    decodes_below = np.uint64(bound) if bound < 1 << 64 else None
 
     # up to K = min(64 M, 2**16), rows are sized by max(M, K), so the count
     # over (frame, slot) cells is chunk-sized too; past that rows are sized
@@ -304,8 +307,9 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
             else:
                 slot += row_offset[:rows]
                 np.take(np.bincount(slot.ravel()) == 1, slot, out=alone)
-            decoded = ((uniforms.random_raw(rows * cfg.M) >> np.uint64(11)) < decodes_below).reshape(rows, cfg.M)
-            s = np.logical_and(alone, decoded, out=alone) @ ones  # exact: counts below 2**53
+            if decodes_below is not None:
+                alone &= (uniforms.random_raw(rows * cfg.M) < decodes_below).reshape(rows, cfg.M)
+            s = alone @ ones  # exact: counts below 2**53
             sum_s += int(s.sum())
             sum_s2 += int(s @ s)
         return sum_s, sum_s2
@@ -355,7 +359,9 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
     eps*(ki, ni), and the exchange succeeds only if both legs decode.  The
     uniforms are read as the block generator's raw words: random() gives
     u = (raw >> 11) * 2**-53, so u >= e exactly when raw >> 11 is at least
-    ceil(e * 2**53).
+    ceil(e * 2**53), that is when raw is at least ceil(e * 2**53) * 2**11.
+    At e = 0 that bound is 0 and every word passes; at e = 1 it is 2**64,
+    no exchange succeeds and no word is read.
     """
     import numpy as np
     n1 = integer("n1", n1, ge=1)
@@ -365,13 +371,14 @@ def sim_twoway(cfg: TwoWayConfig, n1: int, n2: int, trials: int, seed: int = 0) 
     e1 = eps_star(cfg.ch, CodeSpec(cfg.k1, n1))
     e2 = eps_star(cfg.ch, CodeSpec(cfg.k2, n2))
 
-    floor1, floor2 = (np.uint64(math.ceil(e * 2.0**53)) for e in (e1, e2))
+    floor1, floor2 = (math.ceil(e * 2.0**53) << 11 for e in (e1, e2))
     successes = 0
-    for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
-        for rows in _chunks(stop - start, 2):
-            raw = rng.bit_generator.random_raw(2 * rows).reshape(rows, 2)
-            raw >>= np.uint64(11)
-            successes += int(np.count_nonzero((raw[:, 0] >= floor1) & (raw[:, 1] >= floor2)))
+    if max(floor1, floor2) < 1 << 64:
+        floor1, floor2 = np.uint64(floor1), np.uint64(floor2)
+        for start, stop, rng in trial_blocks(seed, trials, _BLOCK):
+            for rows in _chunks(stop - start, 2):
+                raw = rng.bit_generator.random_raw(2 * rows).reshape(rows, 2)
+                successes += int(np.count_nonzero((raw[:, 0] >= floor1) & (raw[:, 1] >= floor2)))
 
     config = {
         "k1": cfg.k1,

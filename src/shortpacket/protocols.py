@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ._check import integer, probability, real
-from .awgn import Channel, CodeSpec, _saturation, _success_grid, eps_star, eps_star_log
+from .awgn import Channel, CodeSpec, _saturation, _slot_success, _success_grid, eps_star, eps_star_log
 
 __all__ = [
     "TwoWayConfig",
@@ -370,20 +370,34 @@ def downlink_compare(cfg: DownlinkConfig) -> DownlinkResult:
 
 def _collision(M: int, K):
     """(M/K)(1 - 1/K)^(M-1): the chance that a given one of K slots holds
-    exactly one of the M packets, for a float K or an array of them."""
-    return (M / K) * (1.0 - 1.0 / K) ** (M - 1)
+    exactly one of the M packets, for a float K or an array of them.  An
+    array K of floats is overwritten with the result, and the one array
+    made besides it holds 1 - 1/K and its power."""
+    q = -1.0 / K
+    q += 1.0  # 1 - 1/K bit for bit: -1/K is 1/K negated, and -1 + 1 is +0.0
+    q **= M - 1
+    if isinstance(K, float):
+        r = M / K
+    else:
+        import numpy as np
+        r = np.divide(M, K, out=K)
+    r *= q
+    return r
 
 
-def _aloha_profile(cfg: AlohaConfig, ks: np.ndarray, perfect: bool) -> np.ndarray:
-    """p_success(K) = _collision(M, K) * (1 - eps*(D, n/K)) for K in ks, the
-    per-slot throughput, with 1 - eps* from _success_grid (dropped if
-    perfect).  ks ascend, so n / ks[::-1] ascends: a new array, not a view,
-    as numpy's log2 may round an entry of a strided view differently."""
-    ks = ks.astype(float)
-    collision = _collision(cfg.M, ks)
-    if perfect:
-        return collision
-    return collision * _success_grid(cfg.ch, cfg.D, cfg.n / ks[::-1])[::-1]
+def _aloha_profile(cfg: AlohaConfig, k_max: int, perfect: bool) -> np.ndarray:
+    """p_success(K) = _collision(M, K) * (1 - eps*(D, n/K)) for K = 1..k_max,
+    the per-slot throughput.  The decoding factor (dropped if perfect) comes
+    first, from awgn._slot_success, which evaluates it only for the slot
+    counts where it is neither 0 nor 1; the collision term then makes the
+    profile's array and one more, so no more than two full-length arrays
+    are alive at once."""
+    import numpy as np
+    j, s = (k_max, ()) if perfect else _slot_success(cfg.ch, cfg.D, cfg.n, k_max)
+    ps = _collision(cfg.M, np.arange(1.0, k_max + 1.0))  # exact below 2**53
+    ps[j : j + len(s)] *= s
+    ps[j + len(s) :] = 0.0
+    return ps
 
 
 def aloha_success(cfg: AlohaConfig, assume_perfect_decoding: bool = False) -> float:
@@ -412,6 +426,6 @@ def aloha_optimize(
     """
     import numpy as np
     k_max = integer("k_max", 4 * cfg.M if k_max is None else k_max, ge=1)
-    ps = _aloha_profile(cfg, np.arange(1, k_max + 1), assume_perfect_decoding)
+    ps = _aloha_profile(cfg, k_max, assume_perfect_decoding)
     # ks = 1..k_max, so the first argmax at index i is K = i + 1
     return AlohaOptResult(k_opt=int(np.argmax(ps)) + 1, profile=_AlohaProfile(ps))

@@ -65,7 +65,7 @@ PRIVATE_IMPORTS = {
     ("awgn", "specfun"): {"_log_q", "_q"},
     ("cli", "fading"): {"_m_star"},
     ("fading", "awgn"): {"_cv_complex"},
-    ("protocols", "awgn"): {"_saturation", "_success_grid"},
+    ("protocols", "awgn"): {"_saturation", "_slot_success", "_success_grid"},
 }
 
 

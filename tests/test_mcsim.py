@@ -306,6 +306,34 @@ def test_sim_twoway_matches_analytic():
         assert rep.metric_name == "exchange_reliability"
 
 
+# eps_star exactly 0, where a decoding word's raw bound is 0 (two-way) or
+# 2**64 (ALOHA), past uint64, and exactly 1, where it is the other one
+CERTAIN = [(1.0, 2000.0), (5000.0, 100.0)]
+
+
+@pytest.mark.parametrize("k, n", CERTAIN)
+@pytest.mark.parametrize("devices, slots", [(1, 1), (3, 2), (10, 6)])
+def test_sim_aloha_follows_full_block_layout_at_certain_decoding(k, n, devices, slots):
+    assert eps_star(CH, CodeSpec(k, n)) in (0.0, 1.0)
+    cfg = AlohaConfig(devices, k, n * slots, CH, K=slots)
+    trials = _BLOCK + 4321
+    s = aloha_successes(cfg, trials, 11)
+    rep = sim_aloha(cfg, trials, 11).per_device_success
+    assert rep.estimate == int(s.sum()) / trials / devices
+
+
+LEGS = CERTAIN + [(193.0, 115.0)]  # the last leg fails with probability 0.196
+
+
+@pytest.mark.parametrize("leg1, leg2", [(a, b) for a in LEGS for b in LEGS if CERTAIN.count(a) + CERTAIN.count(b)])
+def test_sim_twoway_follows_full_block_layout_at_certain_decoding(leg1, leg2):
+    (k1, n1), (k2, n2) = leg1, leg2
+    cfg = TwoWayConfig(k1, k2, CH)
+    trials = _BLOCK + 4321
+    ok = twoway_outcomes(cfg, int(n1), int(n2), trials, 11)
+    assert sim_twoway(cfg, int(n1), int(n2), trials, 11).estimate == np.count_nonzero(ok) / trials
+
+
 def test_sim_twoway_degenerate_certain_success():
     cfg = TwoWayConfig(1.0, 1.0, CH)
     rep = sim_twoway(cfg, 10_000, 10_000, trials=MIN_TRIALS, seed=0)

@@ -1,10 +1,13 @@
 """tools/op_times.py on the smallest workload pass: one timed pass of
 design-scan, every operation listed once, fastest first, with the p50 and
-tail operations marked."""
+tail operations marked, and with --by-kind each label's count, sum and
+share."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -32,3 +35,27 @@ def test_op_times_lists_every_design_scan_operation_sorted():
     # 180 operations: both percentiles fall between two of them
     assert [r[5:] for r in rows if len(r) > 5] == [["p50"], ["p50"], ["p90"], ["p90"]]
     assert [i for i, r in enumerate(rows) if r[5:]] == [89, 90, 161, 162]
+
+
+def test_by_kind_sums_each_label_largest_first():
+    times = [(0.5, 0, "b"), (2.0, 1, "a"), (1.0, 2, "b"), (0.25, 3, "c")]
+    assert op_times.by_kind(times) == [("a", 1, 2.0), ("b", 2, 1.5), ("c", 1, 0.25)]
+
+
+def test_op_times_by_kind_covers_every_design_scan_operation():
+    out = subprocess.run(
+        [sys.executable, "tools/op_times.py", "--workload", "design-scan", "--seed", "0", "--seconds", "0",
+         "--by-kind"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
+    ).stdout.splitlines()
+    assert out[0].startswith("# design-scan seed 0: 180 operations")
+    total = float(out[0].split("sum ")[1].split()[0])
+    rows = [line.split() for line in out[1:]]
+    counts = {r[4]: int(r[0]) for r in rows}
+    # 100 fixed-n and 48 target two-way calls, 16 ALOHA calls at M <= 100 and 16 above
+    assert counts == {"twoway_optimize_fixed": 100, "twoway_optimize_target": 48,
+                      "aloha_optimize_small": 16, "aloha_optimize_large": 16}
+    ms = [float(r[1]) for r in rows]
+    assert ms == sorted(ms, reverse=True)
+    assert sum(ms) == pytest.approx(total, abs=1e-3)
+    assert sum(float(r[3].rstrip("%")) for r in rows) == pytest.approx(100.0, abs=0.3)

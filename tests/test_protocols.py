@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from from_scratch import tail_args
 from shortpacket import protocols
-from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
+from shortpacket.awgn import Channel, CodeSpec, Convention, dispersion, eps_star
 from shortpacket.protocols import (
     AlohaConfig,
     AlohaOptResult,
@@ -529,8 +529,7 @@ def test_aloha_validation():
 
 def tuple_profile(cfg, k_max, perfect):
     """The profile as a tuple of (int, float) pairs, built pair by pair."""
-    ks = np.arange(1, k_max + 1)
-    return tuple((int(k), float(p)) for k, p in zip(ks, _aloha_profile(cfg, ks, perfect)))
+    return tuple((k, float(p)) for k, p in zip(range(1, k_max + 1), _aloha_profile(cfg, k_max, perfect)))
 
 
 @pytest.mark.parametrize("perfect", [False, True])
@@ -591,6 +590,59 @@ def test_aloha_profile_holds_only_its_array():
     # 40,000 float64 values are 0.32 MB; 40,000 boxed pairs were 4.68 MB
     assert len(res.profile) == 40_000
     assert held < 1_000_000
+
+
+@pytest.mark.parametrize("perfect", [False, True])
+def test_aloha_optimize_holds_two_full_arrays_at_most(perfect):
+    # the profile's 40,000 floats are 0.32 MB; the collision term makes one
+    # more array, and the decoding factor's arrays span only its live slots
+    # (15,424 here), made before the collision term's two
+    cfg = AlohaConfig(10_000, 192.0, 800_000.0, Channel(10.0))
+    aloha_optimize(cfg, assume_perfect_decoding=perfect)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        aloha_optimize(cfg, assume_perfect_decoding=perfect)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 800_000
+
+
+def dense_profile(cfg, k_max, perfect):
+    """The profile from the formula at every K, with the slot lengths n/K as
+    one contiguous array, and whether it is defined: no nan, and nV > 0."""
+    ks = np.arange(1.0, k_max + 1.0)
+    with np.errstate(all="ignore"):
+        ps = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
+        if perfect:
+            return ps, True
+        t = tail_args(cfg.ch, cfg.D, cfg.n / ks)
+        defined = not np.isnan(t).any() and cfg.n / k_max * dispersion(cfg.ch) > 0.0
+        return ps * (1.0 - q_array(t)), defined
+
+
+@settings(max_examples=300)
+@given(
+    M=st.integers(1, 20_000),
+    D=st.one_of(st.floats(1.0, 1e3), st.floats(1e-3, 2.0**60), st.sampled_from([2.0**53, 2.0**53 + 2.0, 1e300])),
+    slot=st.one_of(st.floats(0.01, 1e3), st.floats(1e-3, 1e308)),
+    snr=st.one_of(st.floats(0.1, 1e3), st.floats(5e-324, 1.7e308)),
+    conv=st.sampled_from(list(Convention)),
+    k_max=st.integers(1, 3000),
+    perfect=st.booleans(),
+)
+def test_aloha_profile_is_the_dense_formula_byte_for_byte(M, D, slot, snr, conv, k_max, perfect):
+    # slot is the slot length at K = k_max: below 1 the shortest slots are
+    # shorter than one use, and past 2**53 in payload or frame every slot
+    # count is evaluated
+    cfg = AlohaConfig(M, D, min(max(slot * k_max, 1.0), 1.7e308), Channel(snr, conv))
+    want, defined = dense_profile(cfg, k_max, perfect)
+    if not defined:
+        with pytest.raises(ValueError, match="undefined"):
+            aloha_optimize(cfg, k_max, perfect)
+        return
+    got = aloha_optimize(cfg, k_max, perfect).profile
+    assert np.array([p for _, p in got]).tobytes() == want.tobytes()
 
 
 @given(

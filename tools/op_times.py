@@ -1,6 +1,6 @@
 """Per-operation times of one benchmark workload, sorted, in one process.
 
-    python3 tools/op_times.py --workload mc-crosscheck --seed 0 [--seconds 10]
+    python3 tools/op_times.py --workload mc-crosscheck --seed 0 [--seconds 10] [--by-kind]
 
 Run from the root of a source checkout.  It builds the workload from
 bench/workloads.py with the same seed as `bench/run.py` and runs it through
@@ -9,8 +9,11 @@ passes for `--seconds`, taking the CPUs in turn; at least one timed pass).
 It prints each operation's fastest pass in milliseconds, fastest first, and
 marks the operations at p50 and at the tail percentile: those are the ones
 `latency_p50_ms` and `latency_tail_ms` are interpolated between, which
-bench/run.py does not print.  The BLAS thread variables are set to 1, as
-bench/run.py sets them.
+bench/run.py does not print.  With --by-kind it prints one row per
+operation label instead: the count, the sum of the fastest times in ms and
+the label's share of that sum.  `wall_s` is a pass's sum over every
+operation, so the shares say where it goes.  The BLAS thread variables are
+set to 1, as bench/run.py sets them.
 """
 
 from __future__ import annotations
@@ -46,13 +49,31 @@ def op_times(workload: str, seed: int, seconds: float) -> tuple[list[tuple[float
     return sorted((min(xs) * 1e3, i, op.label) for i, (xs, op) in enumerate(zip(latencies, w.ops))), w.tail_pct
 
 
+def by_kind(times: list[tuple[float, int, str]]) -> list[tuple[str, int, float]]:
+    """(label, count, sum of fastest ms) per operation label, largest sum first."""
+    kinds: dict[str, tuple[int, float]] = {}
+    for ms, _, label in times:
+        count, total = kinds.get(label, (0, 0.0))
+        kinds[label] = count + 1, total + ms
+    return sorted(((label, count, total) for label, (count, total) in kinds.items()), key=lambda k: -k[2])
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--by-kind", action="store_true", help="one row per operation label: count, sum, share")
     args = p.parse_args(argv)
     times, tail_pct = op_times(args.workload, args.seed, args.seconds)
+    if args.by_kind:
+        kinds = by_kind(times)
+        total = sum(ms for _, _, ms in kinds)
+        print(f"# {args.workload} seed {args.seed}: {len(times)} operations, fastest pass in {args.seconds:g} s; "
+              f"sum {total:.4f} ms by label")
+        for label, count, ms in kinds:
+            print(f"{count:6d}  {ms:12.4f} ms  {ms / total:6.1%}  {label}")
+        return 0
     at_p50, at_tail = marks(len(times), 50.0), marks(len(times), tail_pct)
     print(f"# {args.workload} seed {args.seed}: {len(times)} operations, fastest pass in {args.seconds:g} s; "
           f"p50 and p{tail_pct:g} marked")
