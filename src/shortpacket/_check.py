@@ -40,9 +40,10 @@ def _numpy_scalar(value: object, floating: bool) -> bool:
 def real(name: str, value: object, *, gt: float | None = None, ge: float | None = None,
          lt: float | None = None, le: float | None = None) -> float:
     """value as a finite Python float within the bounds: gt/lt open, ge/le closed."""
-    if isinstance(value, bool) or not (
+    # an exact float, the common case, skips the type tests
+    if type(value) is not float and (isinstance(value, bool) or not (
         isinstance(value, (int, float)) or _numpy_scalar(value, floating=True)
-    ):
+    )):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)

@@ -17,9 +17,10 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from math import erfc, log, log2, sqrt
 
 from ._check import integer, probability, real
-from .awgn import _cv_complex
+from .awgn import _LOG2_E_SQ
 
 __all__ = [
     "DmtMode",
@@ -92,18 +93,23 @@ def _qs_integrand(
     u: float, snr: float, shift: float, half_n: float, at_zero_gain: float
 ) -> float:
     # after the substitution u = exp(-g) the exponential weight disappears:
-    # E_g[f(g)] = integral over u in (0, 1) of f(-ln u); quad also evaluates
-    # the ends where its breakpoint exp(-g*) rounds near them
+    # E_g[f(g)] = integral over u in (0, 1) of f(-ln u); QUADPACK also
+    # evaluates the ends where its breakpoint exp(-g*) rounds near them.
+    # C and V are awgn._cv_complex's, written out here because a call per
+    # node costs a tenth of the integral
     if u <= 0.0:
         return 0.0
     if u >= 1.0:
         return at_zero_gain
-    g = -math.log(u)  # > 0: ln u <= -1.1e-16 for every double u < 1
-    c, v = _cv_complex(snr * g)
-    if v <= 0.0:
-        return at_zero_gain
-    # Q((c + shift) / sqrt(v/n)), written as erfc((c + shift) sqrt(n/(2v))) / 2
-    return 0.5 * math.erfc((c + shift) * math.sqrt(half_n / v))
+    x = snr * -log(u)  # g = -ln u > 0: ln u <= -1.1e-16 for every double u < 1
+    r = 1.0 + x
+    v = x / r * ((2.0 + x) / r) * _LOG2_E_SQ
+    if not v > 0.0:
+        # v = 0 where x underflowed to zero gain; v is nan where x = inf,
+        # and Q(+inf) = 0
+        return at_zero_gain if v == 0.0 else 0.0
+    # Q((C + shift) / sqrt(V/n)), written as erfc((C + shift) sqrt(n/(2V))) / 2
+    return 0.5 * erfc((log2(r) + shift) * sqrt(half_n / v))
 
 
 def eps_quasistatic(snr: float, R: float, n: float) -> float:
@@ -120,11 +126,15 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
         R: rate in bits per channel use, > 0.
         n: blocklength, >= 1.
     """
-    from scipy.integrate import quad  # the slowest import, needed only here
+    # the slowest import, needed only here: QUADPACK's routines without
+    # quad's wrapper, which costs a fifth of the call for one breakpoint
+    from scipy.integrate import _quadpack
     snr = real("snr", snr, gt=0.0)
     R = real("R", R, gt=0.0)
     n = real("n", n, ge=1.0)
     corr = math.log2(n) / (2.0 * n)
+    # the tail argument's shift, n/2 and the integrand's limit at zero gain
+    args = (snr, corr - R, 0.5 * n, 1.0 if R > corr else 0.0)
     # the integrand transitions around the gain where capacity meets the
     # rate; hand that point to the adaptive rule (unless 2**(R - corr) is
     # past the float range, where the point sits at u = 0)
@@ -134,18 +144,17 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
         if g_star > 0.0:
             u_star = math.exp(-g_star)
             if 0.0 < u_star < 1.0:
-                points = [u_star]
-    val, _ = quad(
-        _qs_integrand,
-        0.0,
-        1.0,
-        # the tail argument's shift, n/2 and the integrand's limit at zero gain
-        args=(snr, corr - R, 0.5 * n, 1.0 if R > corr else 0.0),
-        points=points,
-        limit=500,
-        epsabs=1e-9,
-        epsrel=1e-9,
-    )
+                points = (u_star,)
+    # quad(_qs_integrand, 0, 1, args, points=points, limit=500, epsabs=1e-9,
+    # epsrel=1e-9) bit for bit: quad pads the breakpoints with two zeros
+    if points is None:
+        val, _, ier = _quadpack._qagse(_qs_integrand, 0.0, 1.0, args, 0, 1e-9, 1e-9, 500)
+    else:
+        val, _, ier = _quadpack._qagpe(_qs_integrand, 0.0, 1.0, points + (0.0, 0.0), args, 0, 1e-9, 1e-9, 500)
+    if ier != 0:
+        # quad again, for scipy's own warning and its text
+        from scipy.integrate import quad
+        val, _ = quad(_qs_integrand, 0.0, 1.0, args, points=points, limit=500, epsabs=1e-9, epsrel=1e-9)
     return min(max(val, 0.0), 1.0)
 
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr
 
 from shortpacket import fading
+from shortpacket.awgn import _cv_complex
 from shortpacket.fading import (
     DmtCurve,
     DmtMode,
@@ -276,6 +278,88 @@ def test_quasistatic_integrand_ends_are_reached(monkeypatch):
     n = 1e6
     assert eps_quasistatic(1.0, math.log2(745.0) + math.log2(n) / (2.0 * n), n) == 1.0
     assert 0.0 in nodes
+
+
+def quad_reference(snr, rate, n):
+    """eps_quasistatic through scipy's public quad on the same integrand,
+    breakpoint, tolerances and subdivision limit."""
+    corr = math.log2(n) / (2.0 * n)
+    points = None
+    if rate - corr < 1024:
+        g_star = (2.0 ** (rate - corr) - 1.0) / snr
+        if g_star > 0.0 and 0.0 < math.exp(-g_star) < 1.0:
+            points = [math.exp(-g_star)]
+    val, _ = quad(fading._qs_integrand, 0.0, 1.0, args=(snr, corr - rate, 0.5 * n, 1.0 if rate > corr else 0.0),
+                  points=points, limit=500, epsabs=1e-9, epsrel=1e-9)
+    return min(max(val, 0.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "snr, rate, n",
+    [(snr, rate, n) for snr, rate, n, _ in QS_PINNED[::4]]
+    + [
+        # R <= log2(n)/(2n): no breakpoint, the integrand tends to 0 at zero gain
+        (10.0, 1e-3, 1000.0),
+        (10.0, math.log2(1000.0) / 2000.0, 1000.0),
+        (0.5, 0.1, 1.5),
+        # a breakpoint that rounds to 1, and a subnormal one
+        (1e5, 1e-9, 1.0),
+        (1.0, math.log2(745.0) + math.log2(1e6) / 2e6, 1e6),
+        # 2^R past the float range: no breakpoint
+        (10.0, 1030.0, 100.0),
+        (1e30, 2000.0, 5.0),
+    ],
+)
+def test_quasistatic_is_public_quad_bit_for_bit(snr, rate, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(eps_quasistatic(snr, rate, n)) == repr(quad_reference(snr, rate, n))
+
+
+def test_quasistatic_passes_on_quads_warning():
+    # QUADPACK reports ier = 5 (probably divergent) here; the value and the
+    # warning are the public quad's
+    args = (9.402115136883752e-05, 0.0002494070712128257, 1.5463651650103691)
+    with pytest.warns(IntegrationWarning, match="divergent"):
+        want = quad_reference(*args)
+    with pytest.warns(IntegrationWarning, match="divergent"):
+        assert repr(eps_quasistatic(*args)) == repr(want)
+
+
+def cv_integrand(u, snr, shift, half_n, at_zero_gain):
+    """_qs_integrand with C and V from awgn._cv_complex, Q(+inf) = 0 where snr*g overflows."""
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return at_zero_gain
+    x = snr * -math.log(u)
+    if x == math.inf:
+        return 0.0
+    c, v = _cv_complex(x)
+    if v <= 0.0:
+        return at_zero_gain
+    return 0.5 * math.erfc((c + shift) * math.sqrt(half_n / v))
+
+
+@given(
+    u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from([5e-324, 1e-310, 1.0 - 2**-53]),
+    snr=st.floats(5e-324, 1.7976931348623157e308) | st.sampled_from([1e308, 1.7e308]),
+    shift=st.floats(-2000.0, 0.5),
+    half_n=st.floats(0.5, 1e300),
+    at_zero_gain=st.sampled_from([0.0, 1.0]),
+)
+def test_quasistatic_integrand_is_cv_complex_form_bit_for_bit(u, snr, shift, half_n, at_zero_gain):
+    got = fading._qs_integrand(u, snr, shift, half_n, at_zero_gain)
+    assert repr(got) == repr(cv_integrand(u, snr, shift, half_n, at_zero_gain))
+
+
+def test_quasistatic_at_snr_past_the_gain_overflow():
+    # snr*g overflows for g > 1.8 at snr 1e308, where Q(+inf) = 0; outage
+    # is then below 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eps_quasistatic(1e308, 1.0, 168.0) < 1e-300
+        assert eps_quasistatic(1.7e308, 1.0, 168.0) < 1e-300
 
 
 def test_quasistatic_rejects_bad_inputs():

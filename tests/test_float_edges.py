@@ -128,11 +128,6 @@ def test_every_public_float_function_has_a_row():
 
 # known defects, each a strict xfail below: (name, parameter) -> (edges, reason)
 DEFECTS = {
-    ("eps_quasistatic", "snr"): (
-        (1e308, 1.7e308),
-        "snr*g overflows to inf in the integrand, so C and V are inf and nan, the integral is nan, "
-        "and the clamp min(max(nan, 0), 1) returns nan",
-    ),
     ("outage_prob_mimo_mc", "snr"): (
         (1e308, 1.7e308),
         "the Gram matrix's snr/m_t scaling overflows with a numpy RuntimeWarning, although the estimate is 0.0",

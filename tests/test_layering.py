@@ -64,7 +64,7 @@ def test_imports_flow_one_way():
 PRIVATE_IMPORTS = {
     ("awgn", "specfun"): {"_log_q", "_q"},
     ("cli", "fading"): {"_m_star"},
-    ("fading", "awgn"): {"_cv_complex"},
+    ("fading", "awgn"): {"_LOG2_E_SQ"},
     ("protocols", "awgn"): {"_saturation", "_slot_success", "_success_grid"},
 }
 
