@@ -19,18 +19,18 @@ choices, and reads the block again from the walked cursor on a miss.
 Counts accumulate as exact integers, so aggregation is order-independent
 too.
 
-Draws read as raw words: the ALOHA slot choices for K < 2**32, through
-_Integers (Generator.integers(0, K) by Lemire's method on 32-bit halves),
-and the ALOHA and two-way uniforms, compared as integers (random() is
+Draws read as raw words: the ALOHA slot choices, through _Integers
+(Generator.integers(0, K) by Lemire's method on 32-bit halves), and the
+ALOHA and two-way uniforms, compared as integers (random() is
 (raw >> 11) * 2**-53).  NumPy keeps the raw stream stable across versions
-(NEP 19), not the Generator methods' algorithms; those still go through
-Generator methods: the ALOHA slot choices at K >= 2**32 (integers) and the
-MIMO normals (standard_normal).
+(NEP 19), not the Generator methods' algorithms; only the MIMO normals
+still go through one (standard_normal).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -56,6 +56,7 @@ _CHUNK = 1 << 16  # draws per chunk when a kernel reads a block
 _BLOCK = 1 << 16
 _MIMO_BLOCK = 1 << 13
 _LN2 = math.log(2.0)
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -120,36 +121,31 @@ def _chunks(rows: int, width: int) -> Iterator[int]:
 
 
 class _Integers:
-    """The values of successive Generator.integers(0, K) calls on a bit
-    generator's stream, read from its raw 64-bit words.
+    """The values of successive Generator.integers(0, K) calls, 1 <= K < 2**32,
+    on a bit generator's stream, read from its raw 64-bit words.
 
-    For 1 < K < 2**32 numpy applies Lemire's method to the words' 32-bit
-    halves, low half first: half h gives (h*K) >> 32, unless (h*K) mod 2**32
-    is below 2**32 mod K, when it is rejected and the next half is tried.  A
-    call that ends on a low half leaves the high half pending for the next
-    call, and Generator.random() starts at the next whole word.  K = 1 draws
-    nothing, and K >= 2**32 takes numpy's path through integers().  A
-    reader that has walked a whole block's slot choices leaves its bit
-    generator where the block's uniforms begin, which is how sim_aloha
-    checks a guessed start (_word_index) and finds the true one on a miss.
+    For K > 1 numpy applies Lemire's method to the words' 32-bit halves, low
+    half first: half h gives (h*K) >> 32, unless (h*K) mod 2**32 is below
+    2**32 mod K, when it is rejected and the next half is tried.  A call
+    that ends on a low half leaves the high half pending for the next call,
+    and Generator.random() starts at the next whole word.  K = 1 draws
+    nothing.  A reader that has walked a whole block's slot choices leaves
+    its bit generator where the block's uniforms begin, which is how
+    sim_aloha checks a guessed start (_word_index) and finds the true one
+    on a miss.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, K: int) -> None:
         import numpy as np
         self._bits = bit_generator
         self._K = K
-        self._threshold = np.uint32((1 << 32) % K) if K < 1 << 32 else None
+        self._threshold = np.uint32((1 << 32) % K)
         self._no_half = np.empty(0, dtype=np.uint32)
         self._pending = self._no_half  # at most one half
 
     def skip(self, count: int) -> None:
         """Consume the next `count` draws without keeping them."""
-        import numpy as np
-        if self._K >= 1 << 32:
-            rng = np.random.Generator(self._bits)
-            for n in _chunks(count, 1):
-                rng.integers(0, self._K, size=n)
-        elif self._K > 1:
+        if self._K > 1:
             for _ in self._accepted(count):
                 pass
 
@@ -158,8 +154,6 @@ class _Integers:
         import numpy as np
         if self._K == 1:
             out.fill(0)
-        elif self._K >= 1 << 32:
-            out[...] = np.random.Generator(self._bits).integers(0, self._K, size=out.shape)
         else:
             flat = out.reshape(-1).view(np.uint64)
             pos = 0
@@ -195,23 +189,21 @@ def _unrejected_words(K: int, count: int) -> int | None:
     stream when none is rejected, or None when a rejection is too likely
     for a guessed start to pay.
 
-    Up to K = 2**32 a draw takes a 32-bit half (numpy passes K = 2**32 the
-    half itself), past it a 64-bit word; the word is rejected with
-    probability (2**bits mod K) / 2**bits, so `count` draws expect
-    (2**bits mod K) * count / 2**bits rejections.  A hit saves walking the
-    kept slot choices and a miss reads the kept frames again, so guessing
-    pays while the miss probability, 1 - e**-x at x expected rejections,
-    stays below the time of that walk over the time of a read.  Timed on
-    full blocks at M from 3 to 1000 and K from 6 to 2**31 + 1, that ratio
-    was 0.075-0.27 (0.003 at M=30, K=30000, where x is 7.9, when a chunk
-    held two frames there), so the guess is taken up to x = 1/16.
+    A draw takes a 32-bit half, rejected with probability (2**32 mod K) /
+    2**32, so `count` draws expect (2**32 mod K) * count / 2**32
+    rejections.  A hit saves walking the kept slot choices and a miss reads
+    the kept frames again, so guessing pays while the miss probability,
+    1 - e**-x at x expected rejections, stays below the time of that walk
+    over the time of a read.  Timed on full blocks at M from 3 to 1000 and
+    K from 6 to 2**31 + 1, that ratio was 0.075-0.27 (0.003 at M=30,
+    K=30000, where x is 7.9, when a chunk held two frames there), so the
+    guess is taken up to x = 1/16.
     """
     if K == 1:
         return 0
-    bits = 32 if K <= 1 << 32 else 64
-    if (1 << bits) % K * count > 1 << (bits - 4):
+    if (1 << 32) % K * count > 1 << 28:
         return None
-    return -(-count * bits // 64)
+    return -(-count // 2)
 
 
 def _word_index(bits: np.random.Philox) -> int:
@@ -258,12 +250,10 @@ def sim_aloha(cfg: AlohaConfig, trials: int, seed: int = 0) -> AlohaSimReports:
     raw >> 11 is below ceil(p * 2**53), that is when raw is below
     ceil(p * 2**53) * 2**11, so the uniforms are compared as raw words in
     one pass; at p = 1 that bound is 2**64, every word decodes and none is
-    read.  The slot choices come from raw words too, except at K >= 2**32,
-    where they go through Generator.integers.
+    read.  K must be below 2**32, so the slot choices come from raw words too.
     """
     import numpy as np
-    if cfg.K is None:
-        raise ValueError("sim_aloha requires cfg.K to be set")
+    integer("K", cfg.K, ge=1, le=2**32 - 1)
     trials = _check_trials(trials)
     seed = check_seed(seed)
     n_slot = int(cfg.n // cfg.K)
@@ -485,11 +475,19 @@ def outage_prob_mimo_mc(
     # change them
     width = 2 * l * cfg.m_t * cfg.m_r
     log_dets = _GramLogDets(cfg.m_t, cfg.m_r, next(_chunks(min(trials, _MIMO_BLOCK), width)) * l)
+    # a log-det is inf or nan only where b*Z^H Z overflowed, and then it is at
+    # least ln(float max), as det(I + G) >= 1 + max G_ii: below that rate such a
+    # trial is no outage, which inf <= R and nan <= R give; past it the call refuses
+    undecidable = R * l * _LN2 >= _LN_FLOAT_MAX
     count = 0
-    for start, stop, rng in trial_blocks(seed, trials, _MIMO_BLOCK):
-        for rows in _chunks(stop - start, width):
-            logdet = log_dets(rng.standard_normal((rows * l, cfg.m_t, cfg.m_r, 2)), b)
-            count += int(np.count_nonzero(logdet.reshape(rows, l).mean(axis=1) / _LN2 <= R))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop, rng in trial_blocks(seed, trials, _MIMO_BLOCK):
+            for rows in _chunks(stop - start, width):
+                logdet = log_dets(rng.standard_normal((rows * l, cfg.m_t, cfg.m_r, 2)), b)
+                if undecidable and not np.isfinite(logdet).all():
+                    raise ValueError(f"snr {cfg.snr!r} overflows the channel gain, "
+                                     f"so an outage at R = {R!r} is undecidable")
+                count += int(np.count_nonzero(logdet.reshape(rows, l).mean(axis=1) / _LN2 <= R))
 
     config = {"snr": cfg.snr, "m_t": cfg.m_t, "m_r": cfg.m_r, "fading_blocks": l, "rate": R}
     return _binomial_report("mimo_outage_probability", count, trials, seed, config)

@@ -375,10 +375,16 @@ def test_domain_error_exits_3():
             "aloha-opt", "--devices", "10", "--bits", "100", "--frame", "800", "--snr-db", "10",
             "--k-max", "9007199254740992",
         ),
+        # a frame of 2**32 slots: the simulator takes K < 2**32
+        ("sim-aloha", "--devices", "3", "--bits", "104", "--frame", "3e11", "--slots", "4294967296",
+         "--snr-db", "10"),
     ):
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith("error: K must be an integer") and "4294967296" in err
+    code, out, err = run_cli(*(("4294967295" if a == "4294967296" else a) for a in argv))
+    assert code == 0, err
 
 
 def test_log_eps_below_the_float_range_exits_3():

@@ -127,12 +127,7 @@ def test_every_public_float_function_has_a_row():
 
 
 # known defects, each a strict xfail below: (name, parameter) -> (edges, reason)
-DEFECTS = {
-    ("outage_prob_mimo_mc", "snr"): (
-        (1e308, 1.7e308),
-        "the Gram matrix's snr/m_t scaling overflows with a numpy RuntimeWarning, although the estimate is 0.0",
-    ),
-}
+DEFECTS = {}
 
 
 def known_defect(name, args):

@@ -139,12 +139,12 @@ def test_integers_reader_matches_numpy(K):
 
 
 # past 64 M slots (or 2**16) the kernel sorts each frame's slots to find
-# the lone devices, at 2**32 numpy passes each 32-bit half through, and past
-# it the slot choices take numpy's 64-bit path; 20 devices in 2**16 + 1
-# slots collide in about 3 frames of a thousand.  193, 1000 and 1921 slots
-# are the first past 64 M, or well past it, for 3, 10 and 30 devices
+# the lone devices; 20 devices in 2**16 + 1 slots collide in about 3 frames
+# of a thousand, and at 2**32 - 1, the most slots sim_aloha takes, 2**32 mod K
+# is 1, so it guesses the uniforms' start.  193, 1000 and 1921 slots are the
+# first past 64 M, or well past it, for 3, 10 and 30 devices
 @pytest.mark.parametrize("devices, slots", [
-    (1, (1 << 31) + 1), (3, (1 << 31) + 1), (3, (1 << 32) + 1), (20, (1 << 16) + 1), (3, 1 << 32),
+    (1, (1 << 31) + 1), (3, (1 << 31) + 1), (20, (1 << 16) + 1), (3, (1 << 32) - 1),
     (3, 193), (10, 1000), (30, 1921),
 ])
 def test_sim_aloha_follows_full_block_layout_at_large_k(devices, slots):
@@ -156,11 +156,10 @@ def test_sim_aloha_follows_full_block_layout_at_large_k(devices, slots):
 
 
 # K where the slot choices reject a quarter (3 * 2**30) or about half
-# (2**31 + 1) of all halves, where the kernel walks each block first, and
-# one on numpy's 64-bit path (2**32 + 1), where it guesses the uniforms'
-# start; on a full block and on a partial one
+# (2**31 + 1) of all halves, where the kernel walks each block first; on a
+# full block and on a partial one
 @pytest.mark.parametrize("trials", [_BLOCK, MIN_TRIALS])
-@pytest.mark.parametrize("slots", [3 << 30, (1 << 31) + 1, (1 << 32) + 1])
+@pytest.mark.parametrize("slots", [3 << 30, (1 << 31) + 1])
 def test_sim_aloha_follows_full_block_layout_under_heavy_rejection(slots, trials):
     cfg = AlohaConfig(3, 104.0, 60.0 * slots, CH, K=slots)
     s = aloha_successes(cfg, trials, 29)
@@ -174,8 +173,7 @@ def test_uniforms_are_guessed_only_where_a_block_expects_at_most_a_sixteenth_of_
     assert _unrejected_words(1, draws) == 0  # K = 1 draws nothing
     # 2**32 mod 60 = 16: 16 * 100 * 2**16 halves is below 2**28
     assert _unrejected_words(60, draws) == draws // 2
-    assert _unrejected_words(1 << 32, draws) == draws // 2  # numpy passes the half itself
-    assert _unrejected_words((1 << 32) + 1, draws) == draws  # 2**64 mod K = 1, one word a draw
+    assert _unrejected_words((1 << 32) - 1, draws) == draws // 2  # 2**32 mod K = 1
     # 2**32 mod 1000 = 296: 0.45 expected rejections, where a guess was slower
     assert _unrejected_words(1000, draws) is None
     assert _unrejected_words(3 << 30, draws) is None
@@ -184,6 +182,15 @@ def test_uniforms_are_guessed_only_where_a_block_expects_at_most_a_sixteenth_of_
     # at K = 3 (2**32 mod 3 = 1)
     assert _unrejected_words(3, 1 << 28) == 1 << 27
     assert _unrejected_words(3, (1 << 28) + 1) is None
+
+
+# a frame of 2**32 slots needs at least 2**32 channel uses, far past short
+# packets; refusing it keeps every slot choice on the raw-word reader
+@pytest.mark.parametrize("slots", [1 << 32, (1 << 32) + 1])
+def test_sim_aloha_refuses_k_from_2_to_the_32(slots):
+    cfg = AlohaConfig(3, 104.0, 60.0 * slots, CH, K=slots)
+    with pytest.raises(ValueError, match=f"K must be an integer .*, got {slots}"):
+        sim_aloha(cfg, MIN_TRIALS, 17)
 
 
 def test_word_index_counts_raw_words_and_advance():
@@ -565,11 +572,57 @@ def test_twoway_golden_rebuilt_from_raw_words():
     assert (p, math.sqrt(p * (1.0 - p) / trials)) == TWOWAY_GOLDEN[0]
 
 
+class _NoMethodGenerator(np.random.Generator):
+    """A Generator whose bounded-integer and uniform methods refuse to run."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers called")
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("Generator.random called")
+
+
+# the packet simulators read raw words only, so no report depends on a
+# Generator method's algorithm, which NEP 19 does not keep stable: at every
+# K sim_aloha takes, on the guessed-start, walk-first and sorted-row paths
+@pytest.mark.parametrize("cfg", [
+    AlohaConfig(10, 192.0, 800.0, CH, K=1),
+    ALOHA_SHAPES[10][0],
+    ALOHA_SHAPES[100][0],
+    AlohaConfig(3, 104.0, 60.0 * (3 << 30), CH, K=3 << 30),
+    AlohaConfig(3, 104.0, 60.0 * ((1 << 32) - 1), CH, K=(1 << 32) - 1),
+    AlohaConfig(200, 104.0, 60_000.0, CH, K=1000),
+    AlohaConfig(30, 104.0, 60.0 * 30_000, CH, K=30_000),
+], ids=lambda cfg: f"M{cfg.M}-K{cfg.K}")
+def test_sim_aloha_calls_no_generator_method(cfg, monkeypatch):
+    want = sim_aloha(cfg, MIN_TRIALS, 5)
+    monkeypatch.setattr(np.random, "Generator", _NoMethodGenerator)
+    assert sim_aloha(cfg, MIN_TRIALS, 5) == want
+
+
+def test_sim_twoway_calls_no_generator_method(monkeypatch):
+    cfg = TwoWayConfig(193.0, 97.0, CH)
+    want = sim_twoway(cfg, 115, 62, _BLOCK + 12_345, 0)
+    monkeypatch.setattr(np.random, "Generator", _NoMethodGenerator)
+    assert sim_twoway(cfg, 115, 62, _BLOCK + 12_345, 0) == want
+
+
 @pytest.mark.parametrize("antennas, seed", sorted(MIMO_GOLDEN))
 def test_mimo_mc_reports_pinned(antennas, seed):
     cfg = QuasiStaticConfig(10.0, antennas, antennas)
     rep = outage_prob_mimo_mc(cfg, antennas, MIMO_RATES[antennas], 2 * _MIMO_BLOCK + 777, seed)
     assert (rep.estimate, rep.std_error) == MIMO_GOLDEN[antennas, seed]
+
+
+def test_mimo_mc_where_the_gain_overflows():
+    # b*Z^H Z overflows at snr 1e308, and a log-det is then at least
+    # ln(float max), 1024 bits: below that rate no trial is an outage, past
+    # it the outcome is unknown and the call refuses
+    cfg = QuasiStaticConfig(1e308, 2, 2)
+    assert outage_prob_mimo_mc(cfg, 1, 1000.0, MIN_TRIALS).estimate == 0.0
+    with pytest.raises(ValueError, match="snr 1e\\+308 overflows the channel gain"):
+        outage_prob_mimo_mc(cfg, 1, 2000.0, MIN_TRIALS)
+    assert outage_prob_mimo_mc(QuasiStaticConfig(1e300, 2, 2), 1, 2000.0, MIN_TRIALS).estimate == 1.0
 
 
 # every simulator call reads its blocks in chunks of about 2**16 draws, so
