@@ -4,9 +4,10 @@ Each helper returns its argument as a plain Python number or raises
 ValueError naming the parameter.  A real is an int, a float or a numpy real
 scalar, finite, and becomes a float, so all arithmetic runs in float64.  An
 integer is an int or a numpy integer scalar and becomes an int; every float
-is refused, 132.0 included, and so is a value past 2**53 (where floats stop
-counting exactly) unless the call sets its own le.  bool is refused by
-both.  Checks that relate one argument to another stay with their owners.
+is refused, 132.0 included, and so is a value past MAX_EXACT = 2**53 (where
+floats stop counting exactly) unless the call sets its own le.  bool is
+refused by both.  Checks that relate one argument to another stay with
+their owners.
 
 A numpy scalar cannot exist before numpy is loaded, so numpy types are
 looked up in sys.modules, and this module never imports numpy itself.
@@ -17,7 +18,9 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = ["SimConfigError", "integer", "probability", "real"]
+__all__ = ["MAX_EXACT", "SimConfigError", "integer", "probability", "real"]
+
+MAX_EXACT = 2**53  # the largest count, payload or length: floats hold every integer up to it
 
 
 class SimConfigError(ValueError):
@@ -63,7 +66,7 @@ def probability(name: str, value: object) -> float:
     return real(name, value, gt=0.0, lt=1.0)
 
 
-def integer(name: str, value: object, *, ge: int, le: int = 2**53,
+def integer(name: str, value: object, *, ge: int, le: int = MAX_EXACT,
             error: type[ValueError] = ValueError) -> int:
     """value as a Python int in [ge, le]; otherwise `error` naming the parameter."""
     if isinstance(value, bool) or not (isinstance(value, int) or _numpy_scalar(value, floating=False)):

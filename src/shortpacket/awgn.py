@@ -15,9 +15,9 @@ The public functions take floats and evaluate in stdlib math, so they
 never load numpy or scipy.  The protocol optimizers take 1 - eps_star over
 numpy arrays of k and ascending n through _success_grid, which evaluates Q
 by scipy.special (loaded on its first call) inside a closed-form window of
-n, or at every n past 2**53; _slot_success builds ALOHA's grid over slot
-lengths n/K only for the slot counts K inside that window.  _tail_formula
-writes the tail argument once.
+n; _slot_success builds ALOHA's grid over slot lengths n/K only for the
+slot counts K inside that window.  _tail_formula writes the tail argument
+once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._check import probability, real
+from ._check import MAX_EXACT, probability, real
 from .specfun import _log_q, _q, q_array, q_inv
 
 __all__ = [
@@ -51,10 +51,6 @@ _LIVE_T = 9.0  # |t| outside _success_grid's window; 1 - Q(t) is exactly 0 or 1 
 # min_blocklength looks for its answer up to this blocklength
 _MAX_BLOCKLENGTH = 1 << 50
 _LOG_MAX_BLOCKLENGTH = math.log(_MAX_BLOCKLENGTH)
-
-# k and n up to this keep t finite, as |nC - k + log2(n)/2| < 2**64 (C <= 1024) and
-# sqrt(nV) >= 2.2e-162 where nV > 0, and keep its rounding far inside _LIVE_T's margin
-_EXACT = 2.0**53
 
 
 class Convention(Enum):
@@ -185,8 +181,9 @@ def _live_window(c: float, v: float, k_min: float, k_max: float) -> tuple[float,
     """(n_lo, n_top): for k in [k_min, k_max], t <= -T = -_LIVE_T at 0 < n <= n_lo and t >= T at
     n >= n_top >= 1.  For n >= 1, t >= (nC - k)/sqrt(nV), which rises: n_top solves Cn - T sqrt(Vn) = k.
     Up to n_top t's numerator is at most nC - k', k' = k - log2(n_top)/2, and it and sqrt(nV) rise,
-    so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Every n is live where C = 0.  The caller
-    keeps k and n within _EXACT, where the rounding of t stays far inside 9 - 8.2924."""
+    so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Every n is live where C = 0.  The configs
+    keep k and n within MAX_EXACT, so t is finite, as |nC - k + log2(n)/2| < 2**64 (C <= 1024) and
+    sqrt(nV) >= 2.2e-162 where nV > 0, and its rounding stays far inside 9 - 8.2924."""
     if c == 0.0:
         return 0.0, math.inf
     b = _LIVE_T * math.sqrt(v)
@@ -199,43 +196,30 @@ def _live_window(c: float, v: float, k_min: float, k_max: float) -> tuple[float,
 def _saturation(ch: Channel, k: float) -> int:
     """A grid length L whose last entry, and every one after it, _success_grid
     gives as exactly 1.0 for every k' <= k: floor(n_top) + 1, from _live_window.
-    2**53 where no closed form bounds it: C = 0, k past _EXACT, or n_top past it."""
+    MAX_EXACT where n_top is past it, or where C = 0 and no closed form bounds it."""
     c, v = _cv(ch)
-    if c == 0.0 or k > _EXACT:
-        return 1 << 53
-    return min(math.floor(_live_window(c, v, k, k)[1]) + 1, 1 << 53)
+    if c == 0.0:
+        return MAX_EXACT
+    return min(math.floor(_live_window(c, v, k, k)[1]) + 1, MAX_EXACT)
 
 
 def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
     """1 - eps_star(ch, (k, m)) for each m in n, an ascending float array, with
     k a float or a column of them.  Entries at or below _live_window's n_lo
     are +0.0 and those past n_top 1.0, as 1 - Q gives them bit for bit; one
-    searchsorted finds the slice between, the only one to evaluate t and Q.
-    Past _EXACT in k or n every entry is live, and t may overflow to +-inf.
-
-    The grid is refused where eps_star refuses a point: where n[0]*V
-    underflows to 0, and where nC and nV both overflow, so t is inf/inf.
+    searchsorted finds the slice between, the only one to evaluate t and Q,
+    for k and n at most MAX_EXACT, as _live_window needs.  The grid is
+    refused where eps_star refuses a point: where n[0]*V underflows to 0.
     """
     import numpy as np
     c, v = _cv(ch)
     k = np.asarray(k)
     ks = k.ravel().tolist()
-    n_min, n_max = float(n[0]), float(n[-1])
-    if n_min * v == 0.0:
-        raise ValueError(f"eps_star is undefined at k={ks[0]!r}, n={n_min!r}: nV underflows to 0")
-    if max(*ks, n_max) <= _EXACT:
-        lo, hi = n.searchsorted(_live_window(c, v, min(ks), max(ks)), side="right").tolist()
-        t = _tail_formula(np, c, v, k, n[lo:hi])
-    else:
-        lo, hi = 0, len(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = _tail_formula(np, c, v, k, n)
-        nan = np.isnan(t)
-        if nan.any():
-            k_bad, n_bad = (float(np.broadcast_to(x, t.shape)[nan][0]) for x in (k, n))
-            raise ValueError(f"eps_star is undefined at k={k_bad!r}, n={n_bad!r}: nC and nV overflow")
-    q = q_array(t)
-    del t  # before s is made, so three arrays of the live width are alive at most
+    if n[0] * v == 0.0:
+        raise ValueError(f"eps_star is undefined at k={ks[0]!r}, n={float(n[0])!r}: nV underflows to 0")
+    lo, hi = n.searchsorted(_live_window(c, v, min(ks), max(ks)), side="right").tolist()
+    # t is freed before s is made, so three arrays of the live width are alive at most
+    q = q_array(_tail_formula(np, c, v, k, n[lo:hi]))
     s = np.zeros((*k.shape[:-1], len(n)))
     s[..., hi:] = 1.0
     np.subtract(1.0, q, out=s[..., lo:hi])
@@ -249,15 +233,15 @@ def _slot_success(ch: Channel, k: float, frame: float, k_max: int) -> tuple[int,
     reversed view of one grid over an ascending contiguous array of slot
     lengths, as a strided log2 may round differently.
 
-    Below _EXACT the slot counts of s hold _live_window's, with one to spare
-    at each end for the rounding of frame/n_top and frame/n_lo.  Past it,
-    where C = 0, or where nV underflows at the shortest slot, s is every
-    K, so _success_grid refuses as it does for the whole grid.
+    The slot counts of s hold _live_window's, with one to spare at each end
+    for the rounding of frame/n_top and frame/n_lo.  Where C = 0, or where
+    nV underflows at the shortest slot, s is every K, so _success_grid
+    refuses as it does for the whole grid.
     """
     import numpy as np
     c, v = _cv(ch)
     j, top = 0, k_max
-    if c > 0.0 and max(k, frame) <= _EXACT and frame / k_max * v > 0.0:
+    if c > 0.0 and frame / k_max * v > 0.0:
         n_lo, n_top = _live_window(c, v, k, k)
         # K <= j has frame/K > n_top, and K > top has frame/K < n_lo
         j = min(max(math.floor(frame / n_top) - 1, 0), k_max)

@@ -17,7 +17,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ._check import integer, probability, real
+from ._check import MAX_EXACT, integer, probability, real
 from .awgn import Channel, CodeSpec, _saturation, _slot_success, _success_grid, eps_star, eps_star_log
 
 __all__ = [
@@ -52,8 +52,8 @@ class TwoWayConfig:
     target_reliability: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k1", real("k1", self.k1, gt=0.0))
-        object.__setattr__(self, "k2", real("k2", self.k2, gt=0.0))
+        object.__setattr__(self, "k1", real("k1", self.k1, gt=0.0, le=MAX_EXACT))
+        object.__setattr__(self, "k2", real("k2", self.k2, gt=0.0, le=MAX_EXACT))
         if not isinstance(self.ch, Channel):
             raise ValueError(f"ch must be a Channel, got {self.ch!r}")
         if self.n_total is not None:
@@ -89,8 +89,8 @@ class TddResult:
 
 def _check_devices(cfg: DownlinkConfig | AlohaConfig) -> None:
     object.__setattr__(cfg, "M", integer("M", cfg.M, ge=1))
-    object.__setattr__(cfg, "D", real("D", cfg.D, gt=0.0))
-    object.__setattr__(cfg, "n", real("n", cfg.n, ge=1.0))
+    object.__setattr__(cfg, "D", real("D", cfg.D, gt=0.0, le=MAX_EXACT))
+    object.__setattr__(cfg, "n", real("n", cfg.n, ge=1.0, le=MAX_EXACT))
     if not isinstance(cfg.ch, Channel):
         raise ValueError(f"ch must be a Channel, got {cfg.ch!r}")
 
@@ -359,12 +359,12 @@ def downlink_compare(cfg: DownlinkConfig) -> DownlinkResult:
     """Per-device error probability: M short packets of (D, n) versus one
     concatenated packet of (M*D, M*n) occupying the same frame."""
     eps_tdma = eps_star(cfg.ch, CodeSpec(cfg.D, cfg.n))
-    log_concat = eps_star_log(cfg.ch, CodeSpec(cfg.M * cfg.D, cfg.M * cfg.n))
+    log_concat = eps_star_log(cfg.ch, CodeSpec(cfg.total_bits, cfg.frame_length))
     return DownlinkResult(
         eps_tdma=eps_tdma,
         eps_concat=math.exp(log_concat),
         log_eps_concat=log_concat,
-        per_device_decoded_bits=cfg.M * cfg.D,
+        per_device_decoded_bits=cfg.total_bits,
     )
 
 

@@ -92,6 +92,16 @@ def test_src_digest_names_a_checkout_by_its_source_bytes(tmp_path):
     assert bench_pairs.src_digest(tmp_path) != digest  # and so does a file's name
 
 
+def test_src_lines_counts_the_python_source_of_a_checkout(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "a.py").write_bytes(b"x = 1\n\ny = 2\n")
+    (package / "b.py").write_bytes(b"z = 3")  # no newline at the end
+    (package / "data.txt").write_bytes(b"not\ncode\n")
+    (package / "__pycache__" / "a.py").write_bytes(b"x = 1\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+
+
 def test_git_head_names_only_the_top_of_a_work_tree(tmp_path):
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", "-C", str(tmp_path)]
     subprocess.run([*git, "init", "-q"], check=True)

@@ -368,8 +368,6 @@ def test_domain_error_exits_3():
         ("rate", "--n", "1e-300", "--eps", "0.5", "--snr-db", "10"),
         # nC and nV both overflow, so the tail argument is inf/inf: it was nan
         ("eps", "--k", "1e308", "--n", "1e308", "--snr-db", "10"),
-        # the same overflow in the ALOHA profile's K = 1 slot: it printed nan
-        ("aloha-opt", "--devices", "10", "--bits", "1e308", "--frame", "1e308", "--snr-db", "10"),
         # a 2**53-slot profile: numpy refuses the 64 PiB array (MemoryError)
         (
             "aloha-opt", "--devices", "10", "--bits", "100", "--frame", "800", "--snr-db", "10",
@@ -385,6 +383,16 @@ def test_domain_error_exits_3():
     assert err.startswith("error: K must be an integer") and "4294967296" in err
     code, out, err = run_cli(*(("4294967295" if a == "4294967296" else a) for a in argv))
     assert code == 0, err
+    # a payload or frame past 2**53, which the protocol configs refuse: the
+    # ALOHA profile's K = 1 slot overflowed to nan, and the two-way target
+    # search computed for half a second and printed an infeasible result
+    for argv, message in [
+        (("aloha-opt", "--devices", "10", "--bits", "1e308", "--frame", "1e308", "--snr-db", "10"),
+         "error: D must be > 0.0 and <= 9007199254740992, got 1e+308\n"),
+        (("twoway-opt", "--k1", "1e20", "--k2", "97", "--ki1", "96", "--target", "0.999", "--snr-db", "10"),
+         "error: k1 must be > 0.0 and <= 9007199254740992, got 1e+20\n"),
+    ]:
+        assert run_cli(*argv) == (3, "", message)
 
 
 def test_log_eps_below_the_float_range_exits_3():

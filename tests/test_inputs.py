@@ -7,10 +7,12 @@ those for the matching Python number and holding no numpy scalars.  bool,
 str, None, complex and non-finite values are refused with a ValueError that
 names the parameter, and so is every float given for an integer parameter
 and every integer past 2**53 unless the parameter has its own bound (the
-seed keeps 2**64 - 1); a bad trial count raises SimConfigError."""
+seed keeps 2**64 - 1); a bad trial count raises SimConfigError.  The
+protocol configs' payloads and lengths, though real, stop at 2**53 too."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,3 +182,16 @@ def test_non_numbers_are_refused(entry, param, kind, valid, call):
             call(v)
         # SimConfigError (CLI exit 4) is kept for trial counts
         assert isinstance(info.value, SimConfigError) == (kind == "trials"), repr(v)
+
+
+# real parameters bounded like a count: the protocol configs' payloads and lengths
+BOUNDED = ["TwoWayConfig-k1", "TwoWayConfig-k2", "DownlinkConfig-D", "DownlinkConfig-n", "AlohaConfig-D",
+           "AlohaConfig-n"]
+
+
+@pytest.mark.parametrize("entry, param, kind, valid, call", [ROWS[IDS.index(i)] for i in BOUNDED], ids=BOUNDED)
+def test_protocol_payloads_and_lengths_stop_at_2_53(entry, param, kind, valid, call):
+    assert getattr(call(2.0**53), param) == 2.0**53
+    for v in (math.nextafter(2.0**53, math.inf), 1e300):
+        with pytest.raises(ValueError, match=f"^{param} must be .* and <= 9007199254740992, got {re.escape(repr(v))}$"):
+            call(v)

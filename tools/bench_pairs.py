@@ -22,9 +22,10 @@ change is better in at least 9 of 10 pairs and the medians differ, in the
 better direction, by more than the parent's interquartile range.  Any
 other metric that the same rule finds worse is marked "worse in N/10", so
 a regression inside the bound still shows.  --out writes the command line,
-each checkout's git HEAD and a sha256 of its src/ files (so an export made
-with `git archive`, which has no HEAD, is still named), the runs, the
-summaries and the verdicts as JSON.  Standard library only.
+each checkout's git HEAD, a sha256 of its src/ files (so an export made
+with `git archive`, which has no HEAD, is still named) and the line count
+of its src/**/*.py, the runs, the summaries and the verdicts as JSON.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def src_digest(root: Path) -> str:
         h.update(f"{rel}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
+
+
+def src_lines(root: Path) -> int:
+    """Lines in the .py files under root/src, __pycache__ excluded."""
+    return sum(len(p.read_bytes().splitlines()) for p in (root / "src").rglob("*.py")
+               if "__pycache__" not in p.parts)
 
 
 def host() -> str:
@@ -212,7 +219,8 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "change": args.describe,
         "parent": git_head(Path(args.parent)),
-        "sides": {side: {"head": git_head(Path(root)), "src_sha256": src_digest(Path(root))}
+        "sides": {side: {"head": git_head(Path(root)), "src_sha256": src_digest(Path(root)),
+                         "src_lines": src_lines(Path(root))}
                   for side, root in (("parent", args.parent), ("change", args.change))},
         "command": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
         "each_run": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
