@@ -295,6 +295,9 @@ _BITS = _req("--bits", float, "bits per packet D")
 _FRAME = _req("--frame", float, "frame length in channel uses")
 _SLOTS = _req("--slots", int, "slot count K")
 _PERFECT = _opt("--perfect-decoding", action="store_true", help="drop the finite-blocklength decoding factor")
+_ALOHA_OPTIONS = {"M": "--devices", "D": "--bits", "n": "--frame", "K": "--slots"}  # config field: option
+_OPTIONS = {"aloha": _ALOHA_OPTIONS, "aloha-opt": _ALOHA_OPTIONS, "sim-aloha": _ALOHA_OPTIONS,
+            "downlink": {"M": "--devices", "D": "--bits", "n": "--slot"}}
 
 
 class _Command(NamedTuple):
@@ -465,7 +468,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, ArithmeticError) as exc:  # e.g. OverflowError from stdlib math
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        field, space, rest = (str(exc) or type(exc).__name__).partition(" ")  # may lead with a config field
+        print(f"error: {_OPTIONS.get(args.command, {}).get(field, field)}{space}{rest}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # e.g. numpy refusing an array past the address space
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -401,53 +401,50 @@ class _GramLogDets:
 
     The Gram matrix is p x p with p = min(m_t, m_r): when m_t < m_r the
     normals are copied transposed, since det(I + b*Z^H Z) = det(I + b*Z Z^H)
-    (Sylvester's identity) and the transposed Gram, the conjugate of Z Z^H,
-    has the same pivots.  The m_r x m_r Gram would lose digits there: its
-    pivots near 1 come from subtracting entries of size b*|z|^2.  The
-    normals are copied once into a contiguous batch-last complex layout
-    (max(m_t, m_r), p, n), and the Gram is accumulated over its rows.  An
-    unpivoted LDL^H then runs over the p pivots, vectorized across the
-    batch: the matrix is Hermitian with every eigenvalue >= 1, so no pivot
-    is below 1 and the log-det is the sum of log d_k.  The scratch arrays
-    are sized for n <= size and allocated once: fresh ones for every chunk
-    made the 4x4 call about a third slower.
+    (Sylvester's identity; that Gram is conj(Z Z^H)) and the m_r x m_r Gram's
+    pivots near 1 would come from subtracting entries of size b*|z|^2.  The
+    copy moves complex elements into a batch-last (max(m_t, m_r), p, n)
+    layout.  Only the Gram's lower triangle is kept, packed by columns: column
+    j holds rows j..p-1 at row j*p - j*(j-1)/2.  An unpivoted LDL^H runs over
+    it column by column, vectorized across the batch; every eigenvalue is
+    >= 1, so no pivot is below 1 and the log-det is the sum of log d_k.  Each
+    kept entry gets the complex ufuncs, operands and order of the full
+    factorization, so the pivots match it bit for bit.  Real ufuncs could not:
+    numpy's SIMD complex multiply may round one product inside the other (FMA),
+    but not into a one-element output, so a lone matrix runs as a pair.  Scratch
+    arrays are allocated once, for n <= size: per chunk, 4x4 ran a third slower.
     """
 
     def __init__(self, m_t: int, m_r: int, size: int) -> None:
         import numpy as np
-        rows, p = max(m_t, m_r), min(m_t, m_r)
-        # the normals' axes (batch, m_t, m_r, part) in the order of _z_parts
-        self._axes = (1, 2, 0, 3) if m_t >= m_r else (2, 1, 0, 3)
-        self._z = np.empty((rows, p, size), dtype=np.complex128)
-        self._z_parts = self._z.view(np.float64).reshape(rows, p, size, 2)
-        self._z_conj = np.empty_like(self._z)
-        self._gram = np.empty((p, p, size), dtype=np.complex128)
-        self._term = np.empty_like(self._gram)
-        self._col = np.empty((p, size), dtype=np.complex128)
-        self._pivots = np.empty((p, size))
+        rows, p, size = max(m_t, m_r), min(m_t, m_r), max(size, 2)
+        # the complex normals' axes (batch, m_t, m_r) in the order of z
+        self._axes = (1, 2, 0) if m_t >= m_r else (2, 1, 0)
+        # z, its conjugate, the packed Gram, a product term, a Schur column; then the pivots
+        shapes = [(rows, p), (rows, p), (p * (p + 1) // 2,), (p,), (p,)]
+        self._scratch = [np.empty((*s, size), dtype=np.complex128) for s in shapes] + [np.empty((p, size))]
 
     def __call__(self, normals: np.ndarray, b: float) -> np.ndarray:
         import numpy as np
         n = normals.shape[0]
-        rows, p = self._z.shape[:2]
-        z, z_conj, g, term, col, d = (
-            a[..., :n] for a in (self._z, self._z_conj, self._gram, self._term, self._col, self._pivots)
-        )
-        np.copyto(self._z_parts[:, :, :n], normals.transpose(self._axes))
+        z, z_conj, g, term, col, d = (a[..., : max(n, 2)] for a in self._scratch)
+        rows, p = z.shape[:2]
+        np.copyto(z, normals.view(np.complex128)[..., 0].transpose(self._axes))  # a lone matrix twice
         np.conjugate(z, out=z_conj)
-        np.multiply(z_conj[0][:, None], z[0], out=g)
-        for t in range(1, rows):
-            g += np.multiply(z_conj[t][:, None], z[t], out=term)
-        g *= b
-        for k in range(p):
-            g[k, k] += 1.0
-        for k in range(p):
-            d[k] = g[k, k].real
-            r = p - 1 - k
-            if r:  # Schur complement: G[k+1:, k+1:] -= G[k+1:, k] G[k+1:, k]^H / d_k
-                np.divide(np.conjugate(g[k + 1 :, k], out=col[:r]), d[k], out=col[:r])
-                g[k + 1 :, k + 1 :] -= np.multiply(g[k + 1 :, k, None], col[:r], out=term[:r, :r])
-        return np.log(d, out=d).sum(axis=0)
+        cols = [g[j * p - j * (j - 1) // 2 : (j + 1) * p - (j + 1) * j // 2] for j in range(p)]
+        for j, g_j in enumerate(cols):  # G[j:, j] = b * sum over t of conj(z[t, j:]) z[t, j], plus I
+            np.multiply(z_conj[0, j:], z[0, j], out=g_j)
+            for t in range(1, rows):
+                g_j += np.multiply(z_conj[t, j:], z[t, j], out=term[: p - j])
+            g_j *= b
+            g_j[0] += 1.0
+        for k in range(p - 1):  # Schur complement: G[j:, j] -= G[j:, k] conj(G[j, k]) / d_k for j > k
+            d[k] = cols[k][0].real
+            np.divide(np.conjugate(cols[k][1:], out=col[: p - 1 - k]), d[k], out=col[: p - 1 - k])
+            for j in range(k + 1, p):
+                cols[j] -= np.multiply(cols[k][j - k :], col[j - k - 1], out=term[: p - j])
+        d[p - 1] = cols[p - 1][0].real
+        return np.log(d, out=d).sum(axis=0)[:n]
 
 
 def outage_prob_mimo_mc(
@@ -469,10 +466,9 @@ def outage_prob_mimo_mc(
     # the fading law: i.i.d. unit-variance complex-Gaussian entries (Rayleigh),
     # H = (X + iY)/sqrt(2) for standard normals X, Y, so snr/m_t H^H H = b Z^H Z
     b = 0.5 * cfg.snr / cfg.m_t
-    # a chunk's rows are sized by its normals, 2*m_t*m_r floats per matrix,
-    # which the min(m_t, m_r)-square Gram buffers never exceed; the draws
-    # follow one another in the block's stream, so the chunking does not
-    # change them
+    # a chunk's rows are sized by its normals, 2*m_t*m_r floats per matrix, which
+    # the p*(p+1)/2 packed Gram rows never exceed, p = min(m_t, m_r); the draws
+    # follow one another in the block's stream, so the chunking does not change them
     width = 2 * l * cfg.m_t * cfg.m_r
     log_dets = _GramLogDets(cfg.m_t, cfg.m_r, next(_chunks(min(trials, _MIMO_BLOCK), width)) * l)
     # a log-det is inf or nan only where b*Z^H Z overflowed, and then it is at

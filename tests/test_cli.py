@@ -380,15 +380,18 @@ def test_domain_error_exits_3():
         code, out, err = run_cli(*argv)
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-    assert err.startswith("error: K must be an integer") and "4294967296" in err
+    assert err.startswith("error: --slots must be an integer") and "4294967296" in err
     code, out, err = run_cli(*(("4294967295" if a == "4294967296" else a) for a in argv))
     assert code == 0, err
     # a payload or frame past 2**53, which the protocol configs refuse: the
     # ALOHA profile's K = 1 slot overflowed to nan, and the two-way target
-    # search computed for half a second and printed an infeasible result
+    # search computed for half a second and printed an infeasible result.
+    # A refused config field is named by the option that set it
     for argv, message in [
         (("aloha-opt", "--devices", "10", "--bits", "1e308", "--frame", "1e308", "--snr-db", "10"),
-         "error: D must be > 0.0 and <= 9007199254740992, got 1e+308\n"),
+         "error: --bits must be > 0.0 and <= 9007199254740992, got 1e+308\n"),
+        (("downlink", "--devices", "10", "--bits", "192", "--slot", "1e20", "--snr-db", "10"),
+         "error: --slot must be >= 1.0 and <= 9007199254740992, got 1e+20\n"),
         (("twoway-opt", "--k1", "1e20", "--k2", "97", "--ki1", "96", "--target", "0.999", "--snr-db", "10"),
          "error: k1 must be > 0.0 and <= 9007199254740992, got 1e+20\n"),
     ]:

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from from_scratch import gram_log_dets_full
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -285,6 +286,39 @@ def test_gram_log_dets_match_the_m_t_gram_when_m_t_below_m_r():
             np.testing.assert_allclose(got, np.linalg.slogdet(gram)[1], rtol=1e-12, atol=0.0)
 
 
+# The kernel keeps the Gram's lower triangle, packed, and gives each kept
+# entry the full kernel's complex ufuncs on the same operands in the same
+# order, so the log-dets agree bit for bit, inf and nan included.  numpy's
+# SIMD complex multiply fuses its products but not into a one-element output, so
+# the full kernel's log-det of a lone matrix can differ from the one it gets
+# in a batch; the packed kernel runs a lone matrix as a pair, and a batch of
+# one is compared with the full kernel's log-det of that matrix in a pair.
+@given(
+    m_t=st.integers(1, 8),
+    m_r=st.integers(1, 8),
+    batches=st.lists(st.integers(1, 600), min_size=2, max_size=2),
+    b=st.sampled_from([1e-300, 0.05, 1.25, 1e3, 1e300, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_log_dets_are_the_full_kernels_bit_for_bit(m_t, m_r, batches, b, seed):
+    rng = np.random.default_rng(seed)
+    log_dets = _GramLogDets(m_t, m_r, 640)
+    for n in batches:  # two batches through one kernel, so its scratch buffers are reused
+        z = rng.standard_normal((n, m_t, m_r, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = log_dets(z, b)
+            want = gram_log_dets_full(z if n > 1 else np.concatenate((z, z)), b)[:n]
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_gram_log_det_of_a_matrix_is_the_same_in_any_batch():
+    z = np.random.default_rng(30).standard_normal((64, 8, 8, 2))
+    log_dets = _GramLogDets(8, 8, 64)
+    batch = log_dets(z, 1e3).copy()
+    assert all(log_dets(z[i : i + 1], 1e3)[0] == batch[i] for i in range(64))
+    assert all(log_dets(z[i : i + 2], 1e3)[0] == batch[i] for i in range(63))
+
+
 def test_sim_twoway_deterministic():
     cfg = TwoWayConfig(193.0, 97.0, CH)
     a = sim_twoway(cfg, 132, 71, trials=50_000, seed=42)
@@ -507,14 +541,24 @@ TWOWAY_GOLDEN = {
     0: (0.7656167743095235, 0.0015179351711617222),
     1: (0.7661046981933977, 0.0015168374839751588),
 }
-# keyed by (antennas, seed); antennas m picks the m x m link over l = m fading blocks
+# keyed by (m_t, m_r, l, seed) at snr 10; the rectangular links and 8x8 were
+# captured from the full-Gram kernel, before the Gram was packed
 MIMO_GOLDEN = {
-    (1, 0): (0.0955655264844706, 0.002244232702417179),
-    (1, 1): (0.09463317988462211, 0.0022344091870598504),
-    (4, 0): (0.06806130178894004, 0.0019225272447490399),
-    (4, 1): (0.06730377017656314, 0.001912575161964913),
+    (1, 1, 1, 0): (0.0955655264844706, 0.002244232702417179),
+    (1, 1, 1, 1): (0.09463317988462211, 0.0022344091870598504),
+    (4, 4, 4, 0): (0.06806130178894004, 0.0019225272447490399),
+    (4, 4, 4, 1): (0.06730377017656314, 0.001912575161964913),
+    (2, 4, 1, 0): (0.16048015849892197, 0.0028019143732780746),
+    (2, 4, 1, 1): (0.15989744187401667, 0.0027977932353399756),
+    (4, 2, 2, 0): (0.12889691742905426, 0.0025579069698355083),
+    (4, 2, 2, 1): (0.12639123594196142, 0.0025365631317509157),
+    (1, 8, 1, 0): (0.2958452304644251, 0.003484135631678063),
+    (1, 8, 1, 1): (0.2987588135889517, 0.00349399899180231),
+    (8, 8, 2, 0): (0.18174931530796573, 0.002943799890181048),
+    (8, 8, 2, 1): (0.17871918885845814, 0.002924557298764241),
 }
-MIMO_RATES = {1: 1.0, 4: 10.0}
+MIMO_RATES = {(1, 1, 1): 1.0, (4, 4, 4): 10.0, (2, 4, 1): 7.0, (4, 2, 2): 5.5, (1, 8, 1): 6.0,
+              (8, 8, 2): 21.0}
 
 
 @pytest.mark.parametrize("seed", sorted(TWOWAY_GOLDEN))
@@ -607,11 +651,11 @@ def test_sim_twoway_calls_no_generator_method(monkeypatch):
     assert sim_twoway(cfg, 115, 62, _BLOCK + 12_345, 0) == want
 
 
-@pytest.mark.parametrize("antennas, seed", sorted(MIMO_GOLDEN))
-def test_mimo_mc_reports_pinned(antennas, seed):
-    cfg = QuasiStaticConfig(10.0, antennas, antennas)
-    rep = outage_prob_mimo_mc(cfg, antennas, MIMO_RATES[antennas], 2 * _MIMO_BLOCK + 777, seed)
-    assert (rep.estimate, rep.std_error) == MIMO_GOLDEN[antennas, seed]
+@pytest.mark.parametrize("m_t, m_r, l, seed", sorted(MIMO_GOLDEN))
+def test_mimo_mc_reports_pinned(m_t, m_r, l, seed):
+    cfg = QuasiStaticConfig(10.0, m_t, m_r)
+    rep = outage_prob_mimo_mc(cfg, l, MIMO_RATES[m_t, m_r, l], 2 * _MIMO_BLOCK + 777, seed)
+    assert (rep.estimate, rep.std_error) == MIMO_GOLDEN[m_t, m_r, l, seed]
 
 
 def test_mimo_mc_where_the_gain_overflows():
