@@ -6,8 +6,10 @@ scalar, finite, and becomes a float, so all arithmetic runs in float64.  An
 integer is an int or a numpy integer scalar and becomes an int; every float
 is refused, 132.0 included, and so is a value past MAX_EXACT = 2**53 (where
 floats stop counting exactly) unless the call sets its own le.  bool is
-refused by both.  Checks that relate one argument to another stay with
-their owners.
+refused by both.  A linear SNR is a real in [2**-52, 2**52], -156.5 to
+156.5 dB: at the bottom 1 + snr is the next float above 1, so capacity is
+positive, and at the top every gain formed from it stays finite.  Checks
+that relate one argument to another stay with their owners.
 
 A numpy scalar cannot exist before numpy is loaded, so numpy types are
 looked up in sys.modules, and this module never imports numpy itself.
@@ -18,9 +20,10 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = ["MAX_EXACT", "SimConfigError", "integer", "probability", "real"]
+__all__ = ["MAX_EXACT", "SimConfigError", "integer", "linear_snr", "probability", "real"]
 
 MAX_EXACT = 2**53  # the largest count, payload or length: floats hold every integer up to it
+SNR_MIN, SNR_MAX = 2.0**-52, 2.0**52  # the linear SNR range, -156.5 to 156.5 dB
 
 
 class SimConfigError(ValueError):
@@ -64,6 +67,14 @@ def real(name: str, value: object, *, gt: float | None = None, ge: float | None 
 def probability(name: str, value: object) -> float:
     """value as a Python float strictly inside (0, 1)."""
     return real(name, value, gt=0.0, lt=1.0)
+
+
+def linear_snr(value: object) -> float:
+    """value as a Python float linear SNR within [SNR_MIN, SNR_MAX]."""
+    x = real("snr", value)
+    if not SNR_MIN <= x <= SNR_MAX:
+        raise ValueError(f"snr must be >= 2**-52 and <= 2**52 (-156.5 to 156.5 dB), got {value!r}")
+    return x
 
 
 def integer(name: str, value: object, *, ge: int, le: int = MAX_EXACT,

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._check import MAX_EXACT, probability, real
+from ._check import MAX_EXACT, linear_snr, probability, real
 from .specfun import _log_q, _q, q_array, q_inv
 
 __all__ = [
@@ -65,7 +65,8 @@ class Channel:
     """Gaussian channel at a fixed SNR.
 
     Args:
-        snr: linear signal-to-noise power ratio (not dB), > 0.
+        snr: linear signal-to-noise power ratio (not dB), in [2**-52, 2**52],
+            -156.5 to 156.5 dB.
         convention: channel-use accounting; the real-dimension convention
             halves capacity and dispersion relative to the complex one.
     """
@@ -74,7 +75,7 @@ class Channel:
     convention: Convention = Convention.COMPLEX_CU
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snr", real("snr", self.snr, gt=0.0))
+        object.__setattr__(self, "snr", linear_snr(self.snr))
         if not isinstance(self.convention, Convention):
             raise ValueError(f"convention must be a Convention member, got {self.convention!r}")
 
@@ -110,7 +111,7 @@ def _cv_complex(snr: float) -> tuple[float, float]:
     """Capacity and dispersion per complex channel use at linear SNR snr.
 
     V = snr(2 + snr)/(1 + snr)^2 * log2(e)^2, evaluated as a product of two
-    ratios so it stays finite for any finite snr.
+    ratios so that no factor is formed past the float range.
     """
     r = 1.0 + snr
     return math.log2(r), snr / r * ((2.0 + snr) / r) * _LOG2_E_SQ
@@ -181,11 +182,9 @@ def _live_window(c: float, v: float, k_min: float, k_max: float) -> tuple[float,
     """(n_lo, n_top): for k in [k_min, k_max], t <= -T = -_LIVE_T at 0 < n <= n_lo and t >= T at
     n >= n_top >= 1.  For n >= 1, t >= (nC - k)/sqrt(nV), which rises: n_top solves Cn - T sqrt(Vn) = k.
     Up to n_top t's numerator is at most nC - k', k' = k - log2(n_top)/2, and it and sqrt(nV) rise,
-    so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Every n is live where C = 0.  The configs
-    keep k and n within MAX_EXACT, so t is finite, as |nC - k + log2(n)/2| < 2**64 (C <= 1024) and
-    sqrt(nV) >= 2.2e-162 where nV > 0, and its rounding stays far inside 9 - 8.2924."""
-    if c == 0.0:
-        return 0.0, math.inf
+    so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Channel keeps snr >= 2**-52, so C > 0, and
+    the configs keep k and n within MAX_EXACT, so t is finite, as |nC - k + log2(n)/2| < 2**64
+    (C <= 53) and sqrt(nV) >= 3e-16 for n >= 2**-53, and its rounding stays far inside 9 - 8.2924."""
     b = _LIVE_T * math.sqrt(v)
     r = _sqrt_n_root(c, b, k_max)
     n_top = max(r * r, 1.0)
@@ -195,12 +194,9 @@ def _live_window(c: float, v: float, k_min: float, k_max: float) -> tuple[float,
 
 def _saturation(ch: Channel, k: float) -> int:
     """A grid length L whose last entry, and every one after it, _success_grid
-    gives as exactly 1.0 for every k' <= k: floor(n_top) + 1, from _live_window.
-    MAX_EXACT where n_top is past it, or where C = 0 and no closed form bounds it."""
-    c, v = _cv(ch)
-    if c == 0.0:
-        return MAX_EXACT
-    return min(math.floor(_live_window(c, v, k, k)[1]) + 1, MAX_EXACT)
+    gives as exactly 1.0 for every k' <= k: floor(n_top) + 1, from _live_window,
+    or MAX_EXACT where n_top is past it."""
+    return min(math.floor(_live_window(*_cv(ch), k, k)[1]) + 1, MAX_EXACT)
 
 
 def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
@@ -208,15 +204,12 @@ def _success_grid(ch: Channel, k, n: np.ndarray) -> np.ndarray:
     k a float or a column of them.  Entries at or below _live_window's n_lo
     are +0.0 and those past n_top 1.0, as 1 - Q gives them bit for bit; one
     searchsorted finds the slice between, the only one to evaluate t and Q,
-    for k and n at most MAX_EXACT, as _live_window needs.  The grid is
-    refused where eps_star refuses a point: where n[0]*V underflows to 0.
+    for k at most MAX_EXACT and n in [2**-53, MAX_EXACT], as _live_window needs.
     """
     import numpy as np
     c, v = _cv(ch)
     k = np.asarray(k)
     ks = k.ravel().tolist()
-    if n[0] * v == 0.0:
-        raise ValueError(f"eps_star is undefined at k={ks[0]!r}, n={float(n[0])!r}: nV underflows to 0")
     lo, hi = n.searchsorted(_live_window(c, v, min(ks), max(ks)), side="right").tolist()
     # t is freed before s is made, so three arrays of the live width are alive at most
     q = q_array(_tail_formula(np, c, v, k, n[lo:hi]))
@@ -234,20 +227,15 @@ def _slot_success(ch: Channel, k: float, frame: float, k_max: int) -> tuple[int,
     lengths, as a strided log2 may round differently.
 
     The slot counts of s hold _live_window's, with one to spare at each end
-    for the rounding of frame/n_top and frame/n_lo.  Where C = 0, or where
-    nV underflows at the shortest slot, s is every K, so _success_grid
-    refuses as it does for the whole grid.
+    for the rounding of frame/n_top and frame/n_lo.
     """
     import numpy as np
-    c, v = _cv(ch)
-    j, top = 0, k_max
-    if c > 0.0 and frame / k_max * v > 0.0:
-        n_lo, n_top = _live_window(c, v, k, k)
-        # K <= j has frame/K > n_top, and K > top has frame/K < n_lo
-        j = min(max(math.floor(frame / n_top) - 1, 0), k_max)
-        below = frame / n_lo if n_lo > 0.0 else math.inf
-        if below < k_max:
-            top = max(min(math.ceil(below) + 1, k_max), j)
+    n_lo, n_top = _live_window(*_cv(ch), k, k)
+    # K <= j has frame/K > n_top, and K > top has frame/K < n_lo
+    j, top = min(max(math.floor(frame / n_top) - 1, 0), k_max), k_max
+    below = frame / n_lo if n_lo > 0.0 else math.inf
+    if below < k_max:
+        top = max(min(math.ceil(below) + 1, k_max), j)
     m = np.arange(float(top), float(j), -1.0)  # K = top..j+1
     if len(m):
         m = _success_grid(ch, k, np.divide(frame, m, out=m))
@@ -317,7 +305,7 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
     # h = 0 in u = ln n is exp(u - u_h) + a - u = 0, where a = 2 ln 2 (k + 1/ln 2)
     # and h is least at u_h = ln(1/(2C ln 2)); it has roots when a + 1 < u_h
     a = 2.0 * _LN2 * k + 2.0
-    u_h = -math.log(2.0 * c * _LN2) if c > 0.0 else math.inf
+    u_h = -math.log(2.0 * c * _LN2)
     if a + 1.0 < u_h and a < _LOG_MAX_BLOCKLENGTH:
         # the left side is convex and positive at u = a, so Newton climbs
         # from there to the smaller root ln n_a and stops when it cannot rise
@@ -340,12 +328,11 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
         # sqrt(n); for n >= 1 the dropped term only raises t, so the answer
         # is at most its root, which lies past n_b
         top = _MAX_BLOCKLENGTH
-        if c > 0.0:
-            s = _sqrt_n_root(c, q_inv(eps_target) * math.sqrt(v), k)
-            if s * s < top:  # false for inf, where 4Ck overflows
-                top = max(math.ceil(s * s), 2)
-                while not meets(top):  # rounding can leave the root a use short
-                    top += 1
+        s = _sqrt_n_root(c, q_inv(eps_target) * math.sqrt(v), k)
+        if s * s < top:  # false for inf, where 4Ck overflows
+            top = max(math.ceil(s * s), 2)
+            while not meets(top):  # rounding can leave the root a use short
+                top += 1
         if top == _MAX_BLOCKLENGTH and not meets(top):
             raise ValueError(f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}")
     # meets(1) is false and meets(top) true, so the answer is in [2, top]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import erfc, log, log2, sqrt
 
-from ._check import integer, probability, real
+from ._check import integer, linear_snr, probability, real
 from .awgn import _LOG2_E_SQ
 
 __all__ = [
@@ -34,9 +34,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# the largest t with exp(t) finite, and the smallest e with 2**e not finite
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_EXP2_OVERFLOW = sys.float_info.max_exp
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest t with exp(t) finite
 
 
 class DmtMode(Enum):
@@ -68,23 +66,20 @@ class DmtCurve:
 def outage_prob_siso(snr: float, R: float) -> float:
     """Rayleigh outage probability 1 - exp(-(2^R - 1)/snr).
 
-    R is in bits per complex channel use; R = 0 gives 0 exactly.
+    R is in bits per complex channel use; R = 0 gives 0 exactly.  Where 2^R
+    is past the float range the threshold is capped at float max / snr,
+    at least 4e292, so the outage is exactly 1.
     """
-    snr = real("snr", snr, gt=0.0)
+    snr = linear_snr(snr)
     R = real("R", R, ge=0.0)
-    t = R * _LN2
-    if t > _LOG_FLOAT_MAX:
-        # 2^R - 1 is not a float, but equals 2^R to double precision here
-        threshold = math.exp(min(t - math.log(snr), _LOG_FLOAT_MAX))
-    else:
-        threshold = math.expm1(t) / snr
+    threshold = math.expm1(min(R * _LN2, _LOG_FLOAT_MAX)) / snr
     return -math.expm1(-threshold)
 
 
 def outage_capacity_siso(snr: float, eps: float) -> float:
     """The rate whose outage probability is exactly eps:
     log2(1 - snr * ln(1 - eps))."""
-    snr = real("snr", snr, gt=0.0)
+    snr = linear_snr(snr)
     eps = probability("eps", eps)
     return math.log2(1.0 - snr * math.log1p(-eps))
 
@@ -101,13 +96,11 @@ def _qs_integrand(
         return 0.0
     if u >= 1.0:
         return at_zero_gain
-    x = snr * -log(u)  # g = -ln u > 0: ln u <= -1.1e-16 for every double u < 1
+    # g = -ln u is in [1.1e-16, 745], so x = snr * g is a positive normal
+    # float for snr in [2**-52, 2**52], and so is v
+    x = snr * -log(u)
     r = 1.0 + x
     v = x / r * ((2.0 + x) / r) * _LOG2_E_SQ
-    if not v > 0.0:
-        # v = 0 where x underflowed to zero gain; v is nan where x = inf,
-        # and Q(+inf) = 0
-        return at_zero_gain if v == 0.0 else 0.0
     # Q((C + shift) / sqrt(V/n)), written as erfc((C + shift) sqrt(n/(2V))) / 2
     return 0.5 * erfc((log2(r) + shift) * sqrt(half_n / v))
 
@@ -122,29 +115,29 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
     probability as n grows.
 
     Args:
-        snr: linear SNR, > 0.
+        snr: linear SNR, in [2**-52, 2**52].
         R: rate in bits per channel use, > 0.
         n: blocklength, >= 1.
     """
     # the slowest import, needed only here: QUADPACK's routines without
     # quad's wrapper, which costs a fifth of the call for one breakpoint
     from scipy.integrate import _quadpack
-    snr = real("snr", snr, gt=0.0)
+    snr = linear_snr(snr)
     R = real("R", R, gt=0.0)
     n = real("n", n, ge=1.0)
     corr = math.log2(n) / (2.0 * n)
     # the tail argument's shift, n/2 and the integrand's limit at zero gain
     args = (snr, corr - R, 0.5 * n, 1.0 if R > corr else 0.0)
     # the integrand transitions around the gain where capacity meets the
-    # rate; hand that point to the adaptive rule (unless 2**(R - corr) is
-    # past the float range, where the point sits at u = 0)
+    # rate; hand that point to the adaptive rule.  Past 2**1023, where
+    # exp(-g*) is 0 at any snr, it sits at u = 0; where R <= corr there is
+    # none, and exp(-g*) could overflow at small snr
     points = None
-    if R - corr < _EXP2_OVERFLOW:
-        g_star = (2.0 ** (R - corr) - 1.0) / snr
-        if g_star > 0.0:
-            u_star = math.exp(-g_star)
-            if 0.0 < u_star < 1.0:
-                points = (u_star,)
+    g_star = (2.0 ** min(R - corr, 1023.0) - 1.0) / snr
+    if g_star > 0.0:
+        u_star = math.exp(-g_star)
+        if 0.0 < u_star < 1.0:
+            points = (u_star,)
     # quad(_qs_integrand, 0, 1, args, points=points, limit=500, epsabs=1e-9,
     # epsrel=1e-9) bit for bit: quad pads the breakpoints with two zeros
     if points is None:

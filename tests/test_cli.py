@@ -360,6 +360,12 @@ def test_domain_error_exits_3():
     code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "4000")
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
+    # the snr range ends at 2**52, 156.5 dB: 157 dB is refused, 156 dB taken
+    code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "157")
+    assert code == 3 and out == ""
+    assert err.startswith("error: snr must be") and "156.5 dB" in err and err.count("\n") == 1
+    code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "156")
+    assert code == 0, err
     # an integer past 2**53 (OverflowError), and blocklengths below 1, where
     # the rate was nan or a meaningless -4.98e302
     for argv in (

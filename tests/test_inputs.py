@@ -8,7 +8,8 @@ str, None, complex and non-finite values are refused with a ValueError that
 names the parameter, and so is every float given for an integer parameter
 and every integer past 2**53 unless the parameter has its own bound (the
 seed keeps 2**64 - 1); a bad trial count raises SimConfigError.  The
-protocol configs' payloads and lengths, though real, stop at 2**53 too."""
+protocol configs' payloads and lengths, though real, stop at 2**53 too, and
+a linear SNR lies in [2**-52, 2**52], -156.5 to 156.5 dB."""
 
 import dataclasses
 import math
@@ -194,4 +195,24 @@ def test_protocol_payloads_and_lengths_stop_at_2_53(entry, param, kind, valid, c
     assert getattr(call(2.0**53), param) == 2.0**53
     for v in (math.nextafter(2.0**53, math.inf), 1e300):
         with pytest.raises(ValueError, match=f"^{param} must be .* and <= 9007199254740992, got {re.escape(repr(v))}$"):
+            call(v)
+
+
+SNR_ROWS = [row for row in ROWS if row[1] == "snr"]
+
+
+@pytest.mark.parametrize("entry, param, kind, valid, call", SNR_ROWS, ids=[row[0] for row in SNR_ROWS])
+def test_snr_stops_at_2_to_the_minus_52_and_2_to_the_52(entry, param, kind, valid, call):
+    # each edge is taken and gives a finite value; the next float past it
+    # is refused, naming snr and giving the range in dB too
+    assert [row[0] for row in SNR_ROWS] == [
+        "Channel", "QuasiStaticConfig", "outage_prob_siso", "outage_capacity_siso", "eps_quasistatic"
+    ]
+    for edge in (2.0**-52, 2.0**52):
+        got = call(edge)
+        assert got.snr == edge if dataclasses.is_dataclass(got) else math.isfinite(got)
+    for v in (math.nextafter(2.0**-52, 0.0), math.nextafter(2.0**52, math.inf), 5e-324, 1e308, 0.0, -1.0):
+        with pytest.raises(ValueError, match=(
+            rf"^snr must be >= 2\*\*-52 and <= 2\*\*52 \(-156\.5 to 156\.5 dB\), got {re.escape(repr(v))}$"
+        )):
             call(v)

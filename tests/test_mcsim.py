@@ -23,7 +23,6 @@ from shortpacket.mcsim import (
     _GramLogDets,
     _Integers,
     _unrejected_words,
-    _word_index,
     outage_prob_mimo_mc,
     sim_aloha,
     sim_twoway,
@@ -194,17 +193,40 @@ def test_sim_aloha_refuses_k_from_2_to_the_32(slots):
         sim_aloha(cfg, MIN_TRIALS, 17)
 
 
-def test_word_index_counts_raw_words_and_advance():
+def _philox_words(bits):
+    """How many raw words a Philox has given since it was keyed: it makes
+    four per counter step, increments the counter before each step, and
+    advance() empties its buffer."""
+    state = bits.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
+def test_advance_lands_on_the_guessed_word():
+    # sim_aloha's uniform cursor: advance(words // 4) then words % 4 raw
+    # words reads on from the word a cursor that took `words` words reads
     key = np.array([7, 1], dtype=np.uint64)
     for words in (0, 1, 3, 4, 5, 4096 + 2):
         bits = np.random.Philox(key=key)
         bits.random_raw(words)
-        assert _word_index(bits) == words
         jumped = np.random.Philox(key=key)
         jumped.advance(words // 4)
         jumped.random_raw(words % 4)
-        assert _word_index(jumped) == words
-        assert jumped.random_raw() == bits.random_raw()
+        assert _philox_words(jumped) == _philox_words(bits) == words
+        assert jumped.random_raw(3).tolist() == bits.random_raw(3).tolist()
+
+
+@pytest.mark.parametrize("K", [1, 6, 3 << 30, (1 << 32) - 1])
+def test_integers_reader_counts_its_raw_words(K):
+    # sim_aloha checks a guessed start against the reader's count, so the
+    # count is the Philox's own, a pending half's word included
+    bits = np.random.Philox(key=np.array([2015, 31], dtype=np.uint64))
+    reader = _Integers(bits, K)
+    for count in (1, 2, 3, 70_001, _CHUNK + 1):
+        reader.fill(np.empty(count, dtype=np.int64))
+        assert reader.words == _philox_words(bits)
+        reader.skip(count)
+        assert reader.words == _philox_words(bits)
+    assert (reader.words == 0) == (K == 1)
 
 
 def _mc_crosscheck_seed(seed, op):
@@ -658,15 +680,18 @@ def test_mimo_mc_reports_pinned(m_t, m_r, l, seed):
     assert (rep.estimate, rep.std_error) == MIMO_GOLDEN[m_t, m_r, l, seed]
 
 
-def test_mimo_mc_where_the_gain_overflows():
-    # b*Z^H Z overflows at snr 1e308, and a log-det is then at least
-    # ln(float max), 1024 bits: below that rate no trial is an outage, past
-    # it the outcome is unknown and the call refuses
-    cfg = QuasiStaticConfig(1e308, 2, 2)
-    assert outage_prob_mimo_mc(cfg, 1, 1000.0, MIN_TRIALS).estimate == 0.0
-    with pytest.raises(ValueError, match="snr 1e\\+308 overflows the channel gain"):
-        outage_prob_mimo_mc(cfg, 1, 2000.0, MIN_TRIALS)
-    assert outage_prob_mimo_mc(QuasiStaticConfig(1e300, 2, 2), 1, 2000.0, MIN_TRIALS).estimate == 1.0
+def test_mimo_mc_refuses_snr_past_the_range():
+    # b*Z^H Z overflowed at snr 1e308, where an outage past 1024 bits was
+    # undecidable; such an snr is refused.  At the top of the range, 2**52,
+    # every log-det is finite (an overflow warning is an error under the
+    # test filter): a 2x2 link carries about 104 bits, so every trial is an
+    # outage at 2000 bits and none at 50
+    for snr in (1e308, 1e300, math.nextafter(2.0**52, math.inf)):
+        with pytest.raises(ValueError, match="^snr must be"):
+            QuasiStaticConfig(snr, 2, 2)
+    cfg = QuasiStaticConfig(2.0**52, 2, 2)
+    assert outage_prob_mimo_mc(cfg, 1, 2000.0, MIN_TRIALS).estimate == 1.0
+    assert outage_prob_mimo_mc(cfg, 1, 50.0, MIN_TRIALS).estimate == 0.0
 
 
 # every simulator call reads its blocks in chunks of about 2**16 draws, so

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from from_scratch import tail_args
 from shortpacket import protocols
-from shortpacket.awgn import Channel, CodeSpec, Convention, dispersion, eps_star
+from shortpacket.awgn import Channel, CodeSpec, Convention, eps_star
 from shortpacket.protocols import (
     AlohaConfig,
     AlohaOptResult,
@@ -291,12 +291,15 @@ def test_twoway_target_search_builds_its_grids_once(monkeypatch):
     assert grids == [([193.0, 97.0], 999)]
 
 
-def test_twoway_takes_a_subnormal_dispersion_as_eps_star_does():
-    # sqrt(mV) is subnormal, so the first leg's tail argument is near -2e177
-    # at the largest payload a config takes: twoway_reliability gives 0.0 at
-    # every split, and so does the grid, without numpy's overflow warning
-    # (an error under the test filter)
-    cfg = TwoWayConfig(2.0**53, 1.0, Channel(5e-324), n_total=4)
+def test_twoway_at_the_least_snr_is_eps_star():
+    # at snr 5e-324 sqrt(mV) was subnormal; that snr is refused.  At the
+    # bottom of the range, 2**-52, the first leg's tail argument is near
+    # -1e23 at the largest payload a config takes: twoway_reliability gives
+    # 0.0 at every split, and so does the grid, without numpy's overflow
+    # warning (an error under the test filter)
+    with pytest.raises(ValueError, match="^snr must be"):
+        Channel(5e-324)
+    cfg = TwoWayConfig(2.0**53, 1.0, Channel(2.0**-52), n_total=4)
     assert all(twoway_reliability(cfg, n1, 4 - n1) == 0.0 for n1 in range(1, 4))
     res = twoway_optimize(cfg, 1.0)
     assert (res.n1, res.n2, res.reliability) == (1, 3, 0.0)
@@ -458,29 +461,33 @@ def test_aloha_config_refuses_a_payload_or_frame_past_2_53():
 
 
 def test_aloha_refuses_underflowing_dispersion():
-    # slots of 1/K uses at the least positive snr: nV underflows to 0, where
-    # the profile divided by zero with a RuntimeWarning
-    ch = Channel(5e-324)
-    with pytest.raises(ValueError, match="nV underflows"):
-        eps_star(ch, CodeSpec(1.0, 0.1))
-    with pytest.raises(ValueError, match=r"^eps_star is undefined at k=1.0, n=0.1: nV underflows to 0$"):
-        aloha_optimize(AlohaConfig(1, 1.0, 1.0, ch), k_max=10)
-    with pytest.raises(ValueError, match="nV underflows"):
-        aloha_success(AlohaConfig(1, 1.0, 1.0, ch, K=1000))
-    # a one-use slot keeps nV positive, and the profile agrees with eps_star
-    one_use = aloha_optimize(AlohaConfig(1, 1.0, 1.0, ch), k_max=1).profile[0][1]
-    assert one_use == 1.0 - eps_star(ch, CodeSpec(1.0, 1.0))
+    # slots of 1/K uses at snr 5e-324 made nV underflow to 0, where the
+    # profile divided by zero with a RuntimeWarning; that snr is refused.  At
+    # the bottom of the range, 2**-52, slots of 1/K uses keep nV positive,
+    # and the profile agrees with eps_star
+    with pytest.raises(ValueError, match="^snr must be"):
+        Channel(5e-324)
+    ch = Channel(2.0**-52)
+    profile = aloha_optimize(AlohaConfig(1, 1.0, 1.0, ch), k_max=1000).profile
+    for K in (1, 10, 1000):
+        assert profile[K - 1][1] == 1.0 - eps_star(ch, CodeSpec(1.0, 1.0 / K))
+    assert aloha_success(AlohaConfig(1, 1.0, 1.0, ch, K=1000)) == 1.0 - eps_star(ch, CodeSpec(1.0, 0.001))
 
 
-def test_aloha_takes_a_subnormal_dispersion_as_eps_star_does():
-    # sqrt(nV) is subnormal or tiny, so the tail argument at the largest
-    # payload a config takes is below -1e160: both paths give Q = 1 exactly,
-    # and the array path without numpy's overflow warning (an error under
-    # the test filter)
-    assert eps_star(Channel(5e-324), CodeSpec(2.0**53, 1.0)) == 1.0
-    assert aloha_success(AlohaConfig(1, 2.0**53, 1.0, Channel(5e-324), K=1)) == 0.0
-    res = aloha_optimize(AlohaConfig(2, 2.0**53, 10.0, Channel(1e-300)))
-    assert all(eps_star(Channel(1e-300), CodeSpec(2.0**53, 10.0 / K)) == 1.0 for K in range(1, 9))
+def test_aloha_at_the_least_snr_is_eps_star():
+    # at snr 5e-324 and 1e-300 sqrt(nV) was subnormal or tiny; both are
+    # refused.  At the bottom of the range, 2**-52, the tail argument at the
+    # largest payload a config takes is below -1e23: both paths give Q = 1
+    # exactly, and the array path without numpy's overflow warning (an
+    # error under the test filter)
+    for snr in (5e-324, 1e-300):
+        with pytest.raises(ValueError, match="^snr must be"):
+            Channel(snr)
+    ch = Channel(2.0**-52)
+    assert eps_star(ch, CodeSpec(2.0**53, 1.0)) == 1.0
+    assert aloha_success(AlohaConfig(1, 2.0**53, 1.0, ch, K=1)) == 0.0
+    res = aloha_optimize(AlohaConfig(2, 2.0**53, 10.0, ch))
+    assert all(eps_star(ch, CodeSpec(2.0**53, 10.0 / K)) == 1.0 for K in range(1, 9))
     assert res.k_opt == 1
     assert res.profile == tuple((K, 0.0) for K in range(1, 9))
 
@@ -617,15 +624,10 @@ def test_aloha_optimize_holds_two_full_arrays_at_most(perfect):
 
 def dense_profile(cfg, k_max, perfect):
     """The profile from the formula at every K, with the slot lengths n/K as
-    one contiguous array, and whether it is defined: no nan, and nV > 0."""
+    one contiguous array."""
     ks = np.arange(1.0, k_max + 1.0)
-    with np.errstate(all="ignore"):
-        ps = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
-        if perfect:
-            return ps, True
-        t = tail_args(cfg.ch, cfg.D, cfg.n / ks)
-        defined = not np.isnan(t).any() and cfg.n / k_max * dispersion(cfg.ch) > 0.0
-        return ps * (1.0 - q_array(t)), defined
+    ps = (cfg.M / ks) * (1.0 - 1.0 / ks) ** (cfg.M - 1)
+    return ps if perfect else ps * (1.0 - q_array(tail_args(cfg.ch, cfg.D, cfg.n / ks)))
 
 
 @settings(max_examples=300)
@@ -633,22 +635,18 @@ def dense_profile(cfg, k_max, perfect):
     M=st.integers(1, 20_000),
     D=st.one_of(st.floats(1.0, 1e3), st.floats(1e-3, 2.0**53), st.just(2.0**53)),
     slot=st.one_of(st.floats(0.01, 1e3), st.floats(1e-3, 1e308)),
-    snr=st.one_of(st.floats(0.1, 1e3), st.floats(5e-324, 1.7e308)),
+    snr=st.one_of(st.floats(0.1, 1e3), st.floats(2.0**-52, 2.0**52), st.sampled_from([2.0**-52, 2.0**52])),
     conv=st.sampled_from(list(Convention)),
     k_max=st.integers(1, 3000),
     perfect=st.booleans(),
 )
 def test_aloha_profile_is_the_dense_formula_byte_for_byte(M, D, slot, snr, conv, k_max, perfect):
     # slot is the slot length at K = k_max: below 1 the shortest slots are
-    # shorter than one use; payload and frame stop at 2**53, as the config does
+    # shorter than one use; payload and frame stop at 2**53, as the config
+    # does, and snr spans its range: no slot length is refused
     cfg = AlohaConfig(M, D, min(max(slot * k_max, 1.0), 2.0**53), Channel(snr, conv))
-    want, defined = dense_profile(cfg, k_max, perfect)
-    if not defined:
-        with pytest.raises(ValueError, match="undefined"):
-            aloha_optimize(cfg, k_max, perfect)
-        return
     got = aloha_optimize(cfg, k_max, perfect).profile
-    assert np.array([p for _, p in got]).tobytes() == want.tobytes()
+    assert np.array([p for _, p in got]).tobytes() == dense_profile(cfg, k_max, perfect).tobytes()
 
 
 @given(
