@@ -5,8 +5,10 @@ ValueError naming the parameter.  A real is an int, a float or a numpy real
 scalar, finite, and becomes a float, so all arithmetic runs in float64.  An
 integer is an int or a numpy integer scalar and becomes an int; every float
 is refused, 132.0 included, and so is a value past MAX_EXACT = 2**53 (where
-floats stop counting exactly) unless the call sets its own le.  bool is
-refused by both.  A linear SNR is a real in [2**-52, 2**52], -156.5 to
+floats stop counting exactly) unless the call sets its own le.  Every
+payload and length, though real, stops there too: its real call sets
+le=MAX_EXACT, and a length's sets ge=1 / MAX_EXACT (2**-53) or ge=1.  bool
+is refused by both.  A linear SNR is a real in [2**-52, 2**52], -156.5 to
 156.5 dB: at the bottom 1 + snr is the next float above 1, so capacity is
 positive, and at the top every gain formed from it stays finite.  Checks
 that relate one argument to another stay with their owners.

@@ -48,10 +48,6 @@ _LOG2_E_SQ = math.log2(math.e) ** 2
 
 _LIVE_T = 9.0  # |t| outside _success_grid's window; 1 - Q(t) is exactly 0 or 1 from |t| = 8.2924
 
-# min_blocklength looks for its answer up to this blocklength
-_MAX_BLOCKLENGTH = 1 << 50
-_LOG_MAX_BLOCKLENGTH = math.log(_MAX_BLOCKLENGTH)
-
 
 class Convention(Enum):
     """Channel-use accounting: one complex symbol, or one real dimension."""
@@ -82,14 +78,15 @@ class Channel:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A code operating point: k information bits in n channel uses."""
+    """A code operating point: k information bits in n channel uses, with k
+    in (0, 2**53] and n in [2**-53, 2**53]."""
 
     k: float
     n: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", real("k", self.k, gt=0.0))
-        object.__setattr__(self, "n", real("n", self.n, gt=0.0))
+        object.__setattr__(self, "k", real("k", self.k, gt=0.0, le=MAX_EXACT))
+        object.__setattr__(self, "n", real("n", self.n, ge=1 / MAX_EXACT, le=MAX_EXACT))
 
 
 @dataclass(frozen=True)
@@ -144,11 +141,12 @@ def rate_na(ch: Channel, n: float, eps: float) -> RateResult:
 
     Args:
         ch: channel (fixes C and V, including the convention).
-        n: blocklength in channel uses, >= 1 (real-valued is allowed);
-            below 1 the log2(n)/(2n) correction turns large and negative.
+        n: blocklength in channel uses, in [1, 2**53] (real-valued is
+            allowed); below 1 the log2(n)/(2n) correction turns large and
+            negative.
         eps: target packet error probability, in (0, 1).
     """
-    n = real("n", n, ge=1.0)
+    n = real("n", n, ge=1.0, le=MAX_EXACT)
     eps = probability("eps", eps)
     cap, disp = _cv(ch)
     penalty = math.sqrt(disp / n) * q_inv(eps)
@@ -183,8 +181,9 @@ def _live_window(c: float, v: float, k_min: float, k_max: float) -> tuple[float,
     n >= n_top >= 1.  For n >= 1, t >= (nC - k)/sqrt(nV), which rises: n_top solves Cn - T sqrt(Vn) = k.
     Up to n_top t's numerator is at most nC - k', k' = k - log2(n_top)/2, and it and sqrt(nV) rise,
     so t <= -T up to the root of Cn + T sqrt(Vn) = k'.  Channel keeps snr >= 2**-52, so C > 0, and
-    the configs keep k and n within MAX_EXACT, so t is finite, as |nC - k + log2(n)/2| < 2**64
-    (C <= 53) and sqrt(nV) >= 3e-16 for n >= 2**-53, and its rounding stays far inside 9 - 8.2924."""
+    CodeSpec and the configs keep k in (0, 2**53] and n in [2**-53, 2**53], so t is finite, as
+    |nC - k + log2(n)/2| < 2**64 (C <= 53) and sqrt(nV) >= 2e-16, and its rounding stays far inside
+    9 - 8.2924.  eps_star and eps_star_log rest on the same bound."""
     b = _LIVE_T * math.sqrt(v)
     r = _sqrt_n_root(c, b, k_max)
     n_top = max(r * r, 1.0)
@@ -242,20 +241,6 @@ def _slot_success(ch: Channel, k: float, frame: float, k_max: int) -> tuple[int,
     return j, m[::-1]
 
 
-def _float_tail_arg(ch: Channel, code: CodeSpec) -> float:
-    # the float path of eps_star and eps_star_log: Python floats overflow to
-    # inf without a warning, so nC and nV past the float range give inf/inf
-    c, v = _cv(ch)
-    k, n = code.k, code.n
-    try:
-        t = _tail_formula(math, c, v, k, n)
-    except ZeroDivisionError:
-        raise ValueError(f"eps_star is undefined at k={k!r}, n={n!r}: nV underflows to 0") from None
-    if t != t:
-        raise ValueError(f"eps_star is undefined at k={k!r}, n={n!r}: nC and nV overflow")
-    return t
-
-
 def eps_star(ch: Channel, code: CodeSpec) -> float:
     """Packet error probability of the best code with k bits in n uses.
 
@@ -263,18 +248,19 @@ def eps_star(ch: Channel, code: CodeSpec) -> float:
     It is strictly decreasing in n where k + 3/(2 ln 2) > log2(1/(2C ln 2))/2.
     That fails only when C and k are both small, and then it can rise with
     n: at snr 1e-6 (complex) with k = 1 it is 0.0 at n = 8, 5.2e-5 at
-    n = 1e7 and 8.4e-15 at n = 1e8.  Raises ValueError where nC and nV
-    both overflow (n near 1e308), so the argument is nan, and where nV
-    underflows to 0.  Evaluated in stdlib math floats; the protocol
-    optimizers take the same formula over arrays through scipy.
+    n = 1e7 and 8.4e-15 at n = 1e8.  On CodeSpec's domain the argument is
+    finite (see _live_window), so every code has a value.  Evaluated in
+    stdlib math floats; the protocol optimizers take the same formula over
+    arrays through scipy.
     """
-    return _q(_float_tail_arg(ch, code))
+    return _q(_tail_formula(math, *_cv(ch), code.k, code.n))
 
 
 def eps_star_log(ch: Channel, code: CodeSpec) -> float:
-    """Natural log of eps_star, finite even where eps_star underflows to 0.
-    Raises ValueError where eps_star does and where the log is below -1.8e308."""
-    return _log_q(_float_tail_arg(ch, code))
+    """Natural log of eps_star, finite even where eps_star underflows to 0:
+    on CodeSpec's domain |t| stays below 1e32, far from where ln Q(t) leaves
+    the float range."""
+    return _log_q(_tail_formula(math, *_cv(ch), code.k, code.n))
 
 
 def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
@@ -287,10 +273,10 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
     [1, n_a] or past n_b; past n_b the closed-form root of the
     approximation without its log2(n)/2 term bounds the answer.  A bisection
     on that bracket tests eps_star itself at each probe, so rounding cannot
-    move the answer.  Raises ValueError when no n up to 2**50 meets the
-    target.
+    move the answer.  k is in (0, 2**53]; raises ValueError when no n up to
+    2**53, the longest CodeSpec, meets the target.
     """
-    k = real("k", k, gt=0.0)
+    k = real("k", k, gt=0.0, le=MAX_EXACT)
     eps_target = probability("eps_target", eps_target)
     c, v = _cv(ch)
 
@@ -303,10 +289,11 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
     # meets stays false up to n_b, so meets turns true once, at or before top
     top = None
     # h = 0 in u = ln n is exp(u - u_h) + a - u = 0, where a = 2 ln 2 (k + 1/ln 2)
-    # and h is least at u_h = ln(1/(2C ln 2)); it has roots when a + 1 < u_h
+    # and h is least at u_h = ln(1/(2C ln 2)); it has roots when a + 1 < u_h.
+    # Channel keeps C >= 1.6e-16 (snr 2**-52, real uses), so u_h < 36.1 and n_a < e**u_h < 2**53
     a = 2.0 * _LN2 * k + 2.0
     u_h = -math.log(2.0 * c * _LN2)
-    if a + 1.0 < u_h and a < _LOG_MAX_BLOCKLENGTH:
+    if a + 1.0 < u_h:
         # the left side is convex and positive at u = a, so Newton climbs
         # from there to the smaller root ln n_a and stops when it cannot rise
         u = a
@@ -316,24 +303,23 @@ def min_blocklength(ch: Channel, k: float, eps_target: float) -> int:
             if not step > 0.0:
                 break
             u += step
-        if u < _LOG_MAX_BLOCKLENGTH:
-            j = math.floor(math.exp(u))  # u >= a >= 2, so j >= 7
-            if meets(j):
-                top = j  # t rises on [1, n_a]
-            elif meets(j + 1):
-                return j + 1
-            # else t stays below the target up to n_b
+        j = math.floor(math.exp(u))  # u >= a >= 2, so j >= 7
+        if meets(j):
+            top = j  # t rises on [1, n_a]
+        elif meets(j + 1):
+            return j + 1
+        # else t stays below the target up to n_b
     if top is None:
         # without log2(n)/2, nC - k = Qinv(eps) sqrt(nV) is a quadratic in
         # sqrt(n); for n >= 1 the dropped term only raises t, so the answer
         # is at most its root, which lies past n_b
-        top = _MAX_BLOCKLENGTH
+        top = MAX_EXACT
         s = _sqrt_n_root(c, q_inv(eps_target) * math.sqrt(v), k)
-        if s * s < top:  # false for inf, where 4Ck overflows
+        if s * s < top:
             top = max(math.ceil(s * s), 2)
             while not meets(top):  # rounding can leave the root a use short
                 top += 1
-        if top == _MAX_BLOCKLENGTH and not meets(top):
-            raise ValueError(f"no blocklength up to {_MAX_BLOCKLENGTH} meets eps_target={eps_target!r}")
+        if top == MAX_EXACT and not meets(top):
+            raise ValueError(f"no blocklength up to {MAX_EXACT} meets eps_target={eps_target!r}")
     # meets(1) is false and meets(top) true, so the answer is in [2, top]
     return bisect.bisect_left(range(2, top), True, key=meets) + 2

@@ -32,7 +32,7 @@ from typing import Any, Callable, NamedTuple
 
 import shortpacket as sp
 
-from ._check import SimConfigError
+from ._check import SimConfigError, linear_snr
 
 __all__ = ["run", "main"]
 
@@ -56,9 +56,10 @@ class _Output(NamedTuple):
 
 def _snr(args: argparse.Namespace) -> float:
     try:
-        return 10.0 ** (args.snr_db / 10.0)
-    except OverflowError:
-        raise ValueError(f"--snr-db {args.snr_db!r} is past the float range") from None
+        return linear_snr(10.0 ** (args.snr_db / 10.0))
+    except (OverflowError, ValueError):
+        raise ValueError(f"--snr-db must be within -156.5 to 156.5 dB (a linear snr in [2**-52, 2**52]), "
+                         f"got {args.snr_db!r}") from None
 
 
 def _channel(args: argparse.Namespace) -> sp.Channel:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import erfc, log, log2, sqrt
 
-from ._check import integer, linear_snr, probability, real
+from ._check import MAX_EXACT, integer, linear_snr, probability, real
 from .awgn import _LOG2_E_SQ
 
 __all__ = [
@@ -117,14 +117,14 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
     Args:
         snr: linear SNR, in [2**-52, 2**52].
         R: rate in bits per channel use, > 0.
-        n: blocklength, >= 1.
+        n: blocklength, in [1, 2**53].
     """
     # the slowest import, needed only here: QUADPACK's routines without
     # quad's wrapper, which costs a fifth of the call for one breakpoint
     from scipy.integrate import _quadpack
     snr = linear_snr(snr)
     R = real("R", R, gt=0.0)
-    n = real("n", n, ge=1.0)
+    n = real("n", n, ge=1.0, le=MAX_EXACT)
     corr = math.log2(n) / (2.0 * n)
     # the tail argument's shift, n/2 and the integrand's limit at zero gain
     args = (snr, corr - R, 0.5 * n, 1.0 if R > corr else 0.0)

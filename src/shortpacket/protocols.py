@@ -97,7 +97,8 @@ def _check_devices(cfg: DownlinkConfig | AlohaConfig) -> None:
 
 @dataclass(frozen=True)
 class DownlinkConfig:
-    """Downlink broadcast to M devices, D bits each, per-device slot n."""
+    """Downlink broadcast to M devices, D bits each, per-device slot n; the
+    frame M*n and the total payload M*D stop at 2**53, as each of n and D does."""
 
     M: int
     D: float
@@ -106,6 +107,9 @@ class DownlinkConfig:
 
     def __post_init__(self) -> None:
         _check_devices(self)
+        # the concatenated packet is a CodeSpec of (M*D, M*n)
+        real("frame length M*n", self.frame_length, le=MAX_EXACT)
+        real("total bits M*D", self.total_bits, le=MAX_EXACT)
 
     @property
     def frame_length(self) -> float:
@@ -318,11 +322,11 @@ def twoway_optimize(cfg: TwoWayConfig, k_i1: float, n_ceiling: int = 1_000_000) 
 
     Args:
         cfg: exchange description carrying exactly one objective.
-        k_i1: information bits credited per successful exchange, > 0;
-            throughput = reliability * k_i1 / n.
+        k_i1: information bits credited per successful exchange, in
+            (0, 2**53]; throughput = reliability * k_i1 / n.
         n_ceiling: giving-up point for the minimum-blocklength search.
     """
-    k_i1 = real("k_i1", k_i1, gt=0.0)
+    k_i1 = real("k_i1", k_i1, gt=0.0, le=MAX_EXACT)
     n_ceiling = integer("n_ceiling", n_ceiling, ge=2)
     if (cfg.n_total is None) == (cfg.target_reliability is None):
         raise ValueError("exactly one of n_total and target_reliability must be set")
@@ -349,7 +353,7 @@ def twoway_tdd_eval(k: float, k_i: float, n_slot: float, ch: Channel) -> TddResu
 
     throughput = (1 - eps*(k, n_slot)) * k_i / n_slot.
     """
-    code = CodeSpec(k, real("n_slot", n_slot, gt=0.0))
+    code = CodeSpec(k, real("n_slot", n_slot, ge=1 / MAX_EXACT, le=MAX_EXACT))
     k_i = real("k_i", k_i, gt=0.0, le=code.k)  # credited bits are a part of the k sent
     eps = eps_star(ch, code)
     return TddResult(eps=eps, throughput=(1.0 - eps) * k_i / code.n)

@@ -4,6 +4,7 @@ error-probability / blocklength inversions."""
 import bisect
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.special import log_ndtr, ndtr
 
 from from_scratch import tail_args
 from shortpacket import awgn
+from shortpacket._check import MAX_EXACT
 from shortpacket.awgn import (
     Channel,
     CodeSpec,
@@ -172,11 +174,14 @@ def test_eps_star_falls_strictly_in_n(log_snr, conv, log_n, t, log_grow):
 
 
 def test_eps_star_refuses_nan_tail_argument():
-    # nC and nV both overflow, so the argument is inf/inf
-    for ch, n in [(CH10_CPLX, 1e308), (CH10_REAL, 1.75e308), (Channel(2.0**52), 1e308)]:
-        for fn in (eps_star, eps_star_log):
-            with pytest.raises(ValueError, match="undefined"):
-                fn(ch, CodeSpec(1e308, n))
+    # nC and nV both overflowed at these codes, so the argument was inf/inf;
+    # CodeSpec refuses a payload or length past 2**53, so none reaches eps_star
+    for n in (1e308, 1.75e308):
+        with pytest.raises(ValueError, match=r"^k must be > 0\.0 and <= 9007199254740992, got 1e\+308$"):
+            CodeSpec(1e308, n)
+        with pytest.raises(ValueError, match=rf"^n must be >= 1\.1102230246251565e-16 and <= 9007199254740992, "
+                                             rf"got {re.escape(repr(n))}$"):
+            CodeSpec(1.0, n)
 
 
 def _log_q_oracle(t):
@@ -208,29 +213,52 @@ def _eps_star_oracle(ch, k, n):
 
 def test_eps_star_past_overflow_guard_matches_array_path():
     # floats take stdlib math and the optimizers' arrays take scipy, so the
-    # two agree to rounding rather than bit for bit, and both match mpmath
-    for ch in (CH10_REAL, CH10_CPLX, Channel(2.0**52)):
-        for k, n in [(1.0, 1e306), (1e307, 1e306), (1e306, 1e305), (194.0, 125.0)]:
+    # two agree to rounding rather than bit for bit, and both match mpmath,
+    # at the corners of CodeSpec's domain too: k up to 2**53, n from 2**-53
+    # to 2**53
+    corners = [(1.0, 2.0**53), (2.0**53, 2.0**53), (2.0**53, 2.0**52), (1.0, 2.0**-53), (2.0**53, 2.0**-53)]
+    for ch in (CH10_REAL, CH10_CPLX, Channel(2.0**52), Channel(2.0**-52, Convention.REAL_CU)):
+        for k, n in [(194.0, 125.0), *corners]:
             t = tail_args(ch, k, n)
             eps = eps_star(ch, CodeSpec(k, n))
             assert eps == pytest.approx(float(ndtr(-t)), rel=5e-13, abs=0.0)
-            if log_ndtr(-t) == -np.inf:  # t past 1.9e154: ln Q is below the float range
-                with pytest.raises(ValueError, match=r"^ln Q\(.+\) is below the float range$"):
-                    eps_star_log(ch, CodeSpec(k, n))
-                continue
             log_eps = eps_star_log(ch, CodeSpec(k, n))
             assert log_eps == pytest.approx(float(log_ndtr(-t)), rel=5e-13, abs=0.0)
-            if math.isfinite(t):
-                eps_mp, log_eps_mp = _eps_star_oracle(ch, k, n)
-                assert eps == pytest.approx(eps_mp, rel=1e-12, abs=0.0)
-                assert log_eps == pytest.approx(log_eps_mp, rel=1e-12, abs=0.0)
+            eps_mp, log_eps_mp = _eps_star_oracle(ch, k, n)
+            assert eps == pytest.approx(eps_mp, rel=1e-12, abs=0.0)
+            assert log_eps == pytest.approx(log_eps_mp, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    snr=st.one_of(st.sampled_from([2.0**-52, 2.0**52]), st.floats(-52.0, 52.0).map(lambda e: 2.0**e)),
+    conv=st.sampled_from(list(Convention)),
+    k=st.one_of(st.sampled_from([2.0**-1074, 2.0**53]), st.floats(-3.0, math.log10(2.0**53)).map(lambda e: 10.0**e)),
+    n=st.one_of(st.sampled_from([2.0**-53, 2.0**53]), st.floats(-53.0, 53.0).map(lambda e: 2.0**e)),
+)
+def test_eps_star_is_finite_over_the_whole_domain(snr, conv, k, n):
+    # every code CodeSpec takes, at every snr Channel takes, has a finite
+    # error probability and log of it, with no refusal left to raise, and
+    # eps_star is Q of the tail argument as scipy gives it
+    ch, code = Channel(snr, conv), CodeSpec(min(k, 2.0**53), n)
+    t = tail_args(ch, code.k, n)
+    assert math.isfinite(t)
+    eps, log_eps = eps_star(ch, code), eps_star_log(ch, code)
+    assert 0.0 <= eps <= 1.0 and math.isfinite(log_eps) and log_eps <= 0.0
+    assert eps == pytest.approx(float(ndtr(-t)), rel=5e-13, abs=0.0)
 
 
 def test_eps_star_refuses_underflowing_dispersion():
-    # nV rounds to 0, so the tail argument would divide by zero: V is least
-    # at the bottom of the snr range, and a CodeSpec takes any n > 0
-    with pytest.raises(ValueError, match="nV underflows"):
-        eps_star(Channel(2.0**-52, Convention.REAL_CU), CodeSpec(1.0, 5e-324))
+    # nV rounded to 0 at n = 5e-324, so the tail argument divided by zero: V
+    # is least at the bottom of the snr range.  CodeSpec's lengths start at
+    # 2**-53, where nV is 5e-32, and the next float below is refused
+    ch = Channel(2.0**-52, Convention.REAL_CU)
+    for n in (5e-324, math.nextafter(2.0**-53, 0.0)):
+        with pytest.raises(ValueError, match=rf"^n must be >= 1\.1102230246251565e-16 and <= 9007199254740992, "
+                                             rf"got {re.escape(repr(n))}$"):
+            CodeSpec(1.0, n)
+    assert 2.0**-53 * awgn._cv(ch)[1] > 5e-32
+    assert 0.0 < eps_star(ch, CodeSpec(1.0, 2.0**-53)) <= 1.0
 
 
 def test_success_grid_needs_no_underflow_refusal():
@@ -453,7 +481,7 @@ def test_min_blocklength_is_tight_over_the_whole_range(log_snr, conv, log_k, log
     assert n == 1 or eps_star(ch, CodeSpec(k, n - 1.0)) > eps
     if _eps_falls_with_n(ch, k):
         assert n == _smallest_n(
-            lambda m: eps_star(ch, CodeSpec(k, float(m))) <= eps, 1, awgn._MAX_BLOCKLENGTH
+            lambda m: eps_star(ch, CodeSpec(k, float(m))) <= eps, 1, MAX_EXACT
         )
 
 
@@ -483,13 +511,13 @@ def test_min_blocklength_meets_target_where_rounding_shortens_the_bracket(monkey
     # at k near 1e17 the rounding of nC - k can outweigh the log2(n)/2 term
     # the closed-form bound drops, so its ceiling can miss the target by a
     # use.  One seeded search found this input inside the snr range (one in
-    # 900,000 draws with k from 1e15 to 3e18): the ceiling is 1121539560226613
-    ch = Channel(29148459496.32111)
-    k, eps = 3.898774324867746e16, 2.3062154470995016e-45
-    n = min_blocklength(ch, k, eps)
-    assert n == 1121539560226614
-    assert eps_star(ch, CodeSpec(k, float(n))) <= eps < eps_star(ch, CodeSpec(k, n - 1.0))
-    # the root is made a use short here too: without the climb from it, the
+    # 900,000 draws with k from 1e15 to 3e18): the ceiling was
+    # 1121539560226613 and the answer 1121539560226614.  Its payload is past
+    # 2**53 and refused now, and 6,000,000 seeded draws (snr 1 to 2**52, k
+    # 1e12 to 2**53, eps 1e-300 to 0.1) found no input that leaves it short
+    with pytest.raises(ValueError, match=r"^k must be > 0\.0 and <= 9007199254740992, got 3\.898774324867746e\+16$"):
+        min_blocklength(Channel(29148459496.32111), 3.898774324867746e16, 2.3062154470995016e-45)
+    # so the root is made a use short here: without the climb from it, the
     # bisection would return the short ceiling
     ch = Channel(10.0, Convention.REAL_CU)
     for k, eps in [(193.0, 4.4e-4), (1e4, 1e-9), (1e6, 1e-12)]:
@@ -536,10 +564,19 @@ def test_min_blocklength_low_capacity_reproducers():
 def test_min_blocklength_refuses_targets_past_its_ceiling():
     # at the bottom of the snr range, 2**-52, C is 3.2e-16, so k = 100
     # takes about 3e17 uses; at snr 1e-12 a megabit needs about 1e18 uses;
-    # the ceiling is 2**50
+    # the ceiling is 2**53, the longest CodeSpec
     for snr, k in [(2.0**-52, 100.0), (1e-12, 1e6)]:
-        with pytest.raises(ValueError, match="no blocklength"):
+        with pytest.raises(ValueError, match="^no blocklength up to 9007199254740992 meets eps_target=0.001$"):
             min_blocklength(Channel(snr), k, 1e-3)
+
+
+def test_min_blocklength_answers_past_2_50():
+    # the search stopped at 2**50 and refused this target ("no blocklength up
+    # to 1125899906842624"); it now searches up to 2**53, and the answer is tight
+    ch, k, eps = Channel(1e-10), 3e5, 1e-3
+    n = min_blocklength(ch, k, eps)
+    assert n == 2099288567854973
+    assert eps_star(ch, CodeSpec(k, float(n))) <= eps < eps_star(ch, CodeSpec(k, n - 1.0))
 
 
 @pytest.mark.parametrize("snr", [0.0, -1.0, math.inf, math.nan])

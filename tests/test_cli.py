@@ -356,14 +356,14 @@ def test_domain_error_exits_3():
     code, out, err = run_cli("eps", "--k", "-5", "--n", "125", "--snr-db", "10")
     assert code == 3
     assert "error" in err.lower()
-    # 10**400 is past the float range: one error line, no traceback
-    code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "4000")
-    assert code == 3
-    assert err.startswith("error:") and err.count("\n") == 1
-    # the snr range ends at 2**52, 156.5 dB: 157 dB is refused, 156 dB taken
-    code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "157")
-    assert code == 3 and out == ""
-    assert err.startswith("error: snr must be") and "156.5 dB" in err and err.count("\n") == 1
+    # the snr range ends at 2**52, 156.5 dB: 157 dB is refused, naming the
+    # option and the dB value typed (it printed the linear snr), and so are
+    # 4000 dB and 1e4 dB, past the float range (an OverflowError), with one
+    # error line and no traceback; 156 dB is taken
+    for db in ("157", "-157", "4000", "1e4", "nan"):
+        assert run_cli("eps", "--k", "100", "--n", "200", "--snr-db", db) == (
+            3, "", f"error: --snr-db must be within -156.5 to 156.5 dB (a linear snr in [2**-52, 2**52]), "
+                   f"got {float(db)!r}\n")
     code, out, err = run_cli("eps", "--k", "100", "--n", "200", "--snr-db", "156")
     assert code == 0, err
     # an integer past 2**53 (OverflowError), and blocklengths below 1, where
@@ -372,7 +372,8 @@ def test_domain_error_exits_3():
         ("downlink", "--devices", str(10**400), "--bits", "192", "--slot", "125", "--snr-db", "10"),
         ("rate", "--n", "1e-320", "--eps", "0.5", "--snr-db", "10"),
         ("rate", "--n", "1e-300", "--eps", "0.5", "--snr-db", "10"),
-        # nC and nV both overflow, so the tail argument is inf/inf: it was nan
+        # a payload and length past 2**53, which CodeSpec refuses: nC and nV
+        # both overflowed, so the tail argument was inf/inf
         ("eps", "--k", "1e308", "--n", "1e308", "--snr-db", "10"),
         # a 2**53-slot profile: numpy refuses the 64 PiB array (MemoryError)
         (
@@ -405,11 +406,13 @@ def test_domain_error_exits_3():
 
 
 def test_log_eps_below_the_float_range_exits_3():
-    # nC overflows, so t = inf and ln Q(t) is -inf: the json printed -Infinity
+    # nC overflowed, so t = inf and ln Q(t) was -inf: the json printed
+    # -Infinity; CodeSpec now refuses the length, past 2**53
     argv = ("eps", "--k", "1025", "--n", "1.7e308", "--snr-db", "10", "--convention", "real")
     for fmt in ("json", "csv", "table"):
         code, out, err = run_cli(*argv, "--format", fmt)
-        assert (code, out, err) == (3, "", "error: ln Q(inf) is below the float range\n")
+        assert (code, out, err) == (
+            3, "", "error: n must be >= 1.1102230246251565e-16 and <= 9007199254740992, got 1.7e+308\n")
 
 
 def test_json_refuses_values_outside_its_grammar(monkeypatch):

@@ -7,9 +7,11 @@ those for the matching Python number and holding no numpy scalars.  bool,
 str, None, complex and non-finite values are refused with a ValueError that
 names the parameter, and so is every float given for an integer parameter
 and every integer past 2**53 unless the parameter has its own bound (the
-seed keeps 2**64 - 1); a bad trial count raises SimConfigError.  The
-protocol configs' payloads and lengths, though real, stop at 2**53 too, and
-a linear SNR lies in [2**-52, 2**52], -156.5 to 156.5 dB."""
+seed keeps 2**64 - 1); a bad trial count raises SimConfigError.  Every
+payload and length, though real, stops at 2**53 too, and so do the downlink's
+frame M*n and total payload M*D; a length starts at 2**-53, or at 1 where its
+docstring says so, and a linear SNR lies in [2**-52, 2**52], -156.5 to
+156.5 dB."""
 
 import dataclasses
 import math
@@ -104,8 +106,8 @@ ROWS = [
     ("twoway_tdd_eval", "k_i", "real", 96.0, lambda v: twoway_tdd_eval(194.0, v, 125.0, CH)),
     ("twoway_tdd_eval", "n_slot", "real", 125.0, lambda v: twoway_tdd_eval(194.0, 96.0, v, CH)),
     ("DownlinkConfig", "M", "int", 10, lambda v: DownlinkConfig(v, 192.0, 125.0, CH)),
-    ("DownlinkConfig", "D", "real", 192.0, lambda v: DownlinkConfig(10, v, 125.0, CH)),
-    ("DownlinkConfig", "n", "real", 125.0, lambda v: DownlinkConfig(10, 192.0, v, CH)),
+    ("DownlinkConfig", "D", "real", 192.0, lambda v: DownlinkConfig(1, v, 125.0, CH)),
+    ("DownlinkConfig", "n", "real", 125.0, lambda v: DownlinkConfig(1, 192.0, v, CH)),
     ("AlohaConfig", "M", "int", 10, lambda v: AlohaConfig(v, 192.0, 800.0, CH)),
     ("AlohaConfig", "D", "real", 192.0, lambda v: AlohaConfig(10, v, 800.0, CH)),
     ("AlohaConfig", "n", "real", 800.0, lambda v: AlohaConfig(10, 192.0, v, CH)),
@@ -185,16 +187,39 @@ def test_non_numbers_are_refused(entry, param, kind, valid, call):
         assert isinstance(info.value, SimConfigError) == (kind == "trials"), repr(v)
 
 
-# real parameters bounded like a count: the protocol configs' payloads and lengths
-BOUNDED = ["TwoWayConfig-k1", "TwoWayConfig-k2", "DownlinkConfig-D", "DownlinkConfig-n", "AlohaConfig-D",
-           "AlohaConfig-n"]
+# real parameters bounded like a count: every payload, in (0, 2**53], and
+# every length, in [2**-53, 2**53] or, where its docstring says so, [1, 2**53]
+BOUNDED = ["CodeSpec-k", "CodeSpec-n", "rate_na-n", "min_blocklength-k", "eps_quasistatic-n", "twoway_tdd_eval-k",
+           "twoway_tdd_eval-n_slot", "twoway_optimize-k_i1", "TwoWayConfig-k1", "TwoWayConfig-k2", "DownlinkConfig-D", "DownlinkConfig-n",
+           "AlohaConfig-D", "AlohaConfig-n"]
+FROM_2_TO_THE_MINUS_53 = {"CodeSpec-n", "twoway_tdd_eval-n_slot"}
+# the downlink's concatenated packet, (M*D, M*n): with each factor at most
+# 2**53 the products stop below 2**106, short of 1e300.  The rows for D and
+# n above take one device, so that 2**53 is a valid payload and slot
+PRODUCTS = [
+    ("DownlinkConfig", "frame length M*n", "frame_length", lambda v: DownlinkConfig(2**53, 1.0, v / 2**53, CH)),
+    ("DownlinkConfig", "total bits M*D", "total_bits", lambda v: DownlinkConfig(2**53, v / 2**53, 1.0, CH)),
+]
+# (id, parameter, the attribute that holds it, call, a value far past 2**53)
+STOP_CASES = [(i, row[1], row[1], row[4], 1e300) for i in BOUNDED for row in [ROWS[IDS.index(i)]]]
+STOP_CASES += [(f"{entry}-{attr}", param, attr, call, 2.0**106) for entry, param, attr, call in PRODUCTS]
 
 
-@pytest.mark.parametrize("entry, param, kind, valid, call", [ROWS[IDS.index(i)] for i in BOUNDED], ids=BOUNDED)
-def test_protocol_payloads_and_lengths_stop_at_2_53(entry, param, kind, valid, call):
-    assert getattr(call(2.0**53), param) == 2.0**53
-    for v in (math.nextafter(2.0**53, math.inf), 1e300):
-        with pytest.raises(ValueError, match=f"^{param} must be .* and <= 9007199254740992, got {re.escape(repr(v))}$"):
+@pytest.mark.parametrize("case_id, param, attr, call, far", STOP_CASES, ids=[case[0] for case in STOP_CASES])
+def test_payloads_and_lengths_stop_at_2_53(case_id, param, attr, call, far):
+    low = case_id in FROM_2_TO_THE_MINUS_53
+    for edge in (2.0**-53, 2.0**53) if low else (2.0**53,):
+        got = call(edge)
+        if hasattr(got, attr):
+            assert getattr(got, attr) == edge
+        else:  # a function's result: every float in it is finite
+            assert all(map(math.isfinite, dataclasses.astuple(got) if dataclasses.is_dataclass(got) else (got,)))
+    refusals = [(v, "(.* and )?") for v in (math.nextafter(2.0**53, math.inf), far)]
+    if low:
+        refusals += [(v, r">= 1\.1102230246251565e-16 and ") for v in (math.nextafter(2.0**-53, 0.0), 5e-324)]
+    for v, low_bound in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(param)} must be {low_bound}<= 9007199254740992, "
+                                             f"got {re.escape(repr(v))}$"):
             call(v)
 
 

@@ -390,12 +390,18 @@ def test_downlink_concatenation_dominates():
 
 def test_downlink_config_refuses_a_slot_past_2_53():
     # at n = 1.2e307 the concatenated packet's M*n*C overflowed, so ln eps*
-    # was -inf; the config now refuses the slot, and at n = 2**53 the log
-    # stays finite where eps* itself underflows
+    # was -inf; the config now refuses the slot, and the frame M*n and the
+    # total payload M*D past 2**53 too (a 10 * 2**53-use frame was taken).
+    # At a 2**53-use frame the log stays finite where eps* itself underflows
+    ch = Channel(10.0, Convention.REAL_CU)
     with pytest.raises(ValueError, match=r"^n must be >= 1.0 and <= 9007199254740992, got 1.2e\+307$"):
-        DownlinkConfig(10, 1.0, 1.2e307, Channel(10.0, Convention.REAL_CU))
-    res = downlink_compare(DownlinkConfig(10, 1.0, 2.0**53, Channel(10.0, Convention.REAL_CU)))
-    assert res.eps_concat == 0.0 and -math.inf < res.log_eps_concat < -1e17
+        DownlinkConfig(10, 1.0, 1.2e307, ch)
+    with pytest.raises(ValueError, match=r"^frame length M\*n must be <= 9007199254740992, got 9.007199254740992e\+16$"):
+        DownlinkConfig(10, 1.0, 2.0**53, ch)
+    with pytest.raises(ValueError, match=r"^total bits M\*D must be <= 9007199254740992, got 9.007199254740992e\+16$"):
+        DownlinkConfig(10, 2.0**53, 1.0, ch)
+    res = downlink_compare(DownlinkConfig(8, 1.0, 2.0**50, ch))
+    assert res.eps_concat == 0.0 and -math.inf < res.log_eps_concat < -1e16
 
 
 def test_downlink_frame_properties():
