@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import erfc, log, log2, sqrt
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest t with exp(t) finite
 
 
 class DmtMode(Enum):
@@ -67,12 +65,12 @@ def outage_prob_siso(snr: float, R: float) -> float:
     """Rayleigh outage probability 1 - exp(-(2^R - 1)/snr).
 
     R is in bits per complex channel use; R = 0 gives 0 exactly.  Where 2^R
-    is past the float range the threshold is capped at float max / snr,
-    at least 4e292, so the outage is exactly 1.
+    is past the float range the threshold is capped at (2^1023 - 1) / snr,
+    at least 2^971 (about 2.0e292), so the outage is exactly 1.
     """
     snr = linear_snr(snr)
     R = real("R", R, ge=0.0)
-    threshold = math.expm1(min(R * _LN2, _LOG_FLOAT_MAX)) / snr
+    threshold = math.expm1(min(R, 1023.0) * _LN2) / snr
     return -math.expm1(-threshold)
 
 

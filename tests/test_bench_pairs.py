@@ -111,3 +111,10 @@ def test_git_head_names_only_the_top_of_a_work_tree(tmp_path):
     export = tmp_path / "export"  # an export with no HEAD of its own
     export.mkdir()
     assert bench_pairs.git_head(export) is None
+
+
+def test_outputs_digest_is_the_last_hash_of_a_checkouts_digest_tool(tmp_path):
+    assert bench_pairs.outputs_digest(tmp_path) is None  # a checkout without the tool
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "digest.py").write_text("print('unit ab12')\nprint('sha256 cd34')\n")
+    assert bench_pairs.outputs_digest(tmp_path) == "cd34"

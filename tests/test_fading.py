@@ -84,10 +84,12 @@ def test_outage_pair_inverts_at_small_snr_eps():
 def test_outage_monotone_in_rate():
     ps = [outage_prob_siso(SNR, float(r)) for r in np.linspace(0.0, 8.0, 50)]
     assert all(a < b for a, b in zip(ps, ps[1:]))
-    # past the float range of 2^R: saturated, also at the top of the snr
-    # range, where (2^R - 1)/snr is at least 4e292
+    # from 2^1023 on: saturated at both ends of the snr range, where the
+    # threshold is capped at (2^1023 - 1)/snr, at least 2^971 (about 2.0e292)
     assert outage_prob_siso(SNR, 2000.0) == 1.0
-    assert outage_prob_siso(2.0**52, 1025.0) == 1.0
+    for snr in (2.0**-52, 2.0**52):
+        for r in (1023.0, math.nextafter(1023.0, math.inf), 1024.0, 1025.0):
+            assert outage_prob_siso(snr, r) == 1.0
 
 
 def test_outage_rejects_bad_inputs():

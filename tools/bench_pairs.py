@@ -23,9 +23,10 @@ better direction, by more than the parent's interquartile range.  Any
 other metric that the same rule finds worse is marked "worse in N/10", so
 a regression inside the bound still shows.  --out writes the command line,
 each checkout's git HEAD, a sha256 of its src/ files (so an export made
-with `git archive`, which has no HEAD, is still named) and the line count
-of its src/**/*.py, the runs, the summaries and the verdicts as JSON.
-Standard library only.
+with `git archive`, which has no HEAD, is still named), the line count of
+its src/**/*.py and the last hash of its tools/digest.py (null where it has
+none), whether those hashes agree, the runs, the summaries and the verdicts
+as JSON.  Standard library only.
 """
 
 from __future__ import annotations
@@ -102,6 +103,17 @@ def src_lines(root: Path) -> int:
     """Lines in the .py files under root/src, __pycache__ excluded."""
     return sum(len(p.read_bytes().splitlines()) for p in (root / "src").rglob("*.py")
                if "__pycache__" not in p.parts)
+
+
+def outputs_digest(root: Path) -> str | None:
+    """The sha256 on the last line of `python3 tools/digest.py` run in root,
+    or None where root has no such tool."""
+    if not (root / "tools" / "digest.py").is_file():
+        return None
+    out = subprocess.run([sys.executable, "tools/digest.py"], cwd=root, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"{root}: tools/digest.py exited {out.returncode}\n{out.stderr}")
+    return out.stdout.split()[-1]
 
 
 def host() -> str:
@@ -216,12 +228,15 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or ["design-scan"]
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    roots = {"parent": Path(args.parent), "change": Path(args.change)}
+    outputs = {side: outputs_digest(root) for side, root in roots.items()}
     doc = {
         "change": args.describe,
-        "parent": git_head(Path(args.parent)),
-        "sides": {side: {"head": git_head(Path(root)), "src_sha256": src_digest(Path(root)),
-                         "src_lines": src_lines(Path(root))}
-                  for side, root in (("parent", args.parent), ("change", args.change))},
+        "parent": git_head(roots["parent"]),
+        "sides": {side: {"head": git_head(root), "src_sha256": src_digest(root), "src_lines": src_lines(root),
+                         "outputs_sha256": outputs[side]}
+                  for side, root in roots.items()},
+        "outputs_identical": None if None in outputs.values() else outputs["parent"] == outputs["change"],
         "command": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
         "each_run": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 "
                     "in each checkout, parent and change alternating which runs first",
