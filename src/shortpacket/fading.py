@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import erfc, log, log2, sqrt
@@ -33,6 +35,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+_QUADPACK = "scipy.integrate._quadpack"
+_quadpack = None  # QUADPACK's extension module, bound on the first eps_quasistatic call
 
 
 class DmtMode(Enum):
@@ -82,6 +87,26 @@ def outage_capacity_siso(snr: float, eps: float) -> float:
     return math.log2(1.0 - snr * math.log1p(-eps))
 
 
+def _load_quadpack():
+    # the extension alone, 0.25 MB: the scipy.integrate package would load
+    # scipy.sparse, scipy.linalg, scipy.optimize and scipy.special with it.
+    # find_spec of a top-level name imports nothing
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+        from importlib.util import find_spec, module_from_spec
+        integrate = os.path.join(find_spec("scipy").submodule_search_locations[0], "integrate")
+        spec = FileFinder(integrate, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_QUADPACK)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # the extension enters itself in sys.modules as it loads; an
+        # `import scipy.integrate` that found it there would leave the
+        # package without its _quadpack attribute, so the package loads
+        # its own copy instead
+        sys.modules.pop(_QUADPACK, None)
+    return module
+
+
 def _qs_integrand(
     u: float, snr: float, shift: float, half_n: float, at_zero_gain: float
 ) -> float:
@@ -117,9 +142,11 @@ def eps_quasistatic(snr: float, R: float, n: float) -> float:
         R: rate in bits per channel use, > 0.
         n: blocklength, in [1, 2**53].
     """
-    # the slowest import, needed only here: QUADPACK's routines without
-    # quad's wrapper, which costs a fifth of the call for one breakpoint
-    from scipy.integrate import _quadpack
+    # QUADPACK's routines without quad's wrapper, which costs a fifth of
+    # the call for one breakpoint
+    global _quadpack
+    if _quadpack is None:
+        _quadpack = _load_quadpack()
     snr = linear_snr(snr)
     R = real("R", R, gt=0.0)
     n = real("n", n, ge=1.0, le=MAX_EXACT)

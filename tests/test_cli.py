@@ -495,6 +495,19 @@ def test_python_m_cli_runs_the_command():
     assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
 
 
+def test_qs_eps_passes_on_quads_warning_in_a_fresh_process():
+    # QUADPACK reports ier = 5 once eps_quasistatic has loaded its
+    # extension alone; quad, which imports scipy.integrate, then gives the
+    # value and scipy's warning
+    out = run_module(
+        "shortpacket", "qs-eps", "--rate", "0.0002494070712128257", "--n", "1.5463651650103691",
+        "--snr-db", "-40.26777",
+    )
+    assert out.returncode == 0
+    assert out.stdout == "eps  6.35296e-09\n"
+    assert "IntegrationWarning: The integral is probably divergent, or slowly convergent." in out.stderr
+
+
 def test_python_m_package_prints_the_help(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     out_io = io.StringIO()

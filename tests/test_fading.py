@@ -296,22 +296,23 @@ def quad_reference(snr, rate, n):
     return min(max(val, 0.0), 1.0)
 
 
-@pytest.mark.parametrize(
-    "snr, rate, n",
-    [(snr, rate, n) for snr, rate, n, _ in QS_PINNED[::4]]
-    + [
-        # R <= log2(n)/(2n): no breakpoint, the integrand tends to 0 at zero gain
-        (10.0, 1e-3, 1000.0),
-        (10.0, math.log2(1000.0) / 2000.0, 1000.0),
-        (0.5, 0.1, 1.5),
-        # a breakpoint that rounds to 1, and a subnormal one
-        (1e5, 1e-9, 1.0),
-        (1.0, math.log2(745.0) + math.log2(1e6) / 2e6, 1e6),
-        # 2^R past the float range: no breakpoint
-        (10.0, 1030.0, 100.0),
-        (2.0**52, 2000.0, 5.0),
-    ],
-)
+# (snr, rate, n); tests/test_layering.py reruns them once scipy.integrate
+# is imported after eps_quasistatic has loaded QUADPACK's extension
+QUAD_CASES = [(snr, rate, n) for snr, rate, n, _ in QS_PINNED[::4]] + [
+    # R <= log2(n)/(2n): no breakpoint, the integrand tends to 0 at zero gain
+    (10.0, 1e-3, 1000.0),
+    (10.0, math.log2(1000.0) / 2000.0, 1000.0),
+    (0.5, 0.1, 1.5),
+    # a breakpoint that rounds to 1, and a subnormal one
+    (1e5, 1e-9, 1.0),
+    (1.0, math.log2(745.0) + math.log2(1e6) / 2e6, 1e6),
+    # 2^R past the float range: no breakpoint
+    (10.0, 1030.0, 100.0),
+    (2.0**52, 2000.0, 5.0),
+]
+
+
+@pytest.mark.parametrize("snr, rate, n", QUAD_CASES)
 def test_quasistatic_is_public_quad_bit_for_bit(snr, rate, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -133,7 +133,7 @@ def module_level_loaders(package):
 
 def test_no_module_level_scipy_import():
     # scipy.special is most of a CLI start; the array paths import it on
-    # their first call, and eps_quasistatic imports scipy.integrate
+    # their first call, and eps_quasistatic loads QUADPACK's extension
     assert module_level_loaders("scipy") == []
 
 
@@ -245,6 +245,53 @@ def run_commands_then_list(package, commands):
 
 def test_commands_run_without_scipy():
     assert run_commands_then_list("scipy", SCIPY_FREE_COMMANDS) == [str([0] * len(SCIPY_FREE_COMMANDS)), "[]"]
+
+
+def test_quasistatic_loads_quadpack_alone():
+    # eps_quasistatic loads QUADPACK's extension by its file and drops the
+    # extension's sys.modules entry, so only what a Python callable handed
+    # to QUADPACK needs comes in: scipy's __init__ and its callback glue
+    base = run_then_list("scipy", "import scipy._lib._ccallback")
+    for package in ("scipy.integrate", "scipy.special", "scipy.sparse", "scipy.linalg", "scipy.optimize"):
+        assert f"'{package}" not in base[0]
+    one_call = (
+        "from shortpacket import eps_quasistatic, fading\n"
+        "eps_quasistatic(10.0, 1.0, 200.0)\n"
+        "print(fading._quadpack.__name__)"
+    )
+    assert run_then_list("scipy", one_call) == ["scipy.integrate._quadpack", *base]
+    qs_eps = [["qs-eps", "--rate", "1.0", "--n", "168", "--snr-db", "10"]]
+    assert run_commands_then_list("scipy", qs_eps) == ["[0]", *base]
+
+
+def test_scipy_integrate_after_the_quadpack_loader():
+    # the package loads its own copy of the extension and sets its
+    # _quadpack attribute; quad then gives eps_quasistatic's bits
+    code = (
+        "import sys, warnings\n"
+        "from shortpacket import eps_quasistatic\n"
+        "eps_quasistatic(10.0, 1.0, 200.0)\n"
+        "import scipy.integrate\n"
+        "print(scipy.integrate._quadpack is sys.modules['scipy.integrate._quadpack'])\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_fading import QUAD_CASES, quad_reference\n"
+        "warnings.simplefilter('error')\n"
+        "print(all(repr(eps_quasistatic(*case)) == repr(quad_reference(*case)) for case in QUAD_CASES))"
+    )
+    assert run_then_list("scipy", code)[:2] == ["True", "True"]
+
+
+def test_quadpack_loader_reuses_the_packages_extension():
+    # scipy.integrate first: the loader takes its module, loads no second
+    # one and leaves its sys.modules entry in place
+    code = (
+        "import sys\n"
+        "import scipy.integrate\n"
+        "from shortpacket import eps_quasistatic, fading\n"
+        "eps_quasistatic(10.0, 1.0, 200.0)\n"
+        "print(fading._quadpack is scipy.integrate._quadpack is sys.modules['scipy.integrate._quadpack'])"
+    )
+    assert run_then_list("scipy", code)[0] == "True"
 
 
 # the scalar commands: every value comes from stdlib math, and so does a
